@@ -9,12 +9,12 @@ equations for the Dunkl Laplacian.
 
 __version__ = "0.1.0"
 
-from .dunkl import (CallableField, dunkl_apply_poly, dunkl_gradient_num,
+from .dunkl import (dunkl_apply_poly, dunkl_gradient_num,
                     dunkl_gradient_poly, dunkl_laplacian_num, dunkl_laplacian_poly,
                     integration_by_parts_residual)
 from .extremal import (OptimizationResult, TrialFamily, inverse_power_family,
                        nelder_mead, power_gaussian_family, rayleigh_maximize,
-                       rellich_sharp_constant, sharp_constant_fractional_hardy)
+                       rellich_sharp_constant)
 from .functions import (PolyGauss1D, RadialPG, TestFunction, band_profile,
                         generate_corpus)
 from .inequalities import (AdmissibilityReport, InequalitySpec, VerificationRecord,

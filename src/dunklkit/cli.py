@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -339,9 +338,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override corpus/optimizer seed")
     parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker hint (DUNKLKIT_JOBS env overrides; computations "
-                             "are vectorized, the hint is recorded in metadata)")
     args = parser.parse_args(argv)
 
     cfg = {}
@@ -364,7 +360,6 @@ def main(argv=None) -> int:
     from .rootsys import RootSystemError
     from .waveeq import WaveConfigError
 
-    jobs = os.environ.get("DUNKLKIT_JOBS", args.jobs)
     try:
         code = COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, AdmissibilityError, RootSystemError, WaveConfigError,
@@ -381,7 +376,6 @@ def main(argv=None) -> int:
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "jobs": jobs,
         "numpy": np.__version__,
         "csv_schemas": CSV_SCHEMAS,
     })

@@ -17,8 +17,7 @@ At k ≡ 0 everything collapses to classical calculus.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .polynomial import Polynomial
 from .rootsys import RootSystem, reflection_matrix
 
 __all__ = [
-    "CallableField",
     "dunkl_apply_poly",
     "dunkl_gradient_poly",
     "dunkl_laplacian_poly",
@@ -35,22 +33,6 @@ __all__ = [
     "dunkl_laplacian_num",
     "integration_by_parts_residual",
 ]
-
-
-@dataclass
-class CallableField:
-    """Total evaluator on ℝ^N with hints used by quadrature/differencing.
-
-    smoothness: one of "Smooth", "CompactSupport", "SchwartzLike".
-    decay_scale: characteristic decay length (sets truncation radii).
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    smoothness: str = "Smooth"
-    decay_scale: float = 1.0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,28 +85,27 @@ def _default_step(x: np.ndarray) -> np.ndarray:
 def dunkl_derivative_num(rs: RootSystem, f, i: int, x: np.ndarray,
                          h: float | np.ndarray | None = None) -> np.ndarray:
     """T_i f(x) numerically; f is a callable on batches (M, N) → (M,)."""
-    func = f if callable(f) else f.evaluator
     pts, single = _as_points(x, rs.dim)
     hv = _default_step(pts) if h is None else np.broadcast_to(np.asarray(h, float), (pts.shape[0],)).copy()
 
     step = np.zeros_like(pts)
     step[:, i] = hv
-    out = (_eval(func, pts + step, rs.dim) - _eval(func, pts - step, rs.dim)) / (2.0 * hv)
+    out = (_eval(f, pts + step, rs.dim) - _eval(f, pts - step, rs.dim)) / (2.0 * hv)
 
-    fx = _eval(func, pts, rs.dim)
+    fx = _eval(f, pts, rs.dim)
     for alpha, k in zip(rs.positive_roots, rs.multiplicities):
         if k == 0.0:
             continue
         s = pts @ alpha
         xr = pts - np.outer(2.0 * s / (alpha @ alpha), alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            quot = (fx - _eval(func, xr, rs.dim)) / s
+            quot = (fx - _eval(f, xr, rs.dim)) / s
         near = np.abs(s) < hv
         if np.any(near):
             mid = 0.5 * (pts[near] + xr[near])
             tau = 0.5 * hv[near]
-            da = (_eval(func, mid + tau[:, None] * alpha, rs.dim)
-                  - _eval(func, mid - tau[:, None] * alpha, rs.dim)) / (2.0 * tau)
+            da = (_eval(f, mid + tau[:, None] * alpha, rs.dim)
+                  - _eval(f, mid - tau[:, None] * alpha, rs.dim)) / (2.0 * tau)
             quot[near] = da
         out = out + k * alpha[i] * quot
     if np.any(~np.isfinite(out)):
@@ -178,12 +159,10 @@ def integration_by_parts_residual(rs: RootSystem, f, g, quad, i: int,
     nodes = quad.nodes if quad.kind != "rank1" else quad.nodes.reshape(-1, 1)
     if quad.kind == "radial":
         raise ValueError("integration by parts needs a full (non-radial) quadrature")
-    ff = f if callable(f) else f.evaluator
-    gg = g if callable(g) else g.evaluator
-    tif = np.atleast_1d(dunkl_derivative_num(rs, ff, i, nodes, h))
-    tig = np.atleast_1d(dunkl_derivative_num(rs, gg, i, nodes, h))
-    fv = _eval(ff, nodes, rs.dim)
-    gv = _eval(gg, nodes, rs.dim)
+    tif = np.atleast_1d(dunkl_derivative_num(rs, f, i, nodes, h))
+    tig = np.atleast_1d(dunkl_derivative_num(rs, g, i, nodes, h))
+    fv = _eval(f, nodes, rs.dim)
+    gv = _eval(g, nodes, rs.dim)
     term = tif * gv + fv * tig
     total = float(np.sum(quad.weights * term))
     scale = float(np.sum(quad.weights * (np.abs(tif * gv) + np.abs(fv * tig)))) + 1e-300

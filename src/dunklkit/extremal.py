@@ -16,11 +16,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .functions import InversePower, RadialBump, RadialPG, TestFunction
-from .inequalities import InequalitySpec, evaluate_sides, fractional_hardy_constant
+from .inequalities import InequalitySpec, evaluate_sides
 from .workbench import Workbench
 
 __all__ = [
-    "sharp_constant_fractional_hardy",
     "rellich_sharp_constant",
     "TrialFamily",
     "power_gaussian_family",
@@ -30,11 +29,6 @@ __all__ = [
     "nelder_mead",
     "rayleigh_maximize",
 ]
-
-
-def sharp_constant_fractional_hardy(N: int, gamma: float, s: float) -> float:
-    """C(s) = 2^s Γ((N/2+γ+s)/2) / Γ((N/2+γ-s)/2) for 0 ≤ s < (N+2γ)/2."""
-    return fractional_hardy_constant(N, gamma, s)
 
 
 def rellich_sharp_constant(N: int, gamma: float) -> float:
@@ -258,7 +252,9 @@ def rayleigh_maximize(spec: InequalitySpec, family: TrialFamily, wb: Workbench,
 
     # recomputation check: the reported ratio is the ratio at the reported point
     rec = evaluate_sides(spec, family.make(best_x), wb)
-    assert abs(-best_f - rec.ratio) <= 1e-9 * max(1.0, abs(rec.ratio))
+    if not abs(-best_f - rec.ratio) <= 1e-9 * max(1.0, abs(rec.ratio)):
+        raise RuntimeError(f"recomputation check failed: search reported ratio {-best_f!r}, "
+                           f"recomputed {rec.ratio!r} at {best_x.tolist()}")
     span = np.where(hi > lo, hi - lo, 1.0)
     boundary = bool(np.any((best_x - lo) / span < 1e-3) or np.any((hi - best_x) / span < 1e-3))
     return OptimizationResult(

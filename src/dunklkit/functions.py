@@ -364,10 +364,7 @@ class TestFunction:
     def laplacian(self, lam_or_k: float) -> "TestFunction":
         if not self.components:
             raise ValueError(f"{self.fid}: no exact Laplacian hook for this carrier")
-        if self.mode == "radial":
-            comps = tuple(c.laplacian(lam_or_k) for c in self.components)
-        else:
-            comps = tuple(c.laplacian(lam_or_k) for c in self.components)
+        comps = tuple(c.laplacian(lam_or_k) for c in self.components)
         return self._rewrap(comps, "~lap")
 
     def dilate(self, lam: float) -> "TestFunction":

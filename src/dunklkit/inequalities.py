@@ -662,9 +662,10 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     """Constant-free lhs/rhs evaluation for one function.
 
     Raises AdmissibilityError on an inadmissible spec, FunctionClassError on
-    a class mismatch, DegenerateFunctionError when rhs = 0.  Passing
-    enforce_hypotheses=False evaluates the two sides as plain quantities
-    (evaluator arithmetic only; no inequality is claimed).
+    a class mismatch, DegenerateFunctionError when rhs = 0 or a side or the
+    ratio is not finite.  Passing enforce_hypotheses=False evaluates the two
+    sides as plain quantities (evaluator arithmetic only; no inequality is
+    claimed).
     """
     thm = THEOREMS[spec.theorem]
     if enforce_hypotheses:
@@ -682,7 +683,10 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     lhs, rhs = thm.evaluate(P, f, wb)
     if rhs == 0.0 or not np.isfinite(rhs):
         raise DegenerateFunctionError(f"{f.fid}: degenerate rhs = {rhs}")
-    return VerificationRecord(f.fid, float(lhs), float(rhs), float(lhs / rhs))
+    ratio = lhs / rhs
+    if not (np.isfinite(lhs) and np.isfinite(ratio)):
+        raise DegenerateFunctionError(f"{f.fid}: non-finite lhs = {lhs} or ratio = {ratio}")
+    return VerificationRecord(f.fid, float(lhs), float(rhs), float(ratio))
 
 
 def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Workbench,

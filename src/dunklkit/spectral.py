@@ -63,7 +63,7 @@ class SpectralField:
     """Samples of a Dunkl transform on its ξ-quadrature grid."""
 
     quad: WeightedQuadrature       # spectral-side rule (weights = dμ_k(ξ))
-    values: np.ndarray             # complex samples on quad.nodes
+    values: np.ndarray             # complex samples on quad.nodes, (n,) or a batch (n, m)
     normalization: float           # the M_k prefactor convention in use
     kind: str                      # "rank1" | "radial"
 
@@ -113,11 +113,15 @@ class DunklTransformRank1:
         self._inv = ker.conj().T * (xi_quad.weights / self.M)[None, :]
 
     def forward(self, f) -> SpectralField:
+        """Transform of a callable on x_quad.nodes or of samples there:
+        shape (n,), or a batch (n, m) of m columns."""
         vals = f(self.x_quad.nodes) if callable(f) else np.asarray(f)
         return SpectralField(self.xi_quad, self._fwd @ vals.astype(complex),
                              self.M, "rank1")
 
     def inverse(self, field) -> np.ndarray:
+        """Physical samples of a field, or of spectral samples of shape
+        (n_ξ,) or (n_ξ, m)."""
         vals = field.values if isinstance(field, SpectralField) else np.asarray(field)
         return self._inv @ vals
 
@@ -141,39 +145,41 @@ class DunklTransformRank1:
 class RadialDunklTransform:
     """Self-inverse radial (Hankel-type) transform for dimension Λ = N + 2γ."""
 
-    def __init__(self, lam: float, r_quad: WeightedQuadrature, rho_quad: WeightedQuadrature):
-        if r_quad.kind != "radial" or rho_quad.kind != "radial":
+    def __init__(self, lam: float, x_quad: WeightedQuadrature, xi_quad: WeightedQuadrature):
+        if x_quad.kind != "radial" or xi_quad.kind != "radial":
             raise ValueError("radial transform needs radial quadratures on both sides")
         if lam <= 0:
             raise ValueError("Λ = N + 2γ must be positive")
         self.lam = float(lam)
         self.nu = lam / 2.0 - 1.0
-        self.r_quad = r_quad
-        self.rho_quad = rho_quad
+        self.x_quad = x_quad
+        self.xi_quad = xi_quad
         # M = d * 2^{Λ/2-1} Γ(Λ/2) with d the surface constant carried by the
         # quadrature weights; the transform itself is d-independent.
-        d_r = r_quad.recipe["const"]
-        d_rho = rho_quad.recipe["const"]
+        d_r = x_quad.recipe["const"]
+        d_rho = xi_quad.recipe["const"]
         self.M = float(d_r * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
         M_rho = float(d_rho * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
-        ker = normalized_bessel_j(self.nu, np.outer(rho_quad.nodes, r_quad.nodes))
-        self._fwd = ker * (r_quad.weights / self.M)[None, :]
-        self._inv = ker.T * (rho_quad.weights / M_rho)[None, :]
+        ker = normalized_bessel_j(self.nu, np.outer(xi_quad.nodes, x_quad.nodes))
+        self._fwd = ker * (x_quad.weights / self.M)[None, :]
+        self._inv = ker.T * (xi_quad.weights / M_rho)[None, :]
 
     def forward(self, f) -> SpectralField:
-        vals = f(self.r_quad.nodes) if callable(f) else np.asarray(f)
-        return SpectralField(self.rho_quad, (self._fwd @ vals).astype(complex),
+        """As DunklTransformRank1.forward; real samples stay a real matmul."""
+        vals = f(self.x_quad.nodes) if callable(f) else np.asarray(f)
+        return SpectralField(self.xi_quad, (self._fwd @ vals).astype(complex),
                              self.M, "radial")
 
     def inverse(self, field) -> np.ndarray:
+        """As DunklTransformRank1.inverse."""
         vals = field.values if isinstance(field, SpectralField) else np.asarray(field)
         return self._inv @ vals
 
     def calibration_report(self) -> dict:
-        g = np.exp(-0.5 * self.r_quad.nodes ** 2)
+        g = np.exp(-0.5 * self.x_quad.nodes ** 2)
         fld = self.forward(g)
-        target = np.exp(-0.5 * self.rho_quad.nodes ** 2)
-        l2_in = np.sqrt(np.sum(self.r_quad.weights * g ** 2))
+        target = np.exp(-0.5 * self.xi_quad.nodes ** 2)
+        l2_in = np.sqrt(np.sum(self.x_quad.weights * g ** 2))
         back = self.inverse(fld)
         return {
             "normalization_M": self.M,
@@ -184,7 +190,7 @@ class RadialDunklTransform:
 
     def synthesize(self, profile: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Physical samples of the field with the given spectral profile."""
-        return self.inverse(np.asarray(profile(self.rho_quad.nodes), dtype=complex))
+        return self.inverse(np.asarray(profile(self.xi_quad.nodes), dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ machine precision:
 The nonlinear problem is solved by Picard iteration on the Duhamel map
 u ↦ φ + ∫₀ᵗ T(f(u(s)))(t-s) ds with f(u) = |u|^{p-1}u applied pointwise in
 physical space (pseudo-spectral) and the time integral by the trapezoid rule
-on the stored grid, evaluated as an FFT convolution per mode.
+on the stored grid, evaluated as an FFT convolution per mode.  The Duhamel
+kernels are the mode solutions with data (U₀, U₁) = (0, 1).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .measure import radial_quadrature, rank1_quadrature
 from .spectral import DunklTransformRank1, RadialDunklTransform
@@ -96,16 +97,31 @@ def _sinhc_like(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_cs(b: float, m: float, xi: np.ndarray, t: np.ndarray):
+def _mode_cs(b: float, m: float, xi, t):
     """C and S = t·φ(Dt²/4) on the (t, ξ) grid, plus D and e^{-bt/2}."""
-    xi = np.asarray(xi, dtype=float)
-    t = np.asarray(t, dtype=float)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     D = b * b - 4.0 * (m + xi ** 2)
     z = 0.25 * np.multiply.outer(t * t, D)
     C = _cosh_like(z)
-    S = t[..., None] * _sinhc_like(z) if t.ndim else t * _sinhc_like(z)
-    env = np.exp(-0.5 * b * t)[..., None] if t.ndim else math.exp(-0.5 * b * t)
+    S = t[:, None] * _sinhc_like(z)
+    env = np.exp(-0.5 * b * t)[:, None]
     return C, S, D, env
+
+
+def _mode_terms(b: float, cs, U0, U1):
+    """U and ∂_t U of the exact mode solution from the _mode_cs output
+    (C' = (D/4)S, S' = C); U0 and U1 broadcast against the ξ axis."""
+    C, S, D, env = cs
+    V = U1 + 0.5 * b * U0
+    base = U0 * C + V * S
+    return env * base, env * (-0.5 * b * base + 0.25 * D * S * U0 + V * C)
+
+
+def _pointwise(xi, t, out):
+    if np.isscalar(xi) and np.isscalar(t):
+        return complex(out.ravel()[0]) if np.iscomplexobj(out) else float(out.ravel()[0])
+    return np.squeeze(out)
 
 
 def linear_mode_solution(b: float, m: float, xi, t, U0, U1):
@@ -114,31 +130,14 @@ def linear_mode_solution(b: float, m: float, xi, t, U0, U1):
     Total for t ≥ 0; |D| below the seam is routed through the series so the
     critical case never divides 0/0.
     """
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    C, S, D, env = _mode_cs(b, m, xi_arr, t_arr)
-    U0 = np.asarray(U0)
-    U1 = np.asarray(U1)
-    V = U1 + 0.5 * b * U0
-    out = env * (U0[None, :] * C + V[None, :] * S) if U0.ndim else env * (U0 * C + V * S)
-    if np.isscalar(xi) and np.isscalar(t):
-        return complex(out.ravel()[0]) if np.iscomplexobj(out) else float(out.ravel()[0])
-    return np.squeeze(out)
+    U, _ = _mode_terms(b, _mode_cs(b, m, xi, t), np.asarray(U0), np.asarray(U1))
+    return _pointwise(xi, t, U)
 
 
 def mode_time_derivative(b: float, m: float, xi, t, U0, U1):
-    """∂_t of the exact mode solution (C' = (D/4)S, S' = C)."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    C, S, D, env = _mode_cs(b, m, xi_arr, t_arr)
-    U0 = np.asarray(U0)
-    U1 = np.asarray(U1)
-    V = U1 + 0.5 * b * U0
-    core = -0.5 * b * (U0 * C + V * S) + 0.25 * D * S * U0 + V * C
-    out = env * core
-    if np.isscalar(xi) and np.isscalar(t):
-        return complex(out.ravel()[0]) if np.iscomplexobj(out) else float(out.ravel()[0])
-    return np.squeeze(out)
+    """∂_t of the exact mode solution."""
+    _, dtU = _mode_terms(b, _mode_cs(b, m, xi, t), np.asarray(U0), np.asarray(U1))
+    return _pointwise(xi, t, dtU)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +237,35 @@ def _traces(U, dtU, xi_abs, w):
 
 def _spectral_data(transform, u) -> np.ndarray:
     if u is None:
-        grid = transform.x_quad.nodes if hasattr(transform, "x_quad") else transform.r_quad.nodes
-        return np.zeros(grid.shape, dtype=complex)
-    if callable(u):
-        return transform.forward(u).values
-    return transform.forward(np.asarray(u, dtype=float)).values
+        return np.zeros(transform.xi_quad.nodes.shape, dtype=complex)
+    return transform.forward(u if callable(u) else np.asarray(u, dtype=float)).values
+
+
+def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
+    """Transform, time grid, _mode_cs output and the linear solution
+    (U, ∂_t U) of shape (nt, n_ξ) for the data scaled by `scale`."""
+    tr = config.build_transform()
+    nt = int(round(config.t_final / config.dt)) + 1
+    times = config.dt * np.arange(nt)
+    cs = _mode_cs(config.b, config.m, np.abs(tr.xi_quad.nodes), times)
+    U, dtU = _mode_terms(config.b, cs, scale * _spectral_data(tr, u0),
+                         scale * _spectral_data(tr, u1))
+    return tr, times, cs, U, dtU
+
+
+def _fit_window(config: WaveConfig) -> tuple:
+    return config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
+
+
+def _solution(config: WaveConfig, tr, times, U, dtU, **picard) -> WaveSolution:
+    """Norm traces, physical snapshots and the decay fit of (U, ∂_t U)."""
+    kq = tr.xi_quad
+    h1, dt2 = _traces(U, dtU, np.abs(kq.nodes), kq.weights)
+    idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
+    snaps = np.real(tr.inverse(U[idx].T)).T
+    delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
+    return WaveSolution(times, kq.nodes, U, dtU, h1, dt2, tr.x_quad.nodes, idx, snaps,
+                        delta, resid, **picard)
 
 
 def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
@@ -252,28 +275,8 @@ def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     (zero data).
     """
     config.validate()
-    tr = config.build_transform()
-    xq = tr.x_quad if hasattr(tr, "x_quad") else tr.r_quad
-    kq = tr.xi_quad if hasattr(tr, "xi_quad") else tr.rho_quad
-    U0 = _spectral_data(tr, u0)
-    U1 = _spectral_data(tr, u1)
-    nt = int(round(config.t_final / config.dt)) + 1
-    times = config.dt * np.arange(nt)
-    xi_abs = np.abs(kq.nodes)
-
-    C, S, D, env = _mode_cs(config.b, config.m, xi_abs, times)
-    V = U1 + 0.5 * config.b * U0
-    U = env * (U0[None, :] * C + V[None, :] * S)
-    dtU = env * (-0.5 * config.b * (U0[None, :] * C + V[None, :] * S)
-                 + 0.25 * D[None, :] * S * U0[None, :] + V[None, :] * C)
-
-    h1, dt2 = _traces(U, dtU, xi_abs, kq.weights)
-    idx = np.unique(np.linspace(0, nt - 1, config.n_snapshots).astype(int))
-    snaps = np.real(U[idx] @ tr._inv.T)
-    window = config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
-    delta, resid = _safe_fit(times, h1 + dt2, window)
-    return WaveSolution(times, kq.nodes, U, dtU, h1, dt2, xq.nodes, idx, snaps,
-                        delta, resid)
+    tr, times, _, U, dtU = _linear_stage(config, u0, u1)
+    return _solution(config, tr, times, U, dtU)
 
 
 def _safe_fit(times, trace, window):
@@ -309,6 +312,22 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
     return float(np.max(w * (h1_trace + dt_trace)))
 
 
+def _duhamel(kernels, dt: float):
+    """F ↦ [dt Σ'_{j≤i} K(t_i - t_j) F(t_j) for K in kernels]: trapezoid-rule
+    Duhamel integrals on the time grid (axis 0), with Σ' halving the j = 0
+    and j = i terms.  The kernel spectra are computed here, once; each call
+    transforms F once and shares it between the kernels."""
+    nt = kernels[0].shape[0]
+    n = sp_fft.next_fast_len(2 * nt - 1)
+    spectra = [sp_fft.fft(K, n=n, axis=0) for K in kernels]
+
+    def apply(F):
+        fF = sp_fft.fft(F, n=n, axis=0)
+        return [dt * (sp_fft.ifft(s * fF, axis=0)[:nt] - 0.5 * K * F[0] - 0.5 * K[0] * F)
+                for K, s in zip(kernels, spectra)]
+    return apply
+
+
 def solve_nonlinear(config: WaveConfig, u0, u1,
                     nonlinearity: Callable[[np.ndarray], np.ndarray] | None = None,
                     check_nonlinearity: bool = True) -> WaveSolution:
@@ -331,54 +350,30 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     elif check_nonlinearity:
         _check_nonlinearity(nonlinearity, p)
 
-    tr = config.build_transform()
-    xq = tr.x_quad if hasattr(tr, "x_quad") else tr.r_quad
-    kq = tr.xi_quad if hasattr(tr, "xi_quad") else tr.rho_quad
     eps = config.epsilon
-    U0 = eps * _spectral_data(tr, u0)
-    U1 = eps * _spectral_data(tr, u1)
-    nt = int(round(config.t_final / config.dt)) + 1
-    times = config.dt * np.arange(nt)
-    xi_abs = np.abs(kq.nodes)
-    w = kq.weights
-
-    C, S, D, env = _mode_cs(config.b, config.m, xi_abs, times)
-    V = U1 + 0.5 * config.b * U0
-    Phi = env * (U0[None, :] * C + V[None, :] * S)
-    dtPhi = env * (-0.5 * config.b * (U0[None, :] * C + V[None, :] * S)
-                   + 0.25 * D[None, :] * S * U0[None, :] + V[None, :] * C)
-    # Duhamel kernel: mode solution with zero displacement and unit velocity
-    K = env * S
-    Kd = env * (C - 0.5 * config.b * S)
+    tr, times, cs, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
+    xi_abs = np.abs(tr.xi_quad.nodes)
+    w = tr.xi_quad.weights
+    duhamel = _duhamel(_mode_terms(config.b, cs, 0.0, 1.0), config.dt)
 
     h1_lin, dt_lin = _traces(Phi, dtPhi, xi_abs, w)
-    window = config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
-    delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, window)
+    delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
     delta_used = config.delta_factor * max(delta_lin, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
 
-    fwd = tr._fwd
-    inv = tr._inv
-    dt = config.dt
-
-    def duhamel(Fhat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        conv = fftconvolve(kernel, Fhat, mode="full", axes=0)[:nt]
-        return dt * (conv - 0.5 * kernel * Fhat[0][None, :] - 0.5 * kernel[0][None, :] * Fhat)
-
-    U = Phi.copy()
-    dtU = dtPhi.copy()
+    U, dtU = Phi, dtPhi
     diffs: List[float] = []
     converged = False
     iterations = 0
     for it in range(config.max_picard):
-        u_phys = np.real(U @ inv.T)
-        Fhat = nonlinearity(u_phys).astype(complex) @ fwd.T
-        U_new = Phi + duhamel(Fhat, K)
-        dtU_new = dtPhi + duhamel(Fhat, Kd)
-        dH = np.sqrt(np.sum(w * (1.0 + xi_abs ** 2) * np.abs(U_new - U) ** 2, axis=1))
-        dV = np.sqrt(np.sum(w * np.abs(dtU_new - dtU) ** 2, axis=1))
+        u_phys = np.real(tr.inverse(U.T))                  # (nx, nt)
+        Fhat = tr.forward(nonlinearity(u_phys)).values.T   # (nt, n_ξ)
+        dU, ddtU = duhamel(Fhat)
+        U_new = Phi + dU
+        dtU_new = dtPhi + ddtU
+        dH, dV = _traces(U_new - U, dtU_new - dtU, xi_abs, w)
         diffs.append(float(np.max(xw * (dH + dV))))
         U, dtU = U_new, dtU_new
         iterations = it + 1
@@ -390,15 +385,10 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
             converged = True
             break
 
-    h1, dt2 = _traces(U, dtU, xi_abs, w)
-    idx = np.unique(np.linspace(0, nt - 1, config.n_snapshots).astype(int))
-    snaps = np.real(U[idx] @ inv.T)
-    delta, resid = _safe_fit(times, h1 + dt2, window)
     factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-    return WaveSolution(times, kq.nodes, U, dtU, h1, dt2, xq.nodes, idx, snaps,
-                        delta, resid, iterations=iterations, diff_xnorms=diffs,
-                        contraction_factors=factors, converged=converged,
-                        delta_used=delta_used, epsilon=eps)
+    return _solution(config, tr, times, U, dtU, iterations=iterations, diff_xnorms=diffs,
+                     contraction_factors=factors, converged=converged,
+                     delta_used=delta_used, epsilon=eps)
 
 
 def _check_nonlinearity(f: Callable, p: float) -> None:

@@ -26,15 +26,14 @@ r^{-1-ε} tails that no truncated oscillatory quadrature resolves, while the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .functions import TestFunction
 from .measure import (WeightedQuadrature, radial_quadrature, rank1_quadrature,
                       weighted_lp_norm)
-from .spectral import (DunklTransformRank1, DyadicPartition, RadialDunklTransform,
-                       SpectralField, homogeneous_norm)
+from .spectral import (DunklTransformRank1, RadialDunklTransform, SpectralField,
+                       homogeneous_norm)
 
 __all__ = ["Workbench", "radial_workbench", "rank1_workbench"]
 
@@ -46,7 +45,6 @@ class Workbench:
     gamma: float
     quad: WeightedQuadrature
     xi_quad: WeightedQuadrature
-    partition: DyadicPartition = field(default_factory=DyadicPartition)
     _transform: object = None
     _fields: dict = field(default_factory=dict, repr=False)
 
@@ -123,18 +121,14 @@ class Workbench:
 
 def radial_workbench(N: int, gamma: float, rmax: float = 16.0, resolution: int = 640,
                      xi_max: float = 30.0, xi_resolution: int = 640,
-                     surface_const: float | None = None,
-                     partition: Optional[DyadicPartition] = None) -> Workbench:
+                     surface_const: float | None = None) -> Workbench:
     q = radial_quadrature(N, gamma, rmax, resolution, surface_const=surface_const)
     qx = radial_quadrature(N, gamma, xi_max, xi_resolution, surface_const=surface_const)
-    return Workbench("radial", N, gamma, q, qx,
-                     partition=partition or DyadicPartition())
+    return Workbench("radial", N, gamma, q, qx)
 
 
 def rank1_workbench(k: float, xmax: float = 16.0, resolution: int = 640,
-                    xi_max: float = 26.0, xi_resolution: int = 640,
-                    partition: Optional[DyadicPartition] = None) -> Workbench:
+                    xi_max: float = 26.0, xi_resolution: int = 640) -> Workbench:
     q = rank1_quadrature(k, xmax, resolution)
     qx = rank1_quadrature(k, xi_max, xi_resolution)
-    return Workbench("rank1", 1, k, q, qx,
-                     partition=partition or DyadicPartition())
+    return Workbench("rank1", 1, k, q, qx)

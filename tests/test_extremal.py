@@ -1,28 +1,32 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dunklkit as dk
+from dunklkit import extremal
 from dunklkit.extremal import (bump_scale_family, inverse_power_family, nelder_mead,
                                power_gaussian_family, rayleigh_maximize,
-                               rellich_sharp_constant, sharp_constant_fractional_hardy)
+                               rellich_sharp_constant)
+from dunklkit.inequalities import fractional_hardy_constant
 
 
 def test_sharp_constant_values():
-    assert sharp_constant_fractional_hardy(3, 0.0, 0.0) == pytest.approx(1.0)
+    assert fractional_hardy_constant(3, 0.0, 0.0) == pytest.approx(1.0)
     # Γ(5/4) = Γ(1/4)/4 gives C(1) = 1/2 (classical (N-2)/2 at N = 3)
-    assert sharp_constant_fractional_hardy(3, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert fractional_hardy_constant(3, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert rellich_sharp_constant(5, 0.0) == pytest.approx(25.0 / 16.0)
     assert rellich_sharp_constant(4, 0.0) == 0.0
     with pytest.raises(ValueError):
         rellich_sharp_constant(2, 0.0)
     with pytest.raises(ValueError):
-        sharp_constant_fractional_hardy(3, 0.0, 2.0)
+        fractional_hardy_constant(3, 0.0, 2.0)
 
 
 def test_gamma_recurrence_identity():
     # C(2)² equals the Rellich constant (two applications of Γ(u+1) = uΓ(u))
     for N, g in ((5, 0.0), (6, 0.3), (3, 1.2)):
-        c2 = sharp_constant_fractional_hardy(N, g, 2.0)
+        c2 = fractional_hardy_constant(N, g, 2.0)
         assert c2 ** 2 == pytest.approx(rellich_sharp_constant(N, g), rel=1e-10)
 
 
@@ -87,6 +91,23 @@ def test_degenerate_box_single_evaluation(wb_radial5):
     assert res.converged and res.evaluations == 1 and not res.boundary_hit
     rec = dk.evaluate_sides(spec, fam.make([0.5, 1.0]), wb_radial5)
     assert res.best_ratio == pytest.approx(rec.ratio)
+
+
+def test_recomputation_mismatch_raises(wb_radial5, monkeypatch):
+    # an evaluator whose ratio drifts between calls fails the final check
+    real = extremal.evaluate_sides
+    calls = []
+
+    def drifting(spec, f, wb):
+        calls.append(f.fid)
+        rec = real(spec, f, wb)
+        return dataclasses.replace(rec, ratio=rec.ratio * (1.0 + 1e-6 * len(calls)))
+    monkeypatch.setattr(extremal, "evaluate_sides", drifting)
+    spec = dk.make_spec("ClassicalRellich", N=5, gamma=0.0)
+    fam = power_gaussian_family(beta_box=(0.5, 0.5), scale_box=(1.0, 1.0))
+    with pytest.raises(RuntimeError, match="recomputation check failed"):
+        rayleigh_maximize(spec, fam, wb_radial5, seed=0)
+    assert len(calls) == 2
 
 
 def test_bump_scale_family_evaluates(wb_radial3):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import dunklkit as dk
 from dunklkit.functions import generate_corpus
 from dunklkit.inequalities import (AdmissibilityError, DegenerateFunctionError,
                                    FunctionClassError, InequalitySpec, SeriesCapError,
-                                   THEOREM_TAGS, admissible, evaluate_sides,
+                                   THEOREM_TAGS, THEOREMS, admissible, evaluate_sides,
                                    fractional_hardy_constant, largest_admissible_a,
                                    trudinger_lhs, verify_corpus)
 
@@ -126,6 +128,18 @@ def test_degenerate_function_rejected(wb_radial3):
     spec = dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
     with pytest.raises(DegenerateFunctionError):
         evaluate_sides(spec, zero, wb_radial3)
+
+
+def test_nonfinite_lhs_rejected(wb_radial3, monkeypatch):
+    # a NaN side must not reach verify_corpus, where it would make the
+    # empirical constant depend on corpus order
+    thm = THEOREMS["FractionalHardy"]
+    monkeypatch.setitem(THEOREMS, "FractionalHardy",
+                        dataclasses.replace(thm, evaluate=lambda P, f, wb: (float("nan"), 1.0)))
+    g = generate_corpus(1, 1, ["Gaussian"], mode="radial")[0]
+    spec = dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
+    with pytest.raises(DegenerateFunctionError):
+        evaluate_sides(spec, g, wb_radial3)
 
 
 def test_weighted_rellich_reduces_to_classical(wb_radial5):

@@ -254,3 +254,25 @@ def test_spectral_field_csv_and_calibration(tmp_path, wb_radial3):
     assert rep["gaussian_fixed_point_error"] < 1e-10
     rep1 = dk.rank1_workbench(0.3).transform.calibration_report()
     assert rep1["round_trip_error"] < 1e-9
+
+
+def test_batch_apply_matches_columns():
+    # both transforms expose x_quad/xi_quad and apply to column batches (n, m)
+    transforms = [
+        dk.DunklTransformRank1(0.5, dk.rank1_quadrature(0.5, 10.0, 80),
+                               dk.rank1_quadrature(0.5, 12.0, 90)),
+        dk.RadialDunklTransform(3.0, dk.radial_quadrature(3, 0.0, 10.0, 80),
+                                dk.radial_quadrature(3, 0.0, 12.0, 90)),
+    ]
+    for tr in transforms:
+        x = tr.x_quad.nodes
+        batch = np.column_stack([np.exp(-0.5 * s * x * x) for s in (0.7, 1.0, 1.6)])
+        fwd = tr.forward(batch).values
+        assert fwd.shape == (tr.xi_quad.nodes.size, 3)
+        for j in range(3):
+            np.testing.assert_allclose(fwd[:, j], tr.forward(batch[:, j]).values,
+                                       rtol=0, atol=1e-13)
+        back = tr.inverse(fwd)
+        assert back.shape == (x.size, 3)
+        for j in range(3):
+            np.testing.assert_allclose(back[:, j], tr.inverse(fwd[:, j]), rtol=0, atol=1e-13)

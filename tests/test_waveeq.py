@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dunklkit.waveeq import (WaveConfig, WaveConfigError,
+import dunklkit
+from dunklkit.waveeq import (WaveConfig, WaveConfigError, _duhamel,
                              decay_rate_fit, linear_mode_solution, mode_time_derivative,
                              solve_linear, solve_nonlinear, x_norm)
 
@@ -77,6 +83,14 @@ def test_zero_data_zero_solution():
     assert np.max(np.abs(sol.U)) == 0.0
     assert np.max(sol.h1_trace) == 0.0
     assert np.isnan(sol.delta_fit)
+
+
+def test_zero_velocity_on_unequal_grids():
+    # zero data lives on the spectral grid, which may differ from the physical one
+    cfg = WaveConfig(b=1.0, m=1.0, k=0.5, nx=100, nxi=120, t_final=1.0, dt=0.1)
+    sol = solve_linear(cfg, lambda x: np.exp(-0.5 * x * x), None)
+    assert sol.U.shape == (11, sol.xi.size) and sol.snapshots.shape[1] == sol.x_nodes.size
+    assert sol.xi.size != sol.x_nodes.size
 
 
 def test_linear_k0_matches_fft_solver():
@@ -187,3 +201,29 @@ def test_radial_mode_solver_runs():
                      x_max=14.0, xi_max=18.0, t_final=4.0, dt=0.02)
     sol = solve_linear(cfg, lambda r: np.exp(-0.5 * r * r), None)
     assert sol.delta_fit > 0
+
+
+def test_duhamel_matches_direct_trapezoid():
+    # FFT convolution against the O(nt²) trapezoid sum of K(t_i - s) F(s) over [0, t_i]
+    rng = np.random.default_rng(3)
+    nt, n_xi, dt = 37, 5, 0.1
+    t = dt * np.arange(nt)[:, None]
+    kernels = (np.exp(-0.5 * t) * np.sin(t * np.linspace(0.5, 2.0, n_xi)),
+               np.exp(-0.3 * t) * np.cos(t * np.linspace(0.2, 1.0, n_xi)))
+    F = rng.standard_normal((nt, n_xi)) + 1j * rng.standard_normal((nt, n_xi))
+    got = _duhamel(kernels, dt)(F)
+    for K, G in zip(kernels, got):
+        direct = np.zeros_like(F)
+        for i in range(1, nt):
+            direct[i] = np.trapezoid(K[i::-1] * F[: i + 1], dx=dt, axis=0)
+        assert np.max(np.abs(G - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs a large share of the import time and is not used
+    src = str(Path(dunklkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dunklkit; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
