@@ -73,13 +73,22 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _require(cfg: dict, path: str, typ, where: str = "$"):
+_MISSING = object()
+
+
+def _require(cfg: dict, path: str, typ, where: str = "$", default=_MISSING):
+    """The field at the dotted `path`, of type `typ`.  Given a default, a field
+    that is missing from its object, or null, reads as the default."""
     cur = cfg
     parts = path.split(".")
     for i, part in enumerate(parts):
         if not isinstance(cur, dict) or part not in cur:
+            if default is not _MISSING and isinstance(cur, dict):
+                return default
             raise ConfigError(f"{where}.{'.'.join(parts[: i + 1])}: missing required field")
         cur = cur[part]
+    if cur is None and default is not _MISSING:
+        return default
     if typ is float and isinstance(cur, (int, float)) and not isinstance(cur, bool):
         return float(cur)
     if typ is int and isinstance(cur, int) and not isinstance(cur, bool):
@@ -99,9 +108,6 @@ def _build_workbench(cfg: dict) -> Workbench:
     if mode == "radial":
         return radial_workbench(int(m.get("N", 3)), float(m.get("gamma", 0.0)), **kw)
     if mode == "rank1":
-        kw.pop("rmax", None)
-        if "rmax" in m:
-            kw["xmax"] = m["rmax"]
         return rank1_workbench(float(m.get("k", 0.0)), **kw)
     raise ConfigError(f"$.mode.type: unknown mode {mode!r}")
 
@@ -191,28 +197,23 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
     return EXIT_OK
 
 
+# optional wave.* fields: config path -> (WaveConfig field, type)
+_WAVE_FIELDS = {
+    "epsilon": ("epsilon", float), "p": ("p", float), "mode": ("mode", str),
+    "k": ("k", float), "N": ("N", int), "gamma": ("gamma", float),
+    "grid.x_max": ("x_max", float), "grid.nx": ("nx", int),
+    "grid.xi_max": ("xi_max", float), "grid.nxi": ("nxi", int),
+    "time.T": ("t_final", float), "time.dt": ("dt", float),
+}
+
+
 def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
-    w = cfg.get("wave", {})
-    grid = w.get("grid", {})
-    time = w.get("time", {})
-    config = WaveConfig(
-        b=float(_require(cfg, "wave.b", float)),
-        m=float(_require(cfg, "wave.m", float)),
-        epsilon=float(w.get("epsilon", 1.0)),
-        p=None if w.get("p") is None else float(w["p"]),
-        mode=w.get("mode", "rank1"),
-        k=float(w.get("k", 0.0)),
-        N=int(w.get("N", 1)),
-        gamma=float(w.get("gamma", 0.0)),
-        x_max=float(grid.get("x_max", 18.0)),
-        nx=int(grid.get("nx", 360)),
-        xi_max=float(grid.get("xi_max", 24.0)),
-        nxi=int(grid.get("nxi", 360)),
-        t_final=float(time.get("T", 10.0)),
-        dt=float(time.get("dt", 0.01)),
-    )
-    data = w.get("data", {})
-    scale = float(data.get("gaussian_scale", 1.0))
+    w = _require(cfg, "wave", dict)
+    given = {name: _require(w, path, typ, "$.wave", None)
+             for path, (name, typ) in _WAVE_FIELDS.items()}
+    config = WaveConfig(b=_require(w, "b", float, "$.wave"), m=_require(w, "m", float, "$.wave"),
+                        **{name: v for name, v in given.items() if v is not None})
+    scale = _require(w, "data.gaussian_scale", float, "$.wave", 1.0)
 
     def u0(x):
         return np.exp(-0.5 * (np.asarray(x) / scale) ** 2)
@@ -264,48 +265,42 @@ def cmd_selftest(cfg: dict, out: Path, seed: int | None) -> int:
     from .rootsys import build_root_system
 
     lines = []
-    ok = True
+
+    def check(text: str, value: float, tol: float) -> None:
+        lines.append(f"{text} [{'pass' if value < tol else 'FAIL'}]")
+
     corpus = generate_corpus(seed if seed is not None else 1, 6,
                              ["Gaussian", "DilatedGaussian", "HermiteGaussian"],
                              mode="rank1")
+    # one kernel alive at a time: the k = 0 and k = 1/2 checks run in the loop
     for k in (0.0, 0.3, 0.5, 1.0, 2.5):
         wb = rank1_workbench(k)
-        worst = 0.0
-        for f in corpus:
-            fld = wb.spectral(f)
-            worst = max(worst, abs(fld.l2() / wb.norm(f, 2.0) - 1.0))
-        passed = worst < 1e-6
-        ok &= passed
-        lines.append(f"plancherel k={k:g}: max relative error {worst:.3e} "
-                     f"[{'pass' if passed else 'FAIL'}]")
-
-    wb0 = rank1_workbench(0.0)
-    f = corpus[2]
-    ref = classical_fourier_reference(f.value, wb0.xi_quad.nodes, wb0.quad.rmax)
-    err = float(np.max(np.abs(wb0.spectral(f).values - ref)))
-    passed = err < 1e-7
-    ok &= passed
-    lines.append(f"fourier k=0 agreement: max abs error {err:.3e} [{'pass' if passed else 'FAIL'}]")
+        worst = max(abs(wb.spectral(f).l2() / wb.norm(f, 2.0) - 1.0) for f in corpus)
+        check(f"plancherel k={k:g}: max relative error {worst:.3e}", worst, 1e-6)
+        if k == 0.0:
+            f = corpus[2]
+            ref = classical_fourier_reference(f.value, wb.xi_quad.nodes, wb.quad.rmax)
+            fourier_err = float(np.max(np.abs(wb.spectral(f).values - ref)))
+        elif k == 0.5:
+            calibration = wb.transform.calibration_report()
+    check(f"fourier k=0 agreement: max abs error {fourier_err:.3e}", fourier_err, 1e-7)
 
     rs = build_root_system("Rank1Z2", 1, [0.5])
     quad = rank1_quadrature(0.5, 14.0, 420)
     g1 = PolyGauss1D((0.0, 1.0), 1.0)        # odd: x e^{-x²/2}
     g2 = gaussian("rank1", s=1.4)
     resid = integration_by_parts_residual(rs, g1.value, g2.value, quad, 0)
-    passed = resid < 1e-6
-    ok &= passed
-    lines.append(f"integration by parts residual: {resid:.3e} [{'pass' if passed else 'FAIL'}]")
+    check(f"integration by parts residual: {resid:.3e}", resid, 1e-6)
 
     for ln in lines:
         print(ln)
-    calibration = rank1_workbench(0.5).transform.calibration_report()
+    ok = all(ln.endswith("[pass]") for ln in lines)
     _write_json(out / "summary.json", {"command": "selftest", "ok": ok,
                                        "checks": lines, "calibration": calibration})
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def cmd_corpus(cfg: dict, out: Path, seed: int | None) -> int:
-    mode = cfg.get("mode", {}).get("type", "radial")
     wb = _build_workbench(cfg) if "mode" in cfg else radial_workbench(3, 0.0)
     corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
     _write_json(out / "corpus.json", {"seed": seed_used,

@@ -49,13 +49,9 @@ CORPUS_FAMILIES = ("Gaussian", "DilatedGaussian", "HermiteGaussian",
 # exact carriers
 
 
-@dataclass(frozen=True)
-class RadialPG:
-    """r^beta * q(r^2) * exp(-s r^2 / 2) with q given by ascending coeffs."""
-
-    beta: float
-    coeffs: tuple
-    s: float
+class _PolyGauss:
+    """Shared by the polynomial × Gaussian carriers: frozen dataclasses with
+    fields `coeffs` (ascending) and `s` that define value_reduced."""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -69,13 +65,22 @@ class RadialPG:
                 return m
         return 0
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.value_reduced(x, 0.0)
+
+
+@dataclass(frozen=True)
+class RadialPG(_PolyGauss):
+    """r^beta * q(r^2) * exp(-s r^2 / 2) with q given by ascending coeffs."""
+
+    beta: float
+    coeffs: tuple
+    s: float
+
     @property
     def min_power(self) -> float:
         """Vanishing order at the origin: f ~ r^{beta + 2*lead}."""
         return self.beta + 2 * self.lead
-
-    def value(self, r: np.ndarray) -> np.ndarray:
-        return self.value_reduced(r, 0.0)
 
     def value_reduced(self, r: np.ndarray, power: float) -> np.ndarray:
         """f(r) / r^power, evaluated stably (requires power ≤ min_power)."""
@@ -128,30 +133,15 @@ class RadialPG:
 
 
 @dataclass(frozen=True)
-class PolyGauss1D:
+class PolyGauss1D(_PolyGauss):
     """p(x) * exp(-s x^2 / 2) on the line, p by ascending coefficients."""
 
     coeffs: tuple
     s: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.s <= 0:
-            raise ValueError("Gaussian scale s must be positive")
-
-    @property
-    def lead(self) -> int:
-        for m, c in enumerate(self.coeffs):
-            if c != 0.0:
-                return m
-        return 0
-
     @property
     def min_power(self) -> float:
         return float(self.lead)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return self.value_reduced(x, 0.0)
 
     def value_reduced(self, x: np.ndarray, power: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -424,10 +414,15 @@ def _pg_testfunction(fid: str, family: str, mode: str, comps: Sequence, params: 
     )
 
 
-def gaussian(mode: str = "radial", s: float = 1.0, fid: str = "Gaussian-0") -> TestFunction:
+def _even_carrier(mode: str, q: tuple, s: float):
+    """q(r²) e^{-s r²/2} as the carrier of `mode` (q by ascending coefficients)."""
     if mode == "radial":
-        return _pg_testfunction(fid, "Gaussian", mode, [RadialPG(0.0, (1.0,), s)], {"s": s})
-    return _pg_testfunction(fid, "Gaussian", mode, [PolyGauss1D((1.0,), s)], {"s": s})
+        return RadialPG(0.0, q, s)
+    return PolyGauss1D(tuple(v for c in q for v in (0.0, c))[1:], s)
+
+
+def gaussian(mode: str = "radial", s: float = 1.0, fid: str = "Gaussian-0") -> TestFunction:
+    return _pg_testfunction(fid, "Gaussian", mode, [_even_carrier(mode, (1.0,), s)], {"s": s})
 
 
 def band_profile(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -469,10 +464,7 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
         if fam in ("Gaussian", "DilatedGaussian"):
             s = 1.0 if fam == "Gaussian" else float(rng.uniform(0.35, 2.6))
             params = {"s": s, "vanish_prefactor": int(vanish)}
-            if mode == "radial":
-                comps = [RadialPG(0.0, (0.0, 1.0) if vanish else (1.0,), s)]
-            else:
-                comps = [PolyGauss1D((0.0, 0.0, 1.0) if vanish else (1.0,), s)]
+            comps = [_even_carrier(mode, (0.0, 1.0) if vanish else (1.0,), s)]
             out.append(_pg_testfunction(fid, fam, mode, comps, params))
         elif fam == "HermiteGaussian":
             s = float(rng.uniform(0.6, 1.8))
@@ -518,10 +510,7 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
                 s = float(rng.uniform(0.4, 2.2))
                 amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
                 amps.append((amp, s))
-                if mode == "radial":
-                    comps.append(RadialPG(0.0, (0.0, amp) if vanish else (amp,), s))
-                else:
-                    comps.append(PolyGauss1D((0.0, 0.0, amp) if vanish else (amp,), s))
+                comps.append(_even_carrier(mode, (0.0, amp) if vanish else (amp,), s))
             out.append(_pg_testfunction(fid, fam, mode, comps, {"components": amps}))
     if radial_only:
         for tf in out:

@@ -133,15 +133,9 @@ class WeightedQuadrature:
             if sigma <= -1.0:
                 raise NonIntegrableWeightError(
                     f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
-            n, w = _half_axis_rule(sigma, self.rmax, r["resolution"], r.get("r0"))
-            w = w * r["const"]
-            if self.kind == "rank1":
-                nodes = np.concatenate([-n[::-1], n])
-                weights = np.concatenate([w[::-1], w])
-            else:
-                nodes, weights = n, w
-            return WeightedQuadrature(self.kind, nodes, weights, self.rmax,
-                                      {**r, "sigma": sigma - 0.0, "extra": r.get("extra", 0.0) + extra})
+            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax,
+                                    r["resolution"], r.get("r0"),
+                                    {**r, "extra": r.get("extra", 0.0) + extra})
         # tensor2: pointwise (no origin singularity support)
         if extra < 0:
             raise NonIntegrableWeightError("tensor2 rules do not support negative power weights")
@@ -150,14 +144,25 @@ class WeightedQuadrature:
 
     def refined(self, factor: int = 2) -> "WeightedQuadrature":
         """Same rule at `factor`× the resolution (convergence studies)."""
-        r = dict(self.recipe)
-        res = int(r["resolution"] * factor)
-        if self.kind == "rank1":
-            return rank1_quadrature(r["k"], self.rmax, res, r0=r.get("r0"))
-        if self.kind == "radial":
-            return radial_quadrature(r["N"], r["gamma"], self.rmax, res,
-                                     surface_const=r["const"], r0=r.get("r0"))
-        raise QuadratureError("refined() supports rank1/radial rules")
+        if self.kind not in ("rank1", "radial"):
+            raise QuadratureError("refined() supports rank1/radial rules")
+        r = self.recipe
+        return _axis_quadrature(self.kind, r["sigma"], r["const"], self.rmax,
+                                int(r["resolution"] * factor), r.get("r0"), r)
+
+
+def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
+                     resolution: int, r0: float | None, recipe: dict) -> WeightedQuadrature:
+    """The half-axis rule for r^sigma times `const`, mirrored onto the full
+    line for kind "rank1"; stores `recipe` with the build parameters set."""
+    n, w = _half_axis_rule(sigma, rmax, resolution, r0)
+    w = w * const
+    if kind == "rank1":
+        n = np.concatenate([-n[::-1], n])
+        w = np.concatenate([w[::-1], w])
+    return WeightedQuadrature(kind, n, w, rmax,
+                              {**recipe, "sigma": sigma, "const": const,
+                               "resolution": resolution, "r0": r0})
 
 
 def rank1_quadrature(k: float, rmax: float, resolution: int,
@@ -165,14 +170,7 @@ def rank1_quadrature(k: float, rmax: float, resolution: int,
     """Full-line rule for N=1 with weight w_k(x) = 2^k |x|^{2k} folded in."""
     if k < 0:
         raise QuadratureError("multiplicity k must be ≥ 0")
-    n, w = _half_axis_rule(2.0 * k, rmax, resolution, r0)
-    const = 2.0 ** k
-    w = w * const
-    nodes = np.concatenate([-n[::-1], n])
-    weights = np.concatenate([w[::-1], w])
-    return WeightedQuadrature("rank1", nodes, weights, rmax,
-                              {"sigma": 2.0 * k, "const": const, "resolution": resolution,
-                               "r0": r0, "k": k})
+    return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution, r0, {"k": k})
 
 
 def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
@@ -183,10 +181,8 @@ def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
     if lam <= 0:
         raise QuadratureError("N + 2γ must be positive")
     d = surface_constant(N, gamma) if surface_const is None else float(surface_const)
-    n, w = _half_axis_rule(lam - 1.0, rmax, resolution, r0)
-    return WeightedQuadrature("radial", n, w * d, rmax,
-                              {"sigma": lam - 1.0, "const": d, "resolution": resolution,
-                               "r0": r0, "N": N, "gamma": gamma})
+    return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution, r0,
+                            {"N": N, "gamma": gamma})
 
 
 def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
@@ -207,20 +203,16 @@ def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
         k = float(rs.multiplicities[0]) if rs.num_positive else 0.0
         return rank1_quadrature(k, rmax, resolution)
     if rs.dim == 2:
-        if rs.family == "ProductZ2N":
-            # separable weight: fold |√2 x_i|^{2k_i} exactly per axis
-            axes = [rank1_quadrature(float(k), rmax, resolution)
-                    for k in rs.multiplicities]
-            X, Y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
-            nodes = np.column_stack([X.ravel(), Y.ravel()])
-            weights = np.outer(axes[0].weights, axes[1].weights).ravel()
-        else:
-            n, w = _half_axis_rule(0.0, rmax, resolution)
-            n1 = np.concatenate([-n[::-1], n])
-            w1 = np.concatenate([w[::-1], w])
-            X, Y = np.meshgrid(n1, n1, indexing="ij")
-            nodes = np.column_stack([X.ravel(), Y.ravel()])
-            weights = np.outer(w1, w1).ravel() * rs_weight(rs, nodes)
+        # separable weight (ProductZ2N): fold |√2 x_i|^{2k_i} exactly per axis;
+        # otherwise plain axes, with w_k applied pointwise
+        product = rs.family == "ProductZ2N"
+        axes = [rank1_quadrature(float(k), rmax, resolution)
+                for k in (rs.multiplicities if product else (0.0, 0.0))]
+        X, Y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
+        nodes = np.column_stack([X.ravel(), Y.ravel()])
+        weights = np.outer(axes[0].weights, axes[1].weights).ravel()
+        if not product:
+            weights = weights * rs_weight(rs, nodes)
         return WeightedQuadrature("tensor2", nodes, weights, rmax,
                                   {"resolution": resolution})
     raise QuadratureError("TensorGaussLike is implemented for N ≤ 2; "
@@ -360,8 +352,7 @@ def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature) -> float:
         raise NonIntegrableWeightError(
             f"power weight a={a:g} needs a function vanishing near the origin")
     vals = _reduced_abs_values(f, quad, 0.0)
-    rad = np.abs(quad.nodes) if quad.kind == "rank1" else (
-        quad.nodes if quad.kind == "radial" else np.linalg.norm(quad.nodes, axis=1))
+    rad = np.abs(quad.nodes) if quad.nodes.ndim == 1 else np.linalg.norm(quad.nodes, axis=1)
     contrib = np.zeros_like(vals)
     live = vals != 0.0
     contrib[live] = rad[live] ** (a * p) * vals[live] ** p
@@ -369,11 +360,8 @@ def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature) -> float:
 
 
 def _dimension_power(quad: WeightedQuadrature) -> float:
-    r = quad.recipe
-    if quad.kind == "rank1":
-        return 1.0 + r["sigma"]          # = 1 + 2k
-    if quad.kind == "radial":
-        return 1.0 + r["sigma"]          # = Λ
+    if quad.kind in ("rank1", "radial"):
+        return 1.0 + quad.recipe["sigma"]          # 1 + 2k, or Λ
     return 2.0
 
 

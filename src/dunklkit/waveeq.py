@@ -32,8 +32,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
-from .measure import radial_quadrature, rank1_quadrature
-from .spectral import DunklTransformRank1, RadialDunklTransform
+from .workbench import radial_workbench, rank1_workbench
 
 __all__ = [
     "WaveConfig",
@@ -191,13 +190,12 @@ class WaveConfig:
                     f"p={self.p:g} outside 1 ≤ p ≤ Λ/(Λ-2) = {lam / (lam - 2.0):g}")
 
     def build_transform(self):
+        """The transform of the workbench on this config's grids."""
+        grid = dict(rmax=self.x_max, resolution=self.nx, xi_max=self.xi_max,
+                    xi_resolution=self.nxi)
         if self.mode == "rank1":
-            xq = rank1_quadrature(self.k, self.x_max, self.nx)
-            kq = rank1_quadrature(self.k, self.xi_max, self.nxi)
-            return DunklTransformRank1(self.k, xq, kq)
-        xq = radial_quadrature(self.N, self.gamma, self.x_max, self.nx)
-        kq = radial_quadrature(self.N, self.gamma, self.xi_max, self.nxi)
-        return RadialDunklTransform(self.lam, xq, kq)
+            return rank1_workbench(self.k, **grid).transform
+        return radial_workbench(self.N, self.gamma, **grid).transform
 
 
 @dataclass

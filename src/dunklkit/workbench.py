@@ -1,5 +1,8 @@
 """Workbench: quadratures + transform + norm evaluators for one (N, γ) setting.
 
+`radial_workbench`/`rank1_workbench` are the one place where a setting and a
+grid become quadrature rules and a transform (the wave solver's included).
+
 Two modes:
 
 * radial  — abstract dimension Λ = N + 2γ; radial quadratures and the
@@ -127,8 +130,8 @@ def radial_workbench(N: int, gamma: float, rmax: float = 16.0, resolution: int =
     return Workbench("radial", N, gamma, q, qx)
 
 
-def rank1_workbench(k: float, xmax: float = 16.0, resolution: int = 640,
+def rank1_workbench(k: float, rmax: float = 16.0, resolution: int = 640,
                     xi_max: float = 26.0, xi_resolution: int = 640) -> Workbench:
-    q = rank1_quadrature(k, xmax, resolution)
+    q = rank1_quadrature(k, rmax, resolution)
     qx = rank1_quadrature(k, xi_max, xi_resolution)
     return Workbench("rank1", 1, k, q, qx)

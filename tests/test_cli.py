@@ -98,10 +98,40 @@ def test_wave_command(tmp_path):
     assert len(trace) == 302
 
 
-def test_selftest_command(tmp_path, capsys):
+def test_wave_config_wrong_type_exit2(tmp_path):
+    base = {"b": 1.0, "m": 1.0, "p": 3.0}
+    for wave in ({**base, "grid": {"nx": "many"}}, {**base, "time": 5},
+                 {**base, "mode": 1}, {**base, "data": {"gaussian_scale": "wide"}}):
+        cfg = write(tmp_path / "cfg.json", {"wave": wave})
+        assert main(["wave", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_wave_null_p_is_linear(tmp_path):
+    cfg = write(tmp_path / "cfg.json", {
+        "wave": {"b": 1.0, "m": 1.0, "p": None,
+                 "grid": {"x_max": 12, "nx": 80, "xi_max": 14, "nxi": 80},
+                 "time": {"T": 2.0, "dt": 0.05}},
+    })
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["p"] is None and summary["iterations"] == 0
+    assert summary["config"]["epsilon"] == 1.0 and summary["config"]["nx"] == 80
+
+
+def test_selftest_command(tmp_path, capsys, monkeypatch):
+    from dunklkit.spectral import DunklTransformRank1
+    builds = []
+    init = DunklTransformRank1.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(DunklTransformRank1, "__init__", counting_init)
     assert main(["selftest", "--out", str(tmp_path / "o")]) == 0
     lines = capsys.readouterr().out
     assert "plancherel" in lines and "[pass]" in lines
+    assert len(builds) == 5            # one kernel per multiplicity, reused by every check
 
 
 def test_corpus_command(tmp_path):

@@ -105,6 +105,17 @@ def test_resolution_doubling_improves():
     assert e1 >= 10.0 * e2 or e2 < 1e-14
 
 
+def test_refined_is_the_rule_at_higher_resolution():
+    for build in (lambda res: rank1_quadrature(0.7, 12.0, res),
+                  lambda res: radial_quadrature(3, 0.6, 12.0, res)):
+        fine, want = build(160).refined(2), build(320)
+        np.testing.assert_array_equal(fine.nodes, want.nodes)
+        np.testing.assert_array_equal(fine.weights, want.weights)
+        # a power-weighted rule keeps its power weight
+        np.testing.assert_array_equal(build(160).with_power(1.5).refined(2).weights,
+                                      want.with_power(1.5).weights)
+
+
 def test_quasi_norm_small_p():
     q = radial_quadrature(3, 0.0, 14.0, 420)
     f = generate_corpus(1, 1, ["Gaussian"], mode="radial")[0]

@@ -174,7 +174,7 @@ def test_projection_annulus_concentration(wb_radial3):
     tr = wb_radial3.transform
     # synthetic band-limited field with spectrum in [1.1, 3.6] ⊂ [2^0, 2^2]
     vals = band_profile(1.1, 3.6)(wb_radial3.xi_quad.nodes).astype(complex)
-    F = SpectralField(wb_radial3.xi_quad, vals, tr.M, "radial")
+    F = SpectralField(wb_radial3.xi_quad, vals)
     total = F.l2()
     far = littlewood_paley_project(tr, F, 4, part)[0].l2()
     assert far < 1e-10 * total
@@ -276,3 +276,7 @@ def test_batch_apply_matches_columns():
         assert back.shape == (x.size, 3)
         for j in range(3):
             np.testing.assert_allclose(back[:, j], tr.inverse(fwd[:, j]), rtol=0, atol=1e-13)
+
+
+def test_rank1_workbench_takes_rmax():
+    assert dk.rank1_workbench(0.5, rmax=12.0).quad.rmax == 12.0

@@ -227,3 +227,16 @@ def test_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("mode", ["rank1", "radial"])
+def test_build_transform_is_the_workbench_transform(mode):
+    cfg = WaveConfig(b=1.0, m=1.0, mode=mode, k=0.5, N=3, gamma=0.5,
+                     x_max=12.0, nx=100, xi_max=16.0, nxi=120)
+    grid = dict(rmax=12.0, resolution=100, xi_max=16.0, xi_resolution=120)
+    wb = (dunklkit.rank1_workbench(0.5, **grid) if mode == "rank1"
+          else dunklkit.radial_workbench(3, 0.5, **grid))
+    tr = cfg.build_transform()
+    assert type(tr) is type(wb.transform)
+    assert np.array_equal(tr._fwd, wb.transform._fwd)
+    assert np.array_equal(tr._inv, wb.transform._inv)
