@@ -27,8 +27,8 @@ from .inequalities import (AdmissibilityReport, InequalitySpec, VerificationReco
 from .measure import (WeightedQuadrature, build_quadrature, macdonald_mehta,
                       radial_quadrature, rank1_quadrature, weighted_lp_norm)
 from .polynomial import Polynomial
-from .rootsys import (ReflectionGroup, RootSystem, build_root_system, gamma,
-                      generate_group, reflect, weight)
+from .rootsys import (ReflectionGroup, RootSystem, build_root_system, generate_group,
+                      reflect, weight)
 from .spectral import (DunklTransformRank1, DyadicPartition, RadialDunklTransform,
                        SpectralField, fractional_laplacian, homogeneous_norm,
                        littlewood_paley_project, riesz_potential, sobolev_norm,

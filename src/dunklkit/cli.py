@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -51,10 +52,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(out: Path, schema: str, rows) -> None:
+    """`rows` under the columns of CSV_SCHEMAS[schema], in the file that the
+    schema key names (up to its first space) inside `out`."""
+    with open(out / schema.split(" ")[0], "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(CSV_SCHEMAS[schema])
         for row in rows:
             w.writerow([_fmt(v) for v in row])
 
@@ -77,13 +80,17 @@ _MISSING = object()
 
 
 def _require(cfg: dict, path: str, typ, where: str = "$", default=_MISSING):
-    """The field at the dotted `path`, of type `typ`.  Given a default, a field
-    that is missing from its object, or null, reads as the default."""
+    """The field at the dotted `path`, of type `typ`; every object on the path
+    must be a dict.  Given a default, a field that is missing from its
+    object, or null, reads as the default."""
     cur = cfg
     parts = path.split(".")
     for i, part in enumerate(parts):
-        if not isinstance(cur, dict) or part not in cur:
-            if default is not _MISSING and isinstance(cur, dict):
+        if not isinstance(cur, dict):
+            at = ".".join([where] + parts[:i])
+            raise ConfigError(f"{at}: expected dict, got {type(cur).__name__}")
+        if part not in cur:
+            if default is not _MISSING:
                 return default
             raise ConfigError(f"{where}.{'.'.join(parts[: i + 1])}: missing required field")
         cur = cur[part]
@@ -98,34 +105,49 @@ def _require(cfg: dict, path: str, typ, where: str = "$", default=_MISSING):
     return cur
 
 
-def _build_workbench(cfg: dict) -> Workbench:
-    mode = _require(cfg, "mode.type", str)
-    m = cfg["mode"]
-    kw = {}
-    for name in ("rmax", "resolution", "xi_max", "xi_resolution"):
-        if name in m:
-            kw[name] = m[name]
+# optional mode.* grid fields, passed to the workbench constructor when set
+_GRID_FIELDS = {"rmax": float, "resolution": int, "xi_max": float, "xi_resolution": int}
+
+
+def _build_workbench(cfg: dict, wide: bool = False) -> Workbench:
+    """The workbench of the `mode` block.  `wide` (heavy-tailed families)
+    makes the type default to radial and, unless rmax ≥ 1e12 is set, uses
+    the wide geometric rule: rmax 1e30 with at least 3000 nodes."""
+    mode = _require(cfg, "mode.type", str, default="radial" if wide else _MISSING)
+    kw = {name: _require(cfg, f"mode.{name}", typ, default=None)
+          for name, typ in _GRID_FIELDS.items()}
+    kw = {name: v for name, v in kw.items() if v is not None}
+    if wide and kw.get("rmax", 0.0) < 1e12:
+        kw.update(rmax=1e30, resolution=max(kw.get("resolution", 0), 3000))
     if mode == "radial":
-        return radial_workbench(int(m.get("N", 3)), float(m.get("gamma", 0.0)), **kw)
+        return radial_workbench(_require(cfg, "mode.N", int, default=3),
+                                _require(cfg, "mode.gamma", float, default=0.0), **kw)
     if mode == "rank1":
-        return rank1_workbench(float(m.get("k", 0.0)), **kw)
+        return rank1_workbench(_require(cfg, "mode.k", float, default=0.0), **kw)
     raise ConfigError(f"$.mode.type: unknown mode {mode!r}")
 
 
+def _build_spec(cfg: dict) -> InequalitySpec:
+    params = _require(cfg, "spec.params", dict)
+    return InequalitySpec(_require(cfg, "spec.theorem", str),
+                          {k: _require(params, k, float, "$.spec.params") for k in params})
+
+
 def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
-    c = cfg.get("corpus", {})
-    seed = int(c.get("seed", seed_override if seed_override is not None else 0))
+    c = _require(cfg, "corpus", dict, default={})
+    seed = _require(c, "seed", int, "$.corpus", 0)
     if seed_override is not None:
         seed = seed_override
-    count = int(c.get("count", 10))
-    families = c.get("families", ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
-    constraints = c.get("constraints", {})
+    count = _require(c, "count", int, "$.corpus", 10)
+    families = _require(c, "families", list, "$.corpus",
+                        ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
+    constraints = _require(c, "constraints", dict, "$.corpus", {})
     return generate_corpus(seed, count, families, constraints, mode=mode), seed
 
 
 def cmd_verify(cfg: dict, out: Path, seed: int | None) -> int:
     wb = _build_workbench(cfg)
-    spec = InequalitySpec(_require(cfg, "spec.theorem", str), _require(cfg, "spec.params", dict))
+    spec = _build_spec(cfg)
     rep = admissible(spec)
     corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
     summary = {
@@ -142,8 +164,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int | None) -> int:
         _write_json(out / "summary.json", summary)
         return EXIT_OK
     result = verify_corpus(spec, corpus, wb)
-    _write_csv(out / "records.csv",
-               ["function_id", "lhs", "rhs", "ratio", "notes"],
+    _write_csv(out, "records.csv",
                [(r.function_id, r.lhs, r.rhs, r.ratio, r.notes) for r in result.records])
     summary.update({
         "direction": result.direction,
@@ -162,29 +183,35 @@ _FAMILY_BUILDERS = {
 }
 
 
+def _box(box: dict, tag: str) -> dict:
+    """family.box: builder argument -> [lo, hi]."""
+    names = inspect.signature(_FAMILY_BUILDERS[tag]).parameters
+    for key, v in box.items():
+        if key not in names:
+            raise ConfigError(f"$.family.box.{key}: unknown field for {tag}; "
+                              f"expected one of {sorted(names)}")
+        if not (isinstance(v, list) and len(v) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
+            raise ConfigError(f"$.family.box.{key}: expected [lo, hi], got {v!r}")
+    return {k: tuple(v) for k, v in box.items()}
+
+
 def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
-    fam_cfg = cfg.get("family", {})
-    tag = fam_cfg.get("tag", "PowerGaussian")
+    tag = _require(cfg, "family.tag", str, default="PowerGaussian")
     if tag not in _FAMILY_BUILDERS:
         raise ConfigError(f"$.family.tag: unknown family {tag!r}")
-    if tag == "InversePower":
-        # heavy tails need the wide geometric rule
-        mode = cfg.setdefault("mode", {"type": "radial"})
-        if float(mode.get("rmax", 0.0)) < 1e12:
-            mode["rmax"] = 1e30
-            mode["resolution"] = max(int(mode.get("resolution", 0)), 3000)
-    wb = _build_workbench(cfg)
-    spec = InequalitySpec(_require(cfg, "spec.theorem", str), _require(cfg, "spec.params", dict))
-    builder = _FAMILY_BUILDERS[tag]
-    family: TrialFamily = builder(**{k: tuple(v) for k, v in fam_cfg.get("box", {}).items()})
-    opt = cfg.get("optimizer", {})
+    box = _box(_require(cfg, "family.box", dict, default={}), tag)
+    wb = _build_workbench(cfg, wide=tag == "InversePower")
+    spec = _build_spec(cfg)
+    family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
+    opt = _require(cfg, "optimizer", dict, default={})
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
     result = rayleigh_maximize(
         spec, family, wb,
-        max_iter=int(opt.get("max_iters", 120)),
-        tol=float(opt.get("tolerance", 1e-4)),
-        restarts=int(opt.get("restarts", 3)),
-        seed=int(opt.get("seed", seed if seed is not None else 0)),
+        max_iter=_require(opt, "max_iters", int, "$.optimizer", 120),
+        tol=_require(opt, "tolerance", float, "$.optimizer", 1e-4),
+        restarts=_require(opt, "restarts", int, "$.optimizer", 3),
+        seed=_require(opt, "seed", int, "$.optimizer", seed if seed is not None else 0),
         ceiling=ceiling)
     _write_json(out / "summary.json", {
         "command": "sharp",
@@ -192,8 +219,7 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         "family": {"tag": tag, "box": {k: list(v) for k, v in family.box.items()}},
         **result.to_dict(),
     })
-    _write_csv(out / "trace.csv", ["evaluation", "best_ratio"],
-               list(enumerate(result.trace)))
+    _write_csv(out, "trace.csv (verify/sharp)", enumerate(result.trace))
     return EXIT_OK
 
 
@@ -229,13 +255,12 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             divergence = exc
             sol = None
     if sol is not None:
-        _write_csv(out / "trace.csv", ["t", "h1_norm", "dt_norm"],
-                   zip(sol.times, sol.h1_trace, sol.dt_trace))
+        _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
         rows = []
         for row, ti in zip(sol.snapshots, sol.snapshot_indices):
             for xval, uval in zip(sol.x_nodes, row):
                 rows.append((sol.times[ti], xval, uval))
-        _write_csv(out / "snapshots.csv", ["t", "x", "u"], rows)
+        _write_csv(out, "snapshots.csv", rows)
         summary = {
             "command": "wave",
             "config": {k: v for k, v in vars(config).items() if not k.startswith("_")},
@@ -305,13 +330,11 @@ def cmd_corpus(cfg: dict, out: Path, seed: int | None) -> int:
     corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
     _write_json(out / "corpus.json", {"seed": seed_used,
                                       "members": [f.to_dict() for f in corpus]})
-    norms_cfg = cfg.get("norms", [{"p": 2.0, "a": 0.0}])
-    rows = []
-    for f in corpus:
-        for nc in norms_cfg:
-            p, a = float(nc.get("p", 2.0)), float(nc.get("a", 0.0))
-            rows.append((f.fid, p, a, weighted_lp_norm(f, p, a, wb.quad)))
-    _write_csv(out / "norms.csv", ["function_id", "p", "a", "value"], rows)
+    norms = [(_require(nc, "p", float, f"$.norms[{i}]", 2.0),
+              _require(nc, "a", float, f"$.norms[{i}]", 0.0))
+             for i, nc in enumerate(_require(cfg, "norms", list, default=[{}]))]
+    rows = [(f.fid, p, a, weighted_lp_norm(f, p, a, wb.quad)) for f in corpus for p, a in norms]
+    _write_csv(out, "norms.csv", rows)
     return EXIT_OK
 
 

@@ -79,8 +79,7 @@ def power_gaussian_family(beta_box: Tuple[float, float] = (-0.47, 1.5),
             fid=f"PowerGaussian(beta={beta:.6g},s={s:.6g})", family="PowerGaussian",
             mode="radial", params=dict(p), components=(comp,), is_radial=True,
             vanishes_at_origin=beta > 0, origin_order=max(beta, 0.0),
-            origin_factor_power=beta, decay_scale=1.0 / math.sqrt(s),
-            in_origin_closure=beta > -0.5)
+            origin_factor_power=beta, in_origin_closure=beta > -0.5)
     return TrialFamily("PowerGaussian", {"beta": beta_box, "scale": scale_box}, maker)
 
 
@@ -95,9 +94,8 @@ def inverse_power_family(beta_box: Tuple[float, float] = (0.26, 4.0)) -> TrialFa
         beta = p["beta"]
         return TestFunction(
             fid=f"InversePower(beta={beta:.6g})", family="InversePower",
-            mode="radial", params=dict(p), profile=InversePower(beta),
-            is_radial=True, vanishes_at_origin=False, origin_order=0.0,
-            decay_scale=4.0, heavy_tails=True)
+            mode="radial", params=dict(p), components=(InversePower(beta),),
+            is_radial=True, vanishes_at_origin=False, origin_order=0.0, heavy_tails=True)
     return TrialFamily("InversePower", {"beta": beta_box}, maker)
 
 
@@ -108,8 +106,7 @@ def bump_scale_family(scale_box: Tuple[float, float] = (1.0, 6.0)) -> TrialFamil
         R = p["scale"]
         return TestFunction(
             fid=f"BumpScale(R={R:.6g})", family="BumpScale", mode="radial",
-            params=dict(p), profile=RadialBump(R), is_radial=True,
-            support_outer=R, decay_scale=R / 3.0)
+            params=dict(p), components=(RadialBump(R),), is_radial=True)
     return TrialFamily("BumpScale", {"scale": scale_box}, maker)
 
 

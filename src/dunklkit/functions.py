@@ -12,22 +12,20 @@ The workhorse carriers:
   reflection invariant.
 
 Bump and inverse-power carriers cover compact support, annuli (needed under
-negative power weights) and heavy tails (extremal trial families).  A
-TestFunction wraps one or more carriers with the metadata the norm and
-inequality machinery consumes.
+negative power weights) and heavy tails (extremal trial families); d/dr and
+dilation act on their values, and they have no exact Dunkl hook.  A
+TestFunction is the sum of its `components` (carriers of either kind, all
+with the same calculus interface) plus the metadata the norm and inequality
+machinery consumes.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Sequence
 
 import numpy as np
 from scipy import special as sps
-
-_SERIAL = itertools.count()
 
 __all__ = [
     "RadialPG",
@@ -221,8 +219,60 @@ def _mollifier_prime(t: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Profile:
+    """Shared by the carriers known through `value` and `derivative_values`:
+    no factorable origin power; d/dr and dilation act on values."""
+
+    min_power = 0.0
+
+    def value_reduced(self, r, power: float):
+        """f(r) / |r|^power, zero wherever f vanishes."""
+        r = np.asarray(r, float)
+        vals = self.value(r)
+        rad = np.abs(r)
+        out = np.zeros_like(vals)
+        live = vals != 0.0
+        out[live] = vals[live] * rad[live] ** (-power)
+        return out
+
+    def derivative(self) -> "_Profile":
+        return _ProfileDerivative(self)
+
+    def dilate(self, lam: float) -> "_Profile":
+        return _ProfileDilate(self, lam)
+
+    def dunkl_apply(self, k: float):
+        raise ValueError(f"{type(self).__name__}: no exact Dunkl-operator hook for this carrier")
+
+    laplacian = dunkl_apply
+
+
 @dataclass(frozen=True)
-class RadialBump:
+class _ProfileDerivative(_Profile):
+    """d/dr of a profile carrier."""
+
+    base: _Profile
+
+    def value(self, r):
+        return self.base.derivative_values(r)
+
+
+@dataclass(frozen=True)
+class _ProfileDilate(_Profile):
+    """r ↦ base(λ r)."""
+
+    base: _Profile
+    lam: float
+
+    def value(self, r):
+        return self.base.value(self.lam * np.asarray(r, float))
+
+    def derivative_values(self, r):
+        return self.lam * self.base.derivative_values(self.lam * np.asarray(r, float))
+
+
+@dataclass(frozen=True)
+class RadialBump(_Profile):
     """Smooth bump supported on [0, R); equals 1 at the origin."""
 
     R: float
@@ -235,7 +285,7 @@ class RadialBump:
 
 
 @dataclass(frozen=True)
-class AnnularBump:
+class AnnularBump(_Profile):
     """Smooth bump supported on (r_in, r_out); vanishes identically near 0."""
 
     r_in: float
@@ -252,7 +302,7 @@ class AnnularBump:
 
 
 @dataclass(frozen=True)
-class InversePower:
+class InversePower(_Profile):
     """(1 + (r/scale)²)^{-beta}: heavy-tailed extremal trial profile."""
 
     beta: float
@@ -271,9 +321,10 @@ class InversePower:
 # wrapper
 
 
-@dataclass
+@dataclass(eq=False)
 class TestFunction:
-    """A corpus member: carrier(s) plus the metadata norms and theorems use.
+    """A corpus member: carriers plus the metadata norms and theorems use.
+    Compared and hashed by identity (fids repeat across corpora).
 
     origin_factor_power: exactly factorable power r^β at the origin (folded
     into quadrature weights); origin_order: actual vanishing order (∞ for
@@ -286,27 +337,20 @@ class TestFunction:
     family: str
     mode: str                      # "radial" | "rank1"
     params: dict = field(default_factory=dict)
-    components: tuple = ()         # RadialPG or PolyGauss1D carriers
-    profile: object = None         # bump / inverse-power carrier
+    components: tuple = ()         # summed carriers: RadialPG / PolyGauss1D, or one profile
     is_radial: bool = True
     vanishes_at_origin: bool = False
     origin_order: float = 0.0
     origin_factor_power: float = 0.0
     support_inner: float = 0.0
-    support_outer: float | None = None
-    decay_scale: float = 1.0
     heavy_tails: bool = False
     # member of the energy-space closure of functions vanishing near 0
     # (e.g. r^β with β > -1/2: the ε-cutoff error vanishes like ε^{2β+1})
     in_origin_closure: bool = False
-    # unique per instance; spectral caches key on it (fids repeat across corpora)
-    serial: int = field(init=False, default_factory=_SERIAL.__next__, compare=False)
 
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
-        if self.profile is not None:
-            return self.profile.value(x)
         out = 0.0
         for c in self.components:
             out = out + c.value(x)
@@ -317,14 +361,6 @@ class TestFunction:
     def value_reduced(self, x, power: float):
         if power == 0.0:
             return self.value(x)
-        if self.profile is not None:
-            x = np.asarray(x, float)
-            vals = self.profile.value(x)
-            rad = np.abs(x)
-            out = np.zeros_like(vals)
-            live = vals != 0.0
-            out[live] = vals[live] * rad[live] ** (-power)
-            return out
         out = 0.0
         for c in self.components:
             out = out + c.value_reduced(x, power)
@@ -332,56 +368,27 @@ class TestFunction:
 
     def derivative(self) -> "TestFunction":
         """d/dr of the radial profile (or d/dx in rank-1)."""
-        if self.profile is not None:
-            prof = self.profile
-
-            class _D:
-                def value(self, x, _p=prof):
-                    return _p.derivative_values(x)
-            return replace(self, fid=self.fid + "'", components=(), profile=_D(),
-                           origin_factor_power=0.0, origin_order=max(0.0, self.origin_order - 1))
-        comps = tuple(c.derivative() for c in self.components)
-        return self._rewrap(comps, "'")
+        return self._rewrap(tuple(c.derivative() for c in self.components), "'")
 
     def apply_dunkl(self, k: float) -> "TestFunction":
         if self.mode != "rank1":
             raise ValueError("apply_dunkl is the rank-1 operator; use laplacian for radial mode")
-        if not self.components:
-            raise ValueError(f"{self.fid}: no exact Dunkl hook for this carrier")
-        comps = tuple(c.dunkl_apply(k) for c in self.components)
-        return self._rewrap(comps, "~T")
+        return self._rewrap(tuple(c.dunkl_apply(k) for c in self.components), "~T")
 
     def laplacian(self, lam_or_k: float) -> "TestFunction":
-        if not self.components:
-            raise ValueError(f"{self.fid}: no exact Laplacian hook for this carrier")
-        comps = tuple(c.laplacian(lam_or_k) for c in self.components)
-        return self._rewrap(comps, "~lap")
+        return self._rewrap(tuple(c.laplacian(lam_or_k) for c in self.components), "~lap")
 
     def dilate(self, lam: float) -> "TestFunction":
-        """f ↦ f(λ·), exact on structured carriers."""
-        if self.profile is not None:
-            prof = self.profile
+        """f ↦ f(λ·), exact on every carrier."""
+        return self._rewrap(tuple(c.dilate(lam) for c in self.components), f"~dil{lam:g}",
+                            support_inner=self.support_inner / lam)
 
-            class _S:
-                def value(self, x, _p=prof, _l=lam):
-                    return _p.value(_l * np.asarray(x, float))
-
-                def derivative_values(self, x, _p=prof, _l=lam):
-                    return _l * _p.derivative_values(_l * np.asarray(x, float))
-            return replace(self, fid=f"{self.fid}~dil{lam:g}", profile=_S(), components=(),
-                           support_inner=self.support_inner / lam,
-                           support_outer=None if self.support_outer is None else self.support_outer / lam,
-                           decay_scale=self.decay_scale / lam)
-        comps = tuple(c.dilate(lam) for c in self.components)
-        out = self._rewrap(comps, f"~dil{lam:g}")
-        out.decay_scale = self.decay_scale / lam
-        return out
-
-    def _rewrap(self, comps: tuple, suffix: str) -> "TestFunction":
+    def _rewrap(self, comps: tuple, suffix: str, **changes) -> "TestFunction":
         power = min(c.min_power for c in comps)
         return replace(self, fid=self.fid + suffix, components=comps,
                        origin_factor_power=power,
-                       origin_order=max(power, 0.0) if np.isfinite(self.origin_order) else self.origin_order)
+                       origin_order=max(power, 0.0) if np.isfinite(self.origin_order) else self.origin_order,
+                       **changes)
 
     def to_dict(self) -> dict:
         return {
@@ -402,7 +409,6 @@ class TestFunction:
 def _pg_testfunction(fid: str, family: str, mode: str, comps: Sequence, params: dict) -> TestFunction:
     comps = tuple(comps)
     power = min(c.min_power for c in comps)
-    smin = min(c.s for c in comps)
     return TestFunction(
         fid=fid, family=family, mode=mode, params=params, components=comps,
         is_radial=(mode == "radial") or all(
@@ -410,7 +416,6 @@ def _pg_testfunction(fid: str, family: str, mode: str, comps: Sequence, params: 
         vanishes_at_origin=power > 0,
         origin_order=max(power, 0.0),
         origin_factor_power=power,
-        decay_scale=1.0 / math.sqrt(smin),
     )
 
 
@@ -495,9 +500,8 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
             else:
                 out.append(TestFunction(
                     fid=fid, family=fam, mode=mode, params={"R": R},
-                    profile=RadialBump(R), is_radial=True,
-                    vanishes_at_origin=False, origin_order=0.0,
-                    support_outer=R, decay_scale=R / 3.0))
+                    components=(RadialBump(R),), is_radial=True,
+                    vanishes_at_origin=False, origin_order=0.0))
         elif fam == "AnnularBump":
             r_in = float(rng.uniform(0.4, 1.0))
             width = float(rng.uniform(1.0, 2.5))
@@ -527,6 +531,5 @@ def _annular(fid: str, r_in: float, r_out: float, mode: str) -> TestFunction:
     return TestFunction(
         fid=fid, family="AnnularBump", mode=mode,
         params={"r_in": r_in, "r_out": r_out},
-        profile=AnnularBump(r_in, r_out), is_radial=True,
-        vanishes_at_origin=True, origin_order=np.inf,
-        support_inner=r_in, support_outer=r_out, decay_scale=r_out / 3.0)
+        components=(AnnularBump(r_in, r_out),), is_radial=True,
+        vanishes_at_origin=True, origin_order=np.inf, support_inner=r_in)

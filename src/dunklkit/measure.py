@@ -46,8 +46,7 @@ class NonIntegrableWeightError(QuadratureError):
     """The requested power weight is not integrable at the origin for this f."""
 
 
-def _half_axis_rule(sigma: float, rmax: float, resolution: int,
-                    r0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on (0, rmax] for integrals ∫ g(r) r^sigma dr.
 
     Layout: a Gauss-Jacobi core on (0, r0] (exact in the r^sigma factor),
@@ -64,8 +63,7 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int,
         raise QuadratureError("rmax must be positive")
     if sigma <= -1.0:
         raise NonIntegrableWeightError(f"r^{sigma:g} is not integrable at 0")
-    if r0 is None:
-        r0 = min(0.02, rmax / 64.0)
+    r0 = min(0.02, rmax / 64.0)
     n_jac = max(12, min(28, resolution // 8))
     n_per = 16
     n_panels = max(4, (resolution - n_jac) // n_per)
@@ -133,8 +131,7 @@ class WeightedQuadrature:
             if sigma <= -1.0:
                 raise NonIntegrableWeightError(
                     f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
-            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax,
-                                    r["resolution"], r.get("r0"),
+            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"],
                                     {**r, "extra": r.get("extra", 0.0) + extra})
         # tensor2: pointwise (no origin singularity support)
         if extra < 0:
@@ -148,41 +145,38 @@ class WeightedQuadrature:
             raise QuadratureError("refined() supports rank1/radial rules")
         r = self.recipe
         return _axis_quadrature(self.kind, r["sigma"], r["const"], self.rmax,
-                                int(r["resolution"] * factor), r.get("r0"), r)
+                                int(r["resolution"] * factor), r)
 
 
 def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
-                     resolution: int, r0: float | None, recipe: dict) -> WeightedQuadrature:
+                     resolution: int, recipe: dict) -> WeightedQuadrature:
     """The half-axis rule for r^sigma times `const`, mirrored onto the full
     line for kind "rank1"; stores `recipe` with the build parameters set."""
-    n, w = _half_axis_rule(sigma, rmax, resolution, r0)
+    n, w = _half_axis_rule(sigma, rmax, resolution)
     w = w * const
     if kind == "rank1":
         n = np.concatenate([-n[::-1], n])
         w = np.concatenate([w[::-1], w])
     return WeightedQuadrature(kind, n, w, rmax,
                               {**recipe, "sigma": sigma, "const": const,
-                               "resolution": resolution, "r0": r0})
+                               "resolution": resolution})
 
 
-def rank1_quadrature(k: float, rmax: float, resolution: int,
-                     r0: float | None = None) -> WeightedQuadrature:
+def rank1_quadrature(k: float, rmax: float, resolution: int) -> WeightedQuadrature:
     """Full-line rule for N=1 with weight w_k(x) = 2^k |x|^{2k} folded in."""
     if k < 0:
         raise QuadratureError("multiplicity k must be ≥ 0")
-    return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution, r0, {"k": k})
+    return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution, {"k": k})
 
 
 def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
-                      surface_const: float | None = None,
-                      r0: float | None = None) -> WeightedQuadrature:
+                      surface_const: float | None = None) -> WeightedQuadrature:
     """Radial rule: ∫ f(|x|) dμ_k = d ∫_0^∞ f(r) r^{Λ-1} dr, Λ = N + 2γ."""
     lam = N + 2.0 * gamma
     if lam <= 0:
         raise QuadratureError("N + 2γ must be positive")
     d = surface_constant(N, gamma) if surface_const is None else float(surface_const)
-    return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution, r0,
-                            {"N": N, "gamma": gamma})
+    return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution, {"N": N, "gamma": gamma})
 
 
 def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,

@@ -46,12 +46,6 @@ class Polynomial:
         return cls(dim, {(0,) * dim: c})
 
     @classmethod
-    def variable(cls, dim: int, i: int) -> "Polynomial":
-        e = [0] * dim
-        e[i] = 1
-        return cls(dim, {tuple(e): 1.0})
-
-    @classmethod
     def monomial(cls, exponents: MultiIndex, coeff: float = 1.0) -> "Polynomial":
         return cls(len(exponents), {tuple(exponents): coeff})
 
@@ -110,11 +104,6 @@ class Polynomial:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def prune(self, tol: float) -> "Polynomial":
-        """Drop coefficients below tol * max|coeff| (test hygiene only)."""
-        cut = tol * self.max_abs_coeff()
-        return Polynomial(self.dim, {e: c for e, c in self.terms.items() if abs(c) > cut})
 
     def compose_linear(self, mat: np.ndarray) -> "Polynomial":
         """Substitute x ↦ M x, expanding exactly."""

@@ -30,7 +30,6 @@ __all__ = [
     "reflection_matrix",
     "generate_group",
     "weight",
-    "gamma",
 ]
 
 FAMILIES = ("Rank1Z2", "ProductZ2N", "SymmetricGroupA", "DihedralI2m")
@@ -114,9 +113,6 @@ class RootSystem:
     @property
     def num_positive(self) -> int:
         return self.positive_roots.shape[0]
-
-    def weight(self, x: np.ndarray) -> np.ndarray:
-        return weight(self, x)
 
     @property
     def gamma(self) -> float:
@@ -296,8 +292,3 @@ def weight(rs: RootSystem, x: np.ndarray) -> np.ndarray:
         return float(w[0])
     out_shape = x.shape[:-1] if (x.ndim > 1 or rs.dim > 1) else x.shape
     return w.reshape(out_shape)
-
-
-def gamma(rs: RootSystem) -> float:
-    """Homogeneity degree γ = Σ_{α∈R₊} k_α of the weight (w_k has degree 2γ)."""
-    return rs.gamma

@@ -215,12 +215,6 @@ class WaveSolution:
     diff_xnorms: List[float] = field(default_factory=list)
     contraction_factors: List[float] = field(default_factory=list)
     converged: bool = True
-    delta_used: float | None = None
-    epsilon: float | None = None
-
-    @property
-    def combined_trace(self) -> np.ndarray:
-        return self.h1_trace + self.dt_trace
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +379,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
 
     factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     return _solution(config, tr, times, U, dtU, iterations=iterations, diff_xnorms=diffs,
-                     contraction_factors=factors, converged=converged,
-                     delta_used=delta_used, epsilon=eps)
+                     contraction_factors=factors, converged=converged)
 
 
 def _check_nonlinearity(f: Callable, p: float) -> None:

@@ -28,6 +28,7 @@ r^{-1-ε} tails that no truncated oscillatory quadrature resolves, while the
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,9 @@ class Workbench:
     quad: WeightedQuadrature
     xi_quad: WeightedQuadrature
     _transform: object = None
-    _fields: dict = field(default_factory=dict, repr=False)
+    # spectral fields, each alive exactly as long as its function
+    _fields: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
+                                               repr=False)
 
     @property
     def transform(self):
@@ -74,11 +77,10 @@ class Workbench:
     # -- spectral cache ---------------------------------------------------
 
     def spectral(self, f: TestFunction) -> SpectralField:
-        key = getattr(f, "serial", id(f))
-        fld = self._fields.get(key)
+        fld = self._fields.get(f)
         if fld is None:
             fld = self.transform.forward(np.asarray(f.value(self.quad.nodes), dtype=float))
-            self._fields[key] = fld
+            self._fields[f] = fld
         return fld
 
     # -- norms --------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dunklkit.cli import main
 
 
@@ -147,3 +149,60 @@ def test_corpus_command(tmp_path):
     assert len(body) == 9
     members = json.loads((out / "corpus.json").read_text())["members"]
     assert len(members) == 4
+
+
+_RADIAL = {"type": "radial", "N": 3, "gamma": 0.0}
+_SHARP_BASE = {"mode": _RADIAL, "spec": VERIFY_CFG["spec"], "family": {"tag": "BumpScale"}}
+_CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "resolution": "fine"}}),
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "gamma": "x"}}),
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "N": 3.7}}),
+    ("verify", {**VERIFY_CFG, "spec": {"theorem": "FractionalHardy",
+                                       "params": {"N": 3, "gamma": 0.0, "s": "one"}}}),
+    ("corpus", {"corpus": {"count": "ten"}}),
+    ("corpus", {"corpus": {"seed": "7"}}),
+    ("corpus", {"corpus": {"families": "Gaussian"}}),
+    ("corpus", {"corpus": {"constraints": [1]}}),
+    ("corpus", {"corpus": 5}),
+    ("corpus", {**_CORPUS_BASE, "norms": {}}),
+    ("corpus", {**_CORPUS_BASE, "norms": [{"p": "two"}]}),
+    ("corpus", {**_CORPUS_BASE, "norms": [5]}),
+    ("sharp", {**_SHARP_BASE, "optimizer": {"max_iters": "many"}}),
+    ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"beta_box": [0.5, 1.0]}}}),
+    ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": 2.0}}}),
+], ids=["mode.resolution", "mode.gamma", "mode.N", "spec.params", "corpus.count",
+        "corpus.seed", "corpus.families", "corpus.constraints",
+        "corpus", "norms", "norms.p", "norms.entry", "optimizer.max_iters",
+        "family.box.key", "family.box.value"])
+def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
+    path = write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_null_optional_field_takes_default(tmp_path):
+    cfg = write(tmp_path / "cfg.json", {"corpus": {"seed": None, "count": 2}, "norms": None})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "corpus.json").read_text())["seed"] == 0
+    assert len((out / "norms.csv").read_text().splitlines()) == 3
+
+
+def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
+    import dunklkit.cli as cli
+    cfg = {"spec": VERIFY_CFG["spec"], "family": {"tag": "InversePower"},
+           "optimizer": {"restarts": 1, "max_iters": 2}}
+    before = json.dumps(cfg, sort_keys=True)
+    built = {}
+
+    def fake_rayleigh(spec, family, wb, **kw):
+        built["rmax"], built["n"] = wb.quad.rmax, wb.quad.recipe["resolution"]
+        raise RuntimeError("stop after the workbench is built")
+    monkeypatch.setattr(cli, "rayleigh_maximize", fake_rayleigh)
+    with pytest.raises(RuntimeError):
+        cli.cmd_sharp(cfg, tmp_path, None)
+    assert json.dumps(cfg, sort_keys=True) == before
+    assert built == {"rmax": 1e30, "n": 3000}

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -117,11 +119,18 @@ def test_band_profile_support():
     assert v[2] > 0.5
 
 
-def test_serial_uniqueness():
+def test_spectral_cache_per_function():
+    from dunklkit.workbench import radial_workbench
+    wb = radial_workbench(3, 0.0, resolution=64, xi_resolution=64)
     a = generate_corpus(1, 2, ["Gaussian", "DilatedGaussian"], mode="radial")
     b = generate_corpus(1, 2, ["Gaussian", "DilatedGaussian"], mode="radial")
-    serials = [f.serial for f in a + b] + [a[0].dilate(2.0).serial]
-    assert len(set(serials)) == len(serials)
+    assert [f.fid for f in a] == [f.fid for f in b]
+    fields = [wb.spectral(f) for f in a + b]
+    assert len(wb._fields) == 4
+    assert all(wb.spectral(f) is fld for f, fld in zip(a + b, fields))
+    del a, b
+    gc.collect()
+    assert len(wb._fields) == 0          # a cached field lives as long as its function
 
 
 def test_to_dict_serializable():

@@ -1,13 +1,18 @@
 """Property tests over generated inputs: exact weighted norms through the
-shared quadrature builder, and Plancherel / round trip of both transforms."""
+shared quadrature builder, Plancherel / round trip of both transforms,
+dilation of every test-function carrier, and the equality conditions of the
+`*_spec` constructors' output."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dunklkit as dk
-from dunklkit.functions import generate_corpus
+from dunklkit import inequalities
+from dunklkit.extremal import bump_scale_family
+from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit.measure import radial_quadrature, rank1_quadrature, weighted_lp_norm
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -67,3 +72,86 @@ def test_plancherel_and_round_trip(setting, family, seed):
     vals = f.value(wb.quad.nodes)
     back = wb.transform.inverse(fld)
     assert np.max(np.abs(back - vals)) < 1e-6 * np.max(np.abs(vals))
+
+
+# ---------------------------------------------------------------------------
+# dilation: f.dilate(λ) is r ↦ f(λr), and its derivative is λ f'(λr)
+
+DILATIONS = st.floats(0.3, 3.0)
+TRIAL_FAMILIES = [dk.power_gaussian_family(), dk.inverse_power_family(), bump_scale_family()]
+
+
+def _check_dilation(f, lam, x):
+    want = f.value(lam * x)
+    np.testing.assert_allclose(f.dilate(lam).value(x), want, rtol=1e-10,
+                               atol=1e-13 * np.max(np.abs(want)))
+    want = lam * f.derivative().value(lam * x)
+    np.testing.assert_allclose(f.dilate(lam).derivative().value(x), want, rtol=1e-10,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mode=st.sampled_from(["radial", "rank1"]), family=st.sampled_from(CORPUS_FAMILIES),
+       vanish=st.booleans(), seed=SEEDS, lam=DILATIONS)
+def test_corpus_dilation(mode, family, vanish, seed, lam):
+    (f,) = generate_corpus(seed, 1, [family], {"vanish_at_origin": vanish}, mode=mode)
+    x = np.linspace(0.02, 6.0, 150) if mode == "radial" else np.linspace(-6.0, 6.0, 151)
+    _check_dilation(f, lam, x)
+
+
+@PROPERTY
+@given(index=st.sampled_from(range(len(TRIAL_FAMILIES))),
+       u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), lam=DILATIONS)
+def test_trial_family_dilation(index, u, lam):
+    fam = TRIAL_FAMILIES[index]
+    f = fam.make([lo + t * (hi - lo) for t, (lo, hi) in zip(u, fam.box.values())])
+    _check_dilation(f, lam, np.linspace(0.02, 8.0, 200))
+
+
+# ---------------------------------------------------------------------------
+# *_spec constructors: the derived parameter satisfies the theorem's equalities
+
+DIM, GAMMA = st.integers(1, 6), st.floats(0.0, 2.0)
+EXPONENT, WEIGHT, DELTA = st.floats(1.0, 10.0), st.floats(-2.0, 3.0), st.floats(0.0, 1.0)
+SPEC_CONSTRUCTORS = {
+    "sobolev_spec": (dk.sobolev_spec, dict(p=EXPONENT)),
+    "weighted_hardy_spec": (dk.weighted_hardy_spec, dict(a=WEIGHT, b=WEIGHT)),
+    "weighted_rellich_spec": (dk.weighted_rellich_spec, dict(a=WEIGHT, b=WEIGHT)),
+    "higher_rellich_spec": (dk.higher_rellich_spec, dict(a=WEIGHT, b=WEIGHT, j=st.integers(1, 3))),
+    "uncertainty_spec": (dk.uncertainty_spec, dict(p=st.floats(1.05, 10.0))),
+    "gn1_spec": (dk.gn1_spec, dict(p=EXPONENT, q=EXPONENT, r=EXPONENT)),
+    "wgn1_spec": (dk.wgn1_spec, dict(p=EXPONENT, s=st.floats(2.0, 6.0))),
+    "wgn2_spec": (dk.wgn2_spec, dict(a=st.floats(1.0, 2.0), s=st.floats(2.0, 4.0))),
+    "ckn1_spec": (dk.ckn1_spec, dict(p=EXPONENT, q=EXPONENT, b=WEIGHT, delta=DELTA)),
+    "ckn2_spec": (dk.ckn2_spec, dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA)),
+    "ckn_fractional_spec": (dk.ckn_fractional_spec,
+                            dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA)),
+}
+
+
+def _equality_conditions(spec):
+    """The spec's admissibility conditions that `_eq` builds."""
+    eq_ids = []
+    real = inequalities._eq
+
+    def recording(cid, statement, diff):
+        eq_ids.append(cid)
+        return real(cid, statement, diff)
+    with mock.patch.object(inequalities, "_eq", recording):
+        conditions = inequalities.admissible(spec).conditions
+    return [c for c in conditions if c.cid in eq_ids]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(name=st.sampled_from(sorted(SPEC_CONSTRUCTORS)), N=DIM, gamma=GAMMA, data=st.data())
+def test_spec_constructors_satisfy_their_equalities(name, N, gamma, data):
+    make, params = SPEC_CONSTRUCTORS[name]
+    drawn = {k: data.draw(strategy, label=k) for k, strategy in params.items()}
+    try:
+        spec = make(N, gamma, **drawn)
+    except ZeroDivisionError:
+        assume(False)                     # the derived parameter is undefined here
+    conditions = _equality_conditions(spec)
+    assert conditions, name
+    for c in conditions:
+        assert c.ok, (name, spec.params, c)

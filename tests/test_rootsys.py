@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dunklkit.rootsys import (FAMILIES, GroupClosureError, RootSystem, RootSystemError,
-                              build_root_system, gamma, generate_group, reflect,
+                              build_root_system, generate_group, reflect,
                               reflection_matrix, weight)
 
 
@@ -68,9 +68,9 @@ def test_weight_homogeneity_and_invariance():
 
 
 def test_gamma_examples():
-    assert gamma(build_root_system("Rank1Z2", 1, [0.0])) == 0.0
-    assert gamma(build_root_system("Rank1Z2", 1, [0.8])) == pytest.approx(0.8)
-    assert gamma(build_root_system("ProductZ2N", 3, [1.0, 1.0, 1.0])) == pytest.approx(3.0)
+    assert build_root_system("Rank1Z2", 1, [0.0]).gamma == 0.0
+    assert build_root_system("Rank1Z2", 1, [0.8]).gamma == pytest.approx(0.8)
+    assert build_root_system("ProductZ2N", 3, [1.0, 1.0, 1.0]).gamma == pytest.approx(3.0)
 
 
 def test_construction_errors():
