@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .extremal import (TrialFamily, bump_scale_family, inverse_power_family,
                        power_gaussian_family, rayleigh_maximize)
-from .functions import generate_corpus
+from .functions import CORPUS_FAMILIES, generate_corpus
 from .inequalities import (InequalitySpec, THEOREMS, admissible, verify_corpus)
 from .measure import weighted_lp_norm
 from .spectral import classical_fourier_reference
@@ -127,10 +127,14 @@ def _build_workbench(cfg: dict, wide: bool = False) -> Workbench:
     raise ConfigError(f"$.mode.type: unknown mode {mode!r}")
 
 
-def _build_spec(cfg: dict) -> InequalitySpec:
+def _build_spec(cfg: dict, wb: Workbench) -> InequalitySpec:
+    """The spec, whose Λ = N + 2γ must be the Λ of the `mode` block."""
     params = _require(cfg, "spec.params", dict)
-    return InequalitySpec(_require(cfg, "spec.theorem", str),
+    spec = InequalitySpec(_require(cfg, "spec.theorem", str),
                           {k: _require(params, k, float, "$.spec.params") for k in params})
+    if abs(spec.params["N"] + 2.0 * spec.params["gamma"] - wb.lam) > 1e-9:
+        raise ConfigError(f"$.spec.params: N + 2γ differs from the Λ = {wb.lam:g} of $.mode")
+    return spec
 
 
 def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
@@ -141,13 +145,17 @@ def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
     count = _require(c, "count", int, "$.corpus", 10)
     families = _require(c, "families", list, "$.corpus",
                         ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
+    unknown = [f for f in families if f not in CORPUS_FAMILIES]
+    if unknown:
+        raise ConfigError(f"$.corpus.families: unknown families {unknown}; "
+                          f"expected names from {list(CORPUS_FAMILIES)}")
     constraints = _require(c, "constraints", dict, "$.corpus", {})
     return generate_corpus(seed, count, families, constraints, mode=mode), seed
 
 
 def cmd_verify(cfg: dict, out: Path, seed: int | None) -> int:
     wb = _build_workbench(cfg)
-    spec = _build_spec(cfg)
+    spec = _build_spec(cfg, wb)
     rep = admissible(spec)
     corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
     summary = {
@@ -202,16 +210,17 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         raise ConfigError(f"$.family.tag: unknown family {tag!r}")
     box = _box(_require(cfg, "family.box", dict, default={}), tag)
     wb = _build_workbench(cfg, wide=tag == "InversePower")
-    spec = _build_spec(cfg)
+    spec = _build_spec(cfg, wb)
     family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
     opt = _require(cfg, "optimizer", dict, default={})
+    opt_seed = _require(opt, "seed", int, "$.optimizer", 0)
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
     result = rayleigh_maximize(
         spec, family, wb,
         max_iter=_require(opt, "max_iters", int, "$.optimizer", 120),
         tol=_require(opt, "tolerance", float, "$.optimizer", 1e-4),
         restarts=_require(opt, "restarts", int, "$.optimizer", 3),
-        seed=_require(opt, "seed", int, "$.optimizer", seed if seed is not None else 0),
+        seed=opt_seed if seed is None else seed,
         ceiling=ceiling)
     _write_json(out / "summary.json", {
         "command": "sharp",

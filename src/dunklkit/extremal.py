@@ -74,12 +74,9 @@ def power_gaussian_family(beta_box: Tuple[float, float] = (-0.47, 1.5),
 
     def maker(p: Dict[str, float]) -> TestFunction:
         beta, s = p["beta"], p["scale"]
-        comp = RadialPG(beta, (1.0,), s)
-        return TestFunction(
-            fid=f"PowerGaussian(beta={beta:.6g},s={s:.6g})", family="PowerGaussian",
-            mode="radial", params=dict(p), components=(comp,), is_radial=True,
-            vanishes_at_origin=beta > 0, origin_order=max(beta, 0.0),
-            origin_factor_power=beta, in_origin_closure=beta > -0.5)
+        return TestFunction(f"PowerGaussian(beta={beta:.6g},s={s:.6g})", "PowerGaussian",
+                            "radial", dict(p), (RadialPG(beta, (1.0,), s),),
+                            in_origin_closure=beta > -0.5)
     return TrialFamily("PowerGaussian", {"beta": beta_box, "scale": scale_box}, maker)
 
 
@@ -92,10 +89,8 @@ def inverse_power_family(beta_box: Tuple[float, float] = (0.26, 4.0)) -> TrialFa
 
     def maker(p: Dict[str, float]) -> TestFunction:
         beta = p["beta"]
-        return TestFunction(
-            fid=f"InversePower(beta={beta:.6g})", family="InversePower",
-            mode="radial", params=dict(p), components=(InversePower(beta),),
-            is_radial=True, vanishes_at_origin=False, origin_order=0.0, heavy_tails=True)
+        return TestFunction(f"InversePower(beta={beta:.6g})", "InversePower", "radial",
+                            dict(p), (InversePower(beta),))
     return TrialFamily("InversePower", {"beta": beta_box}, maker)
 
 
@@ -104,9 +99,8 @@ def bump_scale_family(scale_box: Tuple[float, float] = (1.0, 6.0)) -> TrialFamil
 
     def maker(p: Dict[str, float]) -> TestFunction:
         R = p["scale"]
-        return TestFunction(
-            fid=f"BumpScale(R={R:.6g})", family="BumpScale", mode="radial",
-            params=dict(p), components=(RadialBump(R),), is_radial=True)
+        return TestFunction(f"BumpScale(R={R:.6g})", "BumpScale", "radial", dict(p),
+                            (RadialBump(R),))
     return TrialFamily("BumpScale", {"scale": scale_box}, maker)
 
 

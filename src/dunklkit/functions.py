@@ -15,8 +15,10 @@ Bump and inverse-power carriers cover compact support, annuli (needed under
 negative power weights) and heavy tails (extremal trial families); d/dr and
 dilation act on their values, and they have no exact Dunkl hook.  A
 TestFunction is the sum of its `components` (carriers of either kind, all
-with the same calculus interface) plus the metadata the norm and inequality
-machinery consumes.
+with the same calculus interface).  Every carrier states its behaviour at
+the origin and its tails (`min_power`, `support_inner`, `heavy_tails`), and
+the TestFunction reads what the norm and inequality machinery consumes off
+its carriers.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ CORPUS_FAMILIES = ("Gaussian", "DilatedGaussian", "HermiteGaussian",
 class _PolyGauss:
     """Shared by the polynomial × Gaussian carriers: frozen dataclasses with
     fields `coeffs` (ascending) and `s` that define value_reduced."""
+
+    support_inner = 0.0
+    heavy_tails = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -224,6 +229,8 @@ class _Profile:
     no factorable origin power; d/dr and dilation act on values."""
 
     min_power = 0.0
+    support_inner = 0.0       # the profile vanishes identically on [0, support_inner)
+    heavy_tails = False
 
     def value_reduced(self, r, power: float):
         """f(r) / |r|^power, zero wherever f vanishes."""
@@ -253,6 +260,9 @@ class _ProfileDerivative(_Profile):
 
     base: _Profile
 
+    support_inner = property(lambda self: self.base.support_inner)
+    heavy_tails = property(lambda self: self.base.heavy_tails)
+
     def value(self, r):
         return self.base.derivative_values(r)
 
@@ -263,6 +273,9 @@ class _ProfileDilate(_Profile):
 
     base: _Profile
     lam: float
+
+    support_inner = property(lambda self: self.base.support_inner / self.lam)
+    heavy_tails = property(lambda self: self.base.heavy_tails)
 
     def value(self, r):
         return self.base.value(self.lam * np.asarray(r, float))
@@ -291,6 +304,8 @@ class AnnularBump(_Profile):
     r_in: float
     r_out: float
 
+    support_inner = property(lambda self: self.r_in)
+
     def _t(self, r):
         return (2.0 * np.asarray(r, float) - (self.r_in + self.r_out)) / (self.r_out - self.r_in)
 
@@ -307,6 +322,7 @@ class InversePower(_Profile):
 
     beta: float
     scale: float = 1.0
+    heavy_tails = True
 
     def value(self, r):
         t = np.asarray(r, float) / self.scale
@@ -323,12 +339,14 @@ class InversePower(_Profile):
 
 @dataclass(eq=False)
 class TestFunction:
-    """A corpus member: carriers plus the metadata norms and theorems use.
-    Compared and hashed by identity (fids repeat across corpora).
+    """A corpus member: the sum of its carriers.  Compared and hashed by
+    identity (fids repeat across corpora).
 
-    origin_factor_power: exactly factorable power r^β at the origin (folded
-    into quadrature weights); origin_order: actual vanishing order (∞ for
-    annuli); support_inner > 0 licenses pointwise power weights.
+    Origin and tail data are read off the carriers: origin_factor_power is
+    the exactly factorable power r^β (folded into quadrature weights);
+    support_inner > 0, a hole around the origin, licenses pointwise power
+    weights; heavy_tails asks for the wide geometric rule.  Only
+    in_origin_closure, a claim about the function's class, is stated.
     """
 
     __test__ = False          # not a pytest collection target
@@ -338,15 +356,33 @@ class TestFunction:
     mode: str                      # "radial" | "rank1"
     params: dict = field(default_factory=dict)
     components: tuple = ()         # summed carriers: RadialPG / PolyGauss1D, or one profile
-    is_radial: bool = True
-    vanishes_at_origin: bool = False
-    origin_order: float = 0.0
-    origin_factor_power: float = 0.0
-    support_inner: float = 0.0
-    heavy_tails: bool = False
     # member of the energy-space closure of functions vanishing near 0
     # (e.g. r^β with β > -1/2: the ε-cutoff error vanishes like ε^{2β+1})
     in_origin_closure: bool = False
+
+    # -- origin and tails, read off the carriers ---------------------------
+
+    @property
+    def origin_factor_power(self) -> float:
+        return min(c.min_power for c in self.components)
+
+    @property
+    def support_inner(self) -> float:
+        return min(c.support_inner for c in self.components)
+
+    @property
+    def vanishes_at_origin(self) -> bool:
+        return self.support_inner > 0 or self.origin_factor_power > 0
+
+    @property
+    def heavy_tails(self) -> bool:
+        return any(c.heavy_tails for c in self.components)
+
+    @property
+    def is_radial(self) -> bool:
+        """Radial mode, or a rank-1 sum with no odd coefficient."""
+        return self.mode == "radial" or not any(
+            c for pc in self.components for c in getattr(pc, "coeffs", ())[1::2])
 
     # -- evaluation -------------------------------------------------------
 
@@ -380,15 +416,10 @@ class TestFunction:
 
     def dilate(self, lam: float) -> "TestFunction":
         """f ↦ f(λ·), exact on every carrier."""
-        return self._rewrap(tuple(c.dilate(lam) for c in self.components), f"~dil{lam:g}",
-                            support_inner=self.support_inner / lam)
+        return self._rewrap(tuple(c.dilate(lam) for c in self.components), f"~dil{lam:g}")
 
-    def _rewrap(self, comps: tuple, suffix: str, **changes) -> "TestFunction":
-        power = min(c.min_power for c in comps)
-        return replace(self, fid=self.fid + suffix, components=comps,
-                       origin_factor_power=power,
-                       origin_order=max(power, 0.0) if np.isfinite(self.origin_order) else self.origin_order,
-                       **changes)
+    def _rewrap(self, comps: tuple, suffix: str) -> "TestFunction":
+        return replace(self, fid=self.fid + suffix, components=comps)
 
     def to_dict(self) -> dict:
         return {
@@ -406,19 +437,6 @@ class TestFunction:
 # constructors
 
 
-def _pg_testfunction(fid: str, family: str, mode: str, comps: Sequence, params: dict) -> TestFunction:
-    comps = tuple(comps)
-    power = min(c.min_power for c in comps)
-    return TestFunction(
-        fid=fid, family=family, mode=mode, params=params, components=comps,
-        is_radial=(mode == "radial") or all(
-            all(c == 0.0 for m, c in enumerate(pc.coeffs) if m % 2 == 1) for pc in comps),
-        vanishes_at_origin=power > 0,
-        origin_order=max(power, 0.0),
-        origin_factor_power=power,
-    )
-
-
 def _even_carrier(mode: str, q: tuple, s: float):
     """q(r²) e^{-s r²/2} as the carrier of `mode` (q by ascending coefficients)."""
     if mode == "radial":
@@ -427,7 +445,7 @@ def _even_carrier(mode: str, q: tuple, s: float):
 
 
 def gaussian(mode: str = "radial", s: float = 1.0, fid: str = "Gaussian-0") -> TestFunction:
-    return _pg_testfunction(fid, "Gaussian", mode, [_even_carrier(mode, (1.0,), s)], {"s": s})
+    return TestFunction(fid, "Gaussian", mode, {"s": s}, (_even_carrier(mode, (1.0,), s),))
 
 
 def band_profile(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -469,8 +487,8 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
         if fam in ("Gaussian", "DilatedGaussian"):
             s = 1.0 if fam == "Gaussian" else float(rng.uniform(0.35, 2.6))
             params = {"s": s, "vanish_prefactor": int(vanish)}
-            comps = [_even_carrier(mode, (0.0, 1.0) if vanish else (1.0,), s)]
-            out.append(_pg_testfunction(fid, fam, mode, comps, params))
+            comps = (_even_carrier(mode, (0.0, 1.0) if vanish else (1.0,), s),)
+            out.append(TestFunction(fid, fam, mode, params, comps))
         elif fam == "HermiteGaussian":
             s = float(rng.uniform(0.6, 1.8))
             if mode == "radial":
@@ -479,7 +497,7 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
                 c[deg] = np.sign(c[deg]) * (0.5 + abs(c[deg]))
                 if vanish:
                     c = np.concatenate([[0.0] * int(rng.integers(1, 3)), c])
-                comps = [RadialPG(0.0, tuple(c), s)]
+                comps = (RadialPG(0.0, tuple(c), s),)
             else:
                 deg = int(rng.integers(2, 7))
                 c = rng.uniform(-1.0, 1.0, size=deg + 1)
@@ -488,9 +506,9 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
                     c[1::2] = 0.0
                 if vanish:
                     c = np.concatenate([[0.0, 0.0], c])
-                comps = [PolyGauss1D(tuple(c), s)]
-            out.append(_pg_testfunction(fid, fam, mode, comps,
-                                        {"s": s, "coeffs": [float(v) for v in c]}))
+                comps = (PolyGauss1D(tuple(c), s),)
+            out.append(TestFunction(fid, fam, mode, {"s": s, "coeffs": [float(v) for v in c]},
+                                    comps))
         elif fam == "RadialBump":
             R = float(rng.uniform(2.0, 5.0))
             if vanish:
@@ -498,10 +516,7 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
                 r_in = float(rng.uniform(0.4, 1.0))
                 out.append(_annular(fid, r_in, r_in + R, mode))
             else:
-                out.append(TestFunction(
-                    fid=fid, family=fam, mode=mode, params={"R": R},
-                    components=(RadialBump(R),), is_radial=True,
-                    vanishes_at_origin=False, origin_order=0.0))
+                out.append(TestFunction(fid, fam, mode, {"R": R}, (RadialBump(R),)))
         elif fam == "AnnularBump":
             r_in = float(rng.uniform(0.4, 1.0))
             width = float(rng.uniform(1.0, 2.5))
@@ -515,7 +530,7 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
                 amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
                 amps.append((amp, s))
                 comps.append(_even_carrier(mode, (0.0, amp) if vanish else (amp,), s))
-            out.append(_pg_testfunction(fid, fam, mode, comps, {"components": amps}))
+            out.append(TestFunction(fid, fam, mode, {"components": amps}, tuple(comps)))
     if radial_only:
         for tf in out:
             if not tf.is_radial:
@@ -528,8 +543,5 @@ def generate_corpus(seed: int, count: int, families: Sequence[str],
 
 
 def _annular(fid: str, r_in: float, r_out: float, mode: str) -> TestFunction:
-    return TestFunction(
-        fid=fid, family="AnnularBump", mode=mode,
-        params={"r_in": r_in, "r_out": r_out},
-        components=(AnnularBump(r_in, r_out),), is_radial=True,
-        vanishes_at_origin=True, origin_order=np.inf, support_inner=r_in)
+    return TestFunction(fid, "AnnularBump", mode, {"r_in": r_in, "r_out": r_out},
+                        (AnnularBump(r_in, r_out),))

@@ -131,8 +131,7 @@ class WeightedQuadrature:
             if sigma <= -1.0:
                 raise NonIntegrableWeightError(
                     f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
-            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"],
-                                    {**r, "extra": r.get("extra", 0.0) + extra})
+            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"])
         # tensor2: pointwise (no origin singularity support)
         if extra < 0:
             raise NonIntegrableWeightError("tensor2 rules do not support negative power weights")
@@ -145,28 +144,27 @@ class WeightedQuadrature:
             raise QuadratureError("refined() supports rank1/radial rules")
         r = self.recipe
         return _axis_quadrature(self.kind, r["sigma"], r["const"], self.rmax,
-                                int(r["resolution"] * factor), r)
+                                int(r["resolution"] * factor))
 
 
 def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
-                     resolution: int, recipe: dict) -> WeightedQuadrature:
+                     resolution: int) -> WeightedQuadrature:
     """The half-axis rule for r^sigma times `const`, mirrored onto the full
-    line for kind "rank1"; stores `recipe` with the build parameters set."""
+    line for kind "rank1"; its recipe holds the build parameters."""
     n, w = _half_axis_rule(sigma, rmax, resolution)
     w = w * const
     if kind == "rank1":
         n = np.concatenate([-n[::-1], n])
         w = np.concatenate([w[::-1], w])
     return WeightedQuadrature(kind, n, w, rmax,
-                              {**recipe, "sigma": sigma, "const": const,
-                               "resolution": resolution})
+                              {"sigma": sigma, "const": const, "resolution": resolution})
 
 
 def rank1_quadrature(k: float, rmax: float, resolution: int) -> WeightedQuadrature:
     """Full-line rule for N=1 with weight w_k(x) = 2^k |x|^{2k} folded in."""
     if k < 0:
         raise QuadratureError("multiplicity k must be ≥ 0")
-    return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution, {"k": k})
+    return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution)
 
 
 def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
@@ -176,7 +174,7 @@ def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
     if lam <= 0:
         raise QuadratureError("N + 2γ must be positive")
     d = surface_constant(N, gamma) if surface_const is None else float(surface_const)
-    return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution, {"N": N, "gamma": gamma})
+    return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution)
 
 
 def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
@@ -323,15 +321,7 @@ def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature) -> float:
     """
     if p <= 0:
         raise QuadratureError("p must be positive")
-    lam = _dimension_power(quad)
-    origin_order = float(getattr(f, "origin_order", 0.0))
     power = float(getattr(f, "origin_factor_power", 0.0))
-    support_inner = float(getattr(f, "support_inner", 0.0))
-
-    if support_inner <= 0.0 and a * p + p * origin_order + lam <= 0:
-        raise NonIntegrableWeightError(
-            f"|x|^({a:g}·{p:g}) |f|^{p:g} is not integrable at the origin "
-            f"(origin order {origin_order:g}, dimension power {lam:g})")
 
     extra = p * (a + power)
     sigma_try = quad.recipe.get("sigma", 0.0) + extra
@@ -342,21 +332,15 @@ def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature) -> float:
 
     # origin exponent invalid but the function vanishes identically near 0:
     # apply the power pointwise and mask the hole.
-    if support_inner <= 0.0:
+    if getattr(f, "support_inner", 0.0) <= 0.0:
         raise NonIntegrableWeightError(
-            f"power weight a={a:g} needs a function vanishing near the origin")
+            f"|x|^({a:g}·{p:g}) |f|^{p:g} is not integrable at the origin "
+            f"(origin order {power:g}, dimension power {1.0 + quad.recipe['sigma']:g})")
     vals = _reduced_abs_values(f, quad, 0.0)
-    rad = np.abs(quad.nodes) if quad.nodes.ndim == 1 else np.linalg.norm(quad.nodes, axis=1)
     contrib = np.zeros_like(vals)
     live = vals != 0.0
-    contrib[live] = rad[live] ** (a * p) * vals[live] ** p
+    contrib[live] = np.abs(quad.nodes[live]) ** (a * p) * vals[live] ** p
     return float(np.sum(quad.weights * contrib)) ** (1.0 / p)
-
-
-def _dimension_power(quad: WeightedQuadrature) -> float:
-    if quad.kind in ("rank1", "radial"):
-        return 1.0 + quad.recipe["sigma"]          # 1 + 2k, or Λ
-    return 2.0
 
 
 def _reduced_abs_values(f, quad: WeightedQuadrature, power: float) -> np.ndarray:

@@ -173,10 +173,15 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
     ("sharp", {**_SHARP_BASE, "optimizer": {"max_iters": "many"}}),
     ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"beta_box": [0.5, 1.0]}}}),
     ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": 2.0}}}),
+    # fields of the right type that contradict each other or name nothing known
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "N": 5}}),
+    ("sharp", {**_SHARP_BASE, "mode": {"type": "rank1", "k": 0.5}}),
+    ("corpus", {"corpus": {"families": ["Gaussian", "Lorentzian"]}}),
 ], ids=["mode.resolution", "mode.gamma", "mode.N", "spec.params", "corpus.count",
         "corpus.seed", "corpus.families", "corpus.constraints",
         "corpus", "norms", "norms.p", "norms.entry", "optimizer.max_iters",
-        "family.box.key", "family.box.value"])
+        "family.box.key", "family.box.value",
+        "verify.mode_lambda", "sharp.mode_lambda", "corpus.families_unknown"])
 def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
     path = write(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -206,3 +211,18 @@ def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
         cli.cmd_sharp(cfg, tmp_path, None)
     assert json.dumps(cfg, sort_keys=True) == before
     assert built == {"rmax": 1e30, "n": 3000}
+
+
+def test_seed_flag_overrides_optimizer_seed(tmp_path):
+    cfg = write(tmp_path / "cfg.json", {
+        "mode": {"type": "radial", "N": 5, "gamma": 0.0},
+        "spec": {"theorem": "ClassicalRellich", "params": {"N": 5, "gamma": 0.0}},
+        "family": {"tag": "PowerGaussian"},
+        "optimizer": {"seed": 7, "restarts": 2, "max_iters": 10},
+    })
+    traces = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["sharp", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] != traces[1]

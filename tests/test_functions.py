@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from dunklkit.functions import (AnnularBump, PolyGauss1D, RadialBump, RadialPG,
+from dunklkit.functions import (AnnularBump, PolyGauss1D, RadialBump, RadialPG, TestFunction,
                                 band_profile, generate_corpus)
 
 
@@ -109,6 +109,30 @@ def test_corpus_rank1_radial_constraint():
     for f in corpus:
         assert f.is_radial
         np.testing.assert_allclose(f.value(x), f.value(-x), rtol=1e-12)
+
+
+def test_hand_built_annulus_takes_deep_negative_powers():
+    # the inner support hole is read off the carrier, so |x|^{-4} is applied
+    # pointwise: d ∫ r^{-8} f² r² dr over the annulus, d = 4π at Λ = 3
+    from scipy.integrate import quad
+    from dunklkit.measure import radial_quadrature, weighted_lp_norm
+    bump = AnnularBump(0.6, 2.0)
+    f = TestFunction("annulus", "AnnularBump", "radial", {}, (bump,))
+    assert f.support_inner == 0.6 and f.vanishes_at_origin
+    assert f.dilate(2.0).support_inner == 0.3 and f.derivative().support_inner == 0.6
+    ref = 4 * np.pi * quad(lambda r: r ** -6.0 * bump.value(r) ** 2, 0.6, 2.0, limit=200)[0]
+    got = weighted_lp_norm(f, 2.0, -4.0, radial_quadrature(3, 0.0, 14.0, 420))
+    assert got == pytest.approx(np.sqrt(ref), rel=1e-6)
+
+
+def test_hand_built_vanishing_member_is_in_the_rellich_class():
+    import dunklkit as dk
+    f = TestFunction("r2-gauss", "HermiteGaussian", "radial", {},
+                     (RadialPG(0.0, (0.0, 1.0), 1.0),))        # r² e^{-r²/2}
+    assert f.vanishes_at_origin and f.origin_factor_power == 2.0
+    rec = dk.evaluate_sides(dk.make_spec("ClassicalRellich", N=5, gamma=0.0), f,
+                            dk.radial_workbench(5, 0.0))
+    assert 0 < rec.ratio <= dk.rellich_sharp_constant(5, 0.0) * (1 + 1e-4)
 
 
 def test_band_profile_support():

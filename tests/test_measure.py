@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from dunklkit.functions import RadialPG, generate_corpus
+from dunklkit.functions import RadialPG, TestFunction, generate_corpus
 from dunklkit.measure import (NonIntegrableWeightError, build_quadrature,
                               exact_macdonald_mehta, macdonald_mehta,
                               radial_quadrature, rank1_quadrature, surface_constant,
@@ -142,20 +142,8 @@ def test_with_power_is_exact_for_singular_weights():
     q = radial_quadrature(5, 0.0, 16.0, 480)
     f = RadialPG(-0.4, (1.0,), 1.0)
     exact = f.weighted_l2_exact(-1.9, 5.0, surface_const=q.recipe["const"])
-
-    class TF:
-        origin_order = -0.4
-        origin_factor_power = -0.4
-        support_inner = 0.0
-
-        @staticmethod
-        def value_reduced(r, power):
-            return f.value_reduced(r, power)
-
-        @staticmethod
-        def value(r):
-            return f.value(r)
-    got = weighted_lp_norm(TF(), 2.0, -1.9, q) ** 2
+    got = weighted_lp_norm(TestFunction("r^-0.4", "PowerGaussian", "radial", {}, (f,)),
+                           2.0, -1.9, q) ** 2
     assert got == pytest.approx(exact, rel=1e-9)
 
 

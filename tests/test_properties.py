@@ -1,10 +1,16 @@
 """Property tests over generated inputs: exact weighted norms through the
 shared quadrature builder, Plancherel / round trip of both transforms,
-dilation of every test-function carrier, and the equality conditions of the
+dilation of every test-function carrier, of weighted norms and of the
+benchmark's verify-sweep ratios, and the equality conditions of the
 `*_spec` constructors' output."""
 
+import importlib.util
+import sys
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
+
+import pytest
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -106,6 +112,56 @@ def test_trial_family_dilation(index, u, lam):
     fam = TRIAL_FAMILIES[index]
     f = fam.make([lo + t * (hi - lo) for t, (lo, hi) in zip(u, fam.box.values())])
     _check_dilation(f, lam, np.linspace(0.02, 8.0, 200))
+
+
+# fine enough that the bumps' steep edges integrate to ~1e-9 at every dilate
+FINE_QUADS = {"radial": radial_quadrature(3, 0.5, 16.0, 2400),
+              "rank1": rank1_quadrature(0.5, 16.0, 2400)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mode=st.sampled_from(["radial", "rank1"]), family=st.sampled_from(CORPUS_FAMILIES),
+       vanish=st.booleans(), seed=SEEDS, lam=st.floats(0.5, 2.0), p=st.sampled_from([2.0, 4.0]),
+       u=st.floats(0.0, 1.0))
+def test_weighted_norm_dilation(mode, family, vanish, seed, lam, p, u):
+    """‖|x|^a f(λ·)‖_p = λ^{-(a+Λ/p)} ‖|x|^a f‖_p; annuli down to a = -4,
+    which only their inner support hole (divided by λ under dilate) admits."""
+    quad = FINE_QUADS[mode]
+    dim = 1.0 + quad.recipe["sigma"]
+    (f,) = generate_corpus(seed, 1, [family], {"vanish_at_origin": vanish}, mode=mode)
+    lo = -4.0 if f.support_inner > 0 else -0.5 * dim / p
+    a = lo + u * (1.0 - lo)
+    got = weighted_lp_norm(f.dilate(lam), p, a, quad)
+    want = lam ** -(a + dim / p) * weighted_lp_norm(f, p, a, quad)
+    assert abs(got / want - 1.0) < 1e-7, (f.fid, lam, p, a)
+
+
+def _verify_specs():
+    """The benchmark's verify-sweep specs: (spec, workbench key, vanishing)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module              # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.verify_specs(), module.CORPUS_FAMILIES
+
+
+VERIFY_SPECS, VERIFY_FAMILIES = _verify_specs()
+
+
+@pytest.mark.parametrize("index", range(len(VERIFY_SPECS)),
+                         ids=[f"{i:02d}.{s.theorem}" for i, (s, _, _) in enumerate(VERIFY_SPECS)])
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(seed=SEEDS, lam=st.floats(0.7, 1.4))
+def test_verify_sweep_ratio_dilation_invariance(index, seed, lam):
+    spec, key, vanishing = VERIFY_SPECS[index]
+    setting = ("rank1", 0.5) if key == "rank1" else ("radial", *key)
+    wb = _workbench(setting)
+    for f in generate_corpus(seed, len(VERIFY_FAMILIES), VERIFY_FAMILIES,
+                             {"vanish_at_origin": vanishing}, mode=setting[0]):
+        want = dk.evaluate_sides(spec, f, wb).ratio
+        got = dk.evaluate_sides(spec, f.dilate(lam), wb).ratio
+        assert abs(got / want - 1.0) < 1e-3, (f.fid, lam, got, want)
 
 
 # ---------------------------------------------------------------------------
