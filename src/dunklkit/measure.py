@@ -10,14 +10,19 @@ Three quadrature kinds:
 * "tensor2" — tensor product of two plain panel rules in the plane with
   w_k(x) applied pointwise (used for N=2 sanity checks only).
 
-`with_power(extra)` rebuilds a rule whose weights absorb an additional
+`with_power(extra)` gives the rule whose weights absorb an additional
 |x|^extra exactly (the origin panel's Jacobi exponent shifts), which is how
 weighted norms ‖|x|^a f‖_p stay accurate down to the integrability edge.
+A rank1/radial rule is built once per parameter tuple and kept in a bounded
+cache (256 rules), so repeated norms reuse it; every rule is read-only.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special as sps
@@ -46,6 +51,10 @@ class NonIntegrableWeightError(QuadratureError):
     """The requested power weight is not integrable at the origin for this f."""
 
 
+# Gauss-Legendre rule of every outer panel
+_TL, _WL = sps.roots_legendre(16)
+
+
 def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on (0, rmax] for integrals ∫ g(r) r^sigma dr.
 
@@ -65,42 +74,26 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
         raise NonIntegrableWeightError(f"r^{sigma:g} is not integrable at 0")
     r0 = min(0.02, rmax / 64.0)
     n_jac = max(12, min(28, resolution // 8))
-    n_per = 16
-    n_panels = max(4, (resolution - n_jac) // n_per)
-
+    n_panels = max(4, (resolution - n_jac) // _TL.size)
     tj, wj = sps.roots_jacobi(n_jac, 0.0, sigma)
-    nodes = [r0 * (1.0 + tj) / 2.0]
-    weights = [wj * (r0 / 2.0) ** (sigma + 1.0)]
-    tl, wl = sps.roots_legendre(n_per)
-
-    def add_panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = mid + half * tl
-        nodes.append(x)
-        weights.append(wl * half * x ** sigma)
 
     if rmax > 100.0:
-        q = (rmax / r0) ** (1.0 / n_panels)
-        a = r0
-        for _ in range(n_panels):
-            add_panel(a, a * q)
-            a *= q
+        r_mid, n_geom, n_uni = rmax, n_panels, 0
     else:
-        r_mid = min(1.0, rmax / 8.0)
-        n_geom = max(4, n_panels // 3) if r_mid > r0 else 0
+        r_mid, n_geom = min(1.0, rmax / 8.0), max(4, n_panels // 3)
         n_uni = max(4, n_panels - n_geom)
-        if n_geom:
-            q = (r_mid / r0) ** (1.0 / n_geom)
-            a = r0
-            for _ in range(n_geom):
-                add_panel(a, a * q)
-                a *= q
-        else:
-            r_mid = r0
-        edges = np.linspace(r_mid, rmax, n_uni + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            add_panel(a, b)
-    return np.concatenate(nodes), np.concatenate(weights)
+    # geometric edges as running products a *= q: their rounding sets the rule
+    q = (r_mid / r0) ** (1.0 / n_geom)
+    edges = [r0]
+    for _ in range(n_geom):
+        edges.append(edges[-1] * q)
+    uni = np.linspace(r_mid, rmax, n_uni + 1)
+    lo, hi = np.concatenate([edges[:-1], uni[:-1]]), np.concatenate([edges[1:], uni[1:]])
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    x = mid + half * _TL
+    w = _WL * half * x ** sigma
+    return (np.concatenate([r0 * (1.0 + tj) / 2.0, x.ravel()]),
+            np.concatenate([wj * (r0 / 2.0) ** (sigma + 1.0), w.ravel()]))
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,12 @@ class WeightedQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     rmax: float
-    recipe: dict = field(default_factory=dict, repr=False)
+    recipe: Mapping = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # rules are shared (the axis-rule cache), so nobody may write into one
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
+        object.__setattr__(self, "recipe", MappingProxyType(dict(self.recipe)))
 
     @property
     def npoints(self) -> int:
@@ -147,10 +145,14 @@ class WeightedQuadrature:
                                 int(r["resolution"] * factor))
 
 
+# typed: a hit is the very rule a fresh build from these argument types gives
+@functools.lru_cache(maxsize=256, typed=True)
 def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
                      resolution: int) -> WeightedQuadrature:
     """The half-axis rule for r^sigma times `const`, mirrored onto the full
-    line for kind "rank1"; its recipe holds the build parameters."""
+    line for kind "rank1"; its recipe holds the build parameters.  Built
+    once per argument tuple: the bounded cache hands every caller the same
+    read-only rule."""
     n, w = _half_axis_rule(sigma, rmax, resolution)
     w = w * const
     if kind == "rank1":

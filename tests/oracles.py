@@ -1,6 +1,7 @@
 """Independent numerical oracles shared by the test modules."""
 
 import numpy as np
+from scipy import special as sps
 
 
 def rk4_modes(b, m, xi, u0, u1, t_grid, h=1e-3):
@@ -35,3 +36,46 @@ def rk4_modes(b, m, xi, u0, u1, t_grid, h=1e-3):
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t += h
     return out
+
+
+def half_axis_rule_loop(sigma, rmax, resolution):
+    """Panel-by-panel form of `measure._half_axis_rule` (valid inputs only).
+
+    Lays the Gauss-Jacobi core and then one Gauss-Legendre panel at a time,
+    the geometric edges by running products, so the vectorized rule can be
+    checked against it bit for bit.
+    """
+    r0 = min(0.02, rmax / 64.0)
+    n_jac = max(12, min(28, resolution // 8))
+    n_per = 16
+    n_panels = max(4, (resolution - n_jac) // n_per)
+
+    tj, wj = sps.roots_jacobi(n_jac, 0.0, sigma)
+    nodes = [r0 * (1.0 + tj) / 2.0]
+    weights = [wj * (r0 / 2.0) ** (sigma + 1.0)]
+    tl, wl = sps.roots_legendre(n_per)
+
+    def add_panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid + half * tl
+        nodes.append(x)
+        weights.append(wl * half * x ** sigma)
+
+    if rmax > 100.0:
+        q = (rmax / r0) ** (1.0 / n_panels)
+        a = r0
+        for _ in range(n_panels):
+            add_panel(a, a * q)
+            a *= q
+    else:
+        r_mid = min(1.0, rmax / 8.0)
+        n_geom = max(4, n_panels // 3)
+        q = (r_mid / r0) ** (1.0 / n_geom)
+        a = r0
+        for _ in range(n_geom):
+            add_panel(a, a * q)
+            a *= q
+        edges = np.linspace(r_mid, rmax, max(4, n_panels - n_geom) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            add_panel(a, b)
+    return np.concatenate(nodes), np.concatenate(weights)

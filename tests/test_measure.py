@@ -3,11 +3,13 @@ import pytest
 from scipy import special as sps
 
 from dunklkit.functions import RadialPG, TestFunction, generate_corpus
-from dunklkit.measure import (NonIntegrableWeightError, build_quadrature,
+from dunklkit.measure import (NonIntegrableWeightError, QuadratureError,
+                              _axis_quadrature, _half_axis_rule, build_quadrature,
                               exact_macdonald_mehta, macdonald_mehta,
                               radial_quadrature, rank1_quadrature, surface_constant,
                               weighted_lp_norm)
 from dunklkit.rootsys import build_root_system
+from oracles import half_axis_rule_loop
 
 
 def test_classical_gauss_integral():
@@ -114,6 +116,53 @@ def test_refined_is_the_rule_at_higher_resolution():
         # a power-weighted rule keeps its power weight
         np.testing.assert_array_equal(build(160).with_power(1.5).refined(2).weights,
                                       want.with_power(1.5).weights)
+
+
+def test_half_axis_rule_is_the_panel_loop_bit_for_bit():
+    # rmax > 100: purely geometric; rmax ≤ 8: r_mid = rmax/8 (and r0 = rmax/64
+    # below 1.28); σ down to the integrability edge; resolution from its floor
+    for sigma in (-0.999, -0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 2.4, 6.0):
+        for rmax in (0.5, 1.0, 1.28, 5.0, 8.0, 12.0, 30.0, 100.0, 100.5, 1e3, 1e12, 1e30):
+            for resolution in (16, 17, 160, 420, 1000, 3000):
+                got = _half_axis_rule(sigma, rmax, resolution)
+                want = half_axis_rule_loop(sigma, rmax, resolution)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (sigma, rmax, resolution)
+
+
+def test_rules_are_built_once_and_read_only():
+    q = radial_quadrature(3, 0.5, 14.0, 420)
+    assert q.with_power(1.7) is q.with_power(1.7)
+    assert radial_quadrature(3, 0.5, 14.0, 420) is q
+    # the power weight survives refinement, and both routes share one rule
+    assert q.with_power(1.5).refined(2) is q.refined(2).with_power(1.5)
+    assert not np.array_equal(q.with_power(1.5).refined(2).weights, q.refined(2).weights)
+    rs = build_root_system("DihedralI2m", 2, [0.5], m=3)
+    t2 = build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=64)
+    for rule in (q, q.with_power(-0.8), rank1_quadrature(0.5, 12.0, 160), t2,
+                 t2.with_power(1.0)):
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(TypeError):
+            rule.recipe["resolution"] = 32
+    assert _axis_quadrature.cache_info().maxsize == 256
+    for i in range(300):
+        radial_quadrature(3, 0.0, 10.0 + i, 64)
+    assert _axis_quadrature.cache_info().currsize == 256
+
+
+def test_bad_rule_requests_raise_every_time():
+    q = radial_quadrature(3, 0.0, 14.0, 420)
+    for _ in range(3):                                      # exceptions are not cached
+        with pytest.raises(NonIntegrableWeightError):
+            q.with_power(-4.5)
+        with pytest.raises(NonIntegrableWeightError):
+            _axis_quadrature("radial", -1.2, 1.0, 14.0, 420)
+        with pytest.raises(QuadratureError):
+            radial_quadrature(3, 0.0, 14.0, 8)
+        with pytest.raises(QuadratureError):
+            rank1_quadrature(0.5, 0.0, 160)
 
 
 def test_quasi_norm_small_p():
