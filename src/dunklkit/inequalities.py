@@ -35,6 +35,7 @@ __all__ = [
     "FunctionClassError",
     "DegenerateFunctionError",
     "SeriesCapError",
+    "WorkbenchMismatchError",
     "THEOREM_TAGS",
     "admissible",
     "evaluate_sides",
@@ -71,6 +72,10 @@ class DegenerateFunctionError(ValueError):
 
 class SeriesCapError(RuntimeError):
     pass
+
+
+class WorkbenchMismatchError(ValueError):
+    """The workbench's Λ = N + 2γ differs from that of the spec parameters."""
 
 
 EQ_TOL = 1e-9          # equality-condition tolerance
@@ -662,8 +667,9 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     """Constant-free lhs/rhs evaluation for one function.
 
     Raises AdmissibilityError on an inadmissible spec, FunctionClassError on
-    a class mismatch, DegenerateFunctionError when rhs = 0 or a side or the
-    ratio is not finite.  Passing enforce_hypotheses=False evaluates the two
+    a class mismatch, WorkbenchMismatchError when wb has another Λ than the
+    spec, DegenerateFunctionError when rhs = 0 or a side or the ratio is not
+    finite.  Passing enforce_hypotheses=False evaluates the two
     sides as plain quantities (evaluator arithmetic only; no inequality is
     claimed).
     """
@@ -675,7 +681,7 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
             raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters ({failed})")
     P = spec.params
     if abs(P["N"] + 2.0 * P["gamma"] - wb.lam) > 1e-9:
-        raise ValueError("workbench (N, γ) does not match the spec parameters")
+        raise WorkbenchMismatchError("workbench (N, γ) does not match the spec parameters")
     if enforce_hypotheses and thm.requires_vanishing and not (
             f.vanishes_at_origin or f.in_origin_closure):
         raise FunctionClassError(

@@ -19,10 +19,14 @@ transform reduces to the self-inverse Hankel-type transform of order
 normalized so that e^{-r²/2} is a fixed point and so that the rank-1 path is
 reproduced exactly on even functions at N = 1, γ = k.
 
-Both transforms are dense quadrature matrices (no fast algorithm exists for
-general k); build once, apply as matvecs.  Multipliers (fractional
-Laplacian |ξ|^s, Riesz potential |ξ|^{-s}, Sobolev weights, dyadic
-Littlewood-Paley projectors) are diagonal in this representation.
+The kernel splits by parity into real half-line Hankel blocks of orders
+k-1/2 (even part of f) and k+1/2 (odd part), so both transforms work in real
+spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
+radial: the samples) via `to_coords`/`from_coords`/`to_full`, `coord_xi` and
+`coord_weights`.  The blocks are dense (no fast algorithm exists for general
+k): built once, applied as real matmuls.  Multipliers (fractional Laplacian
+|ξ|^s, Riesz potential |ξ|^{-s}, Sobolev weights, dyadic Littlewood-Paley
+projectors) are diagonal in this representation.
 """
 
 from __future__ import annotations
@@ -95,19 +99,26 @@ def rank1_kernel(k: float, z: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def _real_apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real mat @ v in real arithmetic: a complex v as interleaved re/im columns."""
+    if not np.iscomplexobj(v):
+        return mat @ v
+    flat = np.ascontiguousarray(v).reshape(v.shape[0], -1).view(float)
+    return (mat @ flat).view(complex).reshape((mat.shape[0],) + v.shape[1:])
+
+
 def _forward(self, f) -> SpectralField:
     """Transform of a callable on x_quad.nodes or of samples there: shape
-    (n,), or a batch (n, m) of m columns.  Real samples against a real
-    kernel stay a real matmul."""
-    vals = f(self.x_quad.nodes) if callable(f) else np.asarray(f)
-    return SpectralField(self.xi_quad, np.asarray(self._fwd @ vals, dtype=complex))
+    (n,), or a batch (n, m) of m columns."""
+    vals = np.asarray(f(self.x_quad.nodes) if callable(f) else f)
+    return SpectralField(self.xi_quad, self.to_full(self.to_coords(vals)))
 
 
 def _inverse(self, field) -> np.ndarray:
     """Physical samples of a field, or of spectral samples of shape (n_ξ,)
     or (n_ξ, m)."""
     vals = field.values if isinstance(field, SpectralField) else np.asarray(field)
-    return self._inv @ vals
+    return self.from_coords(self.from_full(vals))
 
 
 def _calibration_report(self) -> dict:
@@ -128,24 +139,52 @@ def _calibration_report(self) -> dict:
 
 
 class DunklTransformRank1:
-    """Dense rank-1 Dunkl transform between two full-line quadratures."""
+    """Rank-1 Dunkl transform between two mirrored full-line quadratures,
+    as real half-line blocks: f(±r) = e(r) ± o(r) ↔ D_k f(±ρ) = E(ρ) ∓ iO(ρ)."""
 
     def __init__(self, k: float, x_quad: WeightedQuadrature, xi_quad: WeightedQuadrature):
         if x_quad.kind != "rank1" or xi_quad.kind != "rank1":
             raise ValueError("rank-1 transform needs rank1 quadratures on both sides")
+        if not all(np.array_equal(q.nodes[::-1], -q.nodes)
+                   and np.array_equal(q.weights[::-1], q.weights) for q in (x_quad, xi_quad)):
+            raise ValueError("rank-1 transform needs rules mirrored about the origin")
         self.k = float(k)
         self.x_quad = x_quad
         self.xi_quad = xi_quad
         self.M = float(2.0 ** (2.0 * k + 0.5) * sps.gamma(k + 0.5))
-        z = np.outer(xi_quad.nodes, x_quad.nodes)
-        ker = rank1_kernel(k, z)
-        self._fwd = ker * (x_quad.weights / self.M)[None, :]
-        self._inv = ker.conj().T * (xi_quad.weights / self.M)[None, :]
+        h, hxi = x_quad.npoints // 2, xi_quad.npoints // 2
+        rho, w_rho = xi_quad.nodes[hxi:], xi_quad.weights[hxi:]
+        ker = rank1_kernel(k, np.outer(rho, x_quad.nodes[h:]))
+        w_r, w_inv = x_quad.weights[h:] / self.M, 2.0 * w_rho / self.M
+        self._fwd_even, self._fwd_odd = ker.real * w_r, -ker.imag * w_r
+        self._inv_even, self._inv_odd = ker.real.T * w_inv, -ker.imag.T * w_inv
+        self.coord_xi, self.coord_weights = np.tile(rho, 2), np.tile(2.0 * w_rho, 2)
 
     # bound here, not inherited: perfbench/tracing.py patches each class's own __dict__
     forward = _forward
     inverse = _inverse
     calibration_report = _calibration_report
+
+    def to_coords(self, vals: np.ndarray) -> np.ndarray:
+        h = vals.shape[0] // 2
+        pos, neg = vals[h:], vals[h - 1::-1]
+        return np.concatenate([_real_apply(self._fwd_even, pos + neg),
+                               _real_apply(self._fwd_odd, pos - neg)])
+
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        h = coords.shape[0] // 2
+        e, o = _real_apply(self._inv_even, coords[:h]), _real_apply(self._inv_odd, coords[h:])
+        return np.concatenate([(e - o)[::-1], e + o])
+
+    def to_full(self, coords: np.ndarray) -> np.ndarray:
+        h = coords.shape[0] // 2
+        e, io = coords[:h], 1j * coords[h:]
+        return np.concatenate([(e + io)[::-1], e - io])
+
+    def from_full(self, values: np.ndarray) -> np.ndarray:
+        h = values.shape[0] // 2
+        pos, neg = values[h:], values[h - 1::-1]
+        return np.concatenate([0.5 * (pos + neg), 0.5j * (pos - neg)])
 
 
 class RadialDunklTransform:
@@ -169,10 +208,23 @@ class RadialDunklTransform:
         ker = normalized_bessel_j(self.nu, np.outer(xi_quad.nodes, x_quad.nodes))
         self._fwd = ker * (x_quad.weights / self.M)[None, :]
         self._inv = ker.T * (xi_quad.weights / M_rho)[None, :]
+        self.coord_xi, self.coord_weights = xi_quad.nodes, xi_quad.weights
 
     forward = _forward
     inverse = _inverse
     calibration_report = _calibration_report
+
+    def to_coords(self, vals: np.ndarray) -> np.ndarray:
+        return _real_apply(self._fwd, vals)
+
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        return _real_apply(self._inv, coords)
+
+    def to_full(self, coords: np.ndarray) -> np.ndarray:
+        return np.asarray(coords, dtype=complex)
+
+    def from_full(self, values: np.ndarray) -> np.ndarray:
+        return values
 
     def synthesize(self, profile: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Physical samples of the field with the given spectral profile."""

@@ -20,7 +20,9 @@ The nonlinear problem is solved by Picard iteration on the Duhamel map
 u ↦ φ + ∫₀ᵗ T(f(u(s)))(t-s) ds with f(u) = |u|^{p-1}u applied pointwise in
 physical space (pseudo-spectral) and the time integral by the trapezoid rule
 on the stored grid, evaluated as an FFT convolution per mode.  The Duhamel
-kernels are the mode solutions with data (U₀, U₁) = (0, 1).
+kernels are the mode solutions with data (U₀, U₁) = (0, 1).  Both solvers
+run in the transform's real spectral coordinates: a Picard step is a real
+inverse, a real forward and real FFTs.
 """
 
 from __future__ import annotations
@@ -66,34 +68,19 @@ class PicardDivergenceError(RuntimeError):
 _SEAM = 1e-6
 
 
-def _cosh_like(z: np.ndarray) -> np.ndarray:
-    """C(z): cosh(√z) for z>0, cos(√-z) for z<0, series near 0."""
+def _cosh_sinhc_like(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(z) = cosh(√z) and φ(z) = sinh(√z)/√z for z>0, cos(√-z) and
+    sin(√-z)/√-z for z<0, series near 0."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z > _SEAM
-    neg = z < -_SEAM
+    C, phi = np.empty_like(z), np.empty_like(z)
+    pos, neg = z > _SEAM, z < -_SEAM
     mid = ~(pos | neg)
-    out[pos] = np.cosh(np.sqrt(z[pos]))
-    out[neg] = np.cos(np.sqrt(-z[neg]))
-    zm = z[mid]
-    out[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm ** 3 / 720.0
-    return out
-
-
-def _sinhc_like(z: np.ndarray) -> np.ndarray:
-    """φ(z): sinh(√z)/√z for z>0, sin(√-z)/√-z for z<0, series near 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z > _SEAM
-    neg = z < -_SEAM
-    mid = ~(pos | neg)
-    sp = np.sqrt(z[pos])
-    out[pos] = np.sinh(sp) / sp
-    sn = np.sqrt(-z[neg])
-    out[neg] = np.sin(sn) / sn
-    zm = z[mid]
-    out[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm ** 3 / 5040.0
-    return out
+    sp, sn, zm = np.sqrt(z[pos]), np.sqrt(-z[neg]), z[mid]
+    C[pos], phi[pos] = np.cosh(sp), np.sinh(sp) / sp
+    C[neg], phi[neg] = np.cos(sn), np.sin(sn) / sn
+    C[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm ** 3 / 720.0
+    phi[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm ** 3 / 5040.0
+    return C, phi
 
 
 def _mode_cs(b: float, m: float, xi, t):
@@ -102,8 +89,8 @@ def _mode_cs(b: float, m: float, xi, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     D = b * b - 4.0 * (m + xi ** 2)
     z = 0.25 * np.multiply.outer(t * t, D)
-    C = _cosh_like(z)
-    S = t[:, None] * _sinhc_like(z)
+    C, phi = _cosh_sinhc_like(z)
+    S = t[:, None] * phi
     env = np.exp(-0.5 * b * t)[:, None]
     return C, S, D, env
 
@@ -202,7 +189,7 @@ class WaveConfig:
 class WaveSolution:
     times: np.ndarray
     xi: np.ndarray
-    U: np.ndarray                  # (nt, nxi) spectral snapshots
+    U: np.ndarray                  # (nt, nxi) spectral snapshots on the full ξ grid
     dtU: np.ndarray
     h1_trace: np.ndarray           # ‖u(t)‖_{H¹_D}
     dt_trace: np.ndarray           # ‖∂_t u(t)‖₂
@@ -221,25 +208,24 @@ class WaveSolution:
 # solvers
 
 
-def _traces(U, dtU, xi_abs, w):
-    h1 = np.sqrt(np.sum(w * (1.0 + xi_abs ** 2) * np.abs(U) ** 2, axis=1))
-    dt2 = np.sqrt(np.sum(w * np.abs(dtU) ** 2, axis=1))
-    return h1, dt2
+def _traces(U, dtU, tr):
+    w = tr.coord_weights
+    return np.sqrt((U * U) @ (w * (1.0 + tr.coord_xi ** 2))), np.sqrt((dtU * dtU) @ w)
 
 
-def _spectral_data(transform, u) -> np.ndarray:
+def _spectral_data(tr, u) -> np.ndarray:
     if u is None:
-        return np.zeros(transform.xi_quad.nodes.shape, dtype=complex)
-    return transform.forward(u if callable(u) else np.asarray(u, dtype=float)).values
+        return np.zeros(tr.coord_xi.shape)
+    return tr.to_coords(np.asarray(u(tr.x_quad.nodes) if callable(u) else u, dtype=float))
 
 
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
     """Transform, time grid, _mode_cs output and the linear solution
-    (U, ∂_t U) of shape (nt, n_ξ) for the data scaled by `scale`."""
+    (U, ∂_t U) in real coordinates (nt, n_ξ) for the data scaled by `scale`."""
     tr = config.build_transform()
     nt = int(round(config.t_final / config.dt)) + 1
     times = config.dt * np.arange(nt)
-    cs = _mode_cs(config.b, config.m, np.abs(tr.xi_quad.nodes), times)
+    cs = _mode_cs(config.b, config.m, tr.coord_xi, times)
     U, dtU = _mode_terms(config.b, cs, scale * _spectral_data(tr, u0),
                          scale * _spectral_data(tr, u1))
     return tr, times, cs, U, dtU
@@ -251,20 +237,19 @@ def _fit_window(config: WaveConfig) -> tuple:
 
 def _solution(config: WaveConfig, tr, times, U, dtU, **picard) -> WaveSolution:
     """Norm traces, physical snapshots and the decay fit of (U, ∂_t U)."""
-    kq = tr.xi_quad
-    h1, dt2 = _traces(U, dtU, np.abs(kq.nodes), kq.weights)
+    h1, dt2 = _traces(U, dtU, tr)
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
-    snaps = np.real(tr.inverse(U[idx].T)).T
+    snaps = tr.from_coords(U[idx].T).T
     delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
-    return WaveSolution(times, kq.nodes, U, dtU, h1, dt2, tr.x_quad.nodes, idx, snaps,
-                        delta, resid, **picard)
+    return WaveSolution(times, tr.xi_quad.nodes, tr.to_full(U.T).T, tr.to_full(dtU.T).T,
+                        h1, dt2, tr.x_quad.nodes, idx, snaps, delta, resid, **picard)
 
 
 def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     """Per-mode closed forms synthesized back to physical space.
 
-    u0, u1 may be callables on the physical grid, sample arrays, or None
-    (zero data).
+    u0, u1 (real data) may be callables on the physical grid, sample arrays,
+    or None (zero data).
     """
     config.validate()
     tr, times, _, U, dtU = _linear_stage(config, u0, u1)
@@ -307,15 +292,15 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
 def _duhamel(kernels, dt: float):
     """F ↦ [dt Σ'_{j≤i} K(t_i - t_j) F(t_j) for K in kernels]: trapezoid-rule
     Duhamel integrals on the time grid (axis 0), with Σ' halving the j = 0
-    and j = i terms.  The kernel spectra are computed here, once; each call
-    transforms F once and shares it between the kernels."""
+    and j = i terms; kernels and F are real.  The kernel spectra are computed
+    here, once; each call transforms F once and shares it between them."""
     nt = kernels[0].shape[0]
-    n = sp_fft.next_fast_len(2 * nt - 1)
-    spectra = [sp_fft.fft(K, n=n, axis=0) for K in kernels]
+    n = sp_fft.next_fast_len(2 * nt - 1, real=True)
+    spectra = [sp_fft.rfft(K, n=n, axis=0) for K in kernels]
 
     def apply(F):
-        fF = sp_fft.fft(F, n=n, axis=0)
-        return [dt * (sp_fft.ifft(s * fF, axis=0)[:nt] - 0.5 * K * F[0] - 0.5 * K[0] * F)
+        fF = sp_fft.rfft(F, n=n, axis=0)
+        return [dt * (sp_fft.irfft(s * fF, n=n, axis=0)[:nt] - 0.5 * K * F[0] - 0.5 * K[0] * F)
                 for K, s in zip(kernels, spectra)]
     return apply
 
@@ -344,11 +329,9 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
 
     eps = config.epsilon
     tr, times, cs, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
-    xi_abs = np.abs(tr.xi_quad.nodes)
-    w = tr.xi_quad.weights
     duhamel = _duhamel(_mode_terms(config.b, cs, 0.0, 1.0), config.dt)
 
-    h1_lin, dt_lin = _traces(Phi, dtPhi, xi_abs, w)
+    h1_lin, dt_lin = _traces(Phi, dtPhi, tr)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
@@ -358,27 +341,22 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     U, dtU = Phi, dtPhi
     diffs: List[float] = []
     converged = False
-    iterations = 0
-    for it in range(config.max_picard):
-        u_phys = np.real(tr.inverse(U.T))                  # (nx, nt)
-        Fhat = tr.forward(nonlinearity(u_phys)).values.T   # (nt, n_ξ)
-        dU, ddtU = duhamel(Fhat)
-        U_new = Phi + dU
-        dtU_new = dtPhi + ddtU
-        dH, dV = _traces(U_new - U, dtU_new - dtU, xi_abs, w)
+    for _ in range(config.max_picard):
+        dU, ddtU = duhamel(tr.to_coords(nonlinearity(tr.from_coords(U.T))).T)
+        U_new, dtU_new = Phi + dU, dtPhi + ddtU
+        dH, dV = _traces(U_new - U, dtU_new - dtU, tr)
         diffs.append(float(np.max(xw * (dH + dV))))
         U, dtU = U_new, dtU_new
-        iterations = it + 1
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
             raise PicardDivergenceError(eps, diffs)
-        h1_now, dt_now = _traces(U, dtU, xi_abs, w)
+        h1_now, dt_now = _traces(U, dtU, tr)
         scale = float(np.max(xw * (h1_now + dt_now))) + 1e-300
         if diffs[-1] <= config.picard_tol * scale:
             converged = True
             break
 
     factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-    return _solution(config, tr, times, U, dtU, iterations=iterations, diff_xnorms=diffs,
+    return _solution(config, tr, times, U, dtU, iterations=len(diffs), diff_xnorms=diffs,
                      contraction_factors=factors, converged=converged)
 
 

@@ -7,9 +7,9 @@ import dunklkit as dk
 from dunklkit.functions import generate_corpus
 from dunklkit.inequalities import (AdmissibilityError, DegenerateFunctionError,
                                    FunctionClassError, InequalitySpec, SeriesCapError,
-                                   THEOREM_TAGS, THEOREMS, admissible, evaluate_sides,
-                                   fractional_hardy_constant, largest_admissible_a,
-                                   trudinger_lhs, verify_corpus)
+                                   THEOREM_TAGS, THEOREMS, WorkbenchMismatchError,
+                                   admissible, evaluate_sides, fractional_hardy_constant,
+                                   largest_admissible_a, trudinger_lhs, verify_corpus)
 
 
 def test_theorem_tags_complete():
@@ -268,3 +268,11 @@ def test_workbench_mismatch_rejected(wb_radial3):
     g = generate_corpus(1, 1, ["Gaussian"], mode="radial")[0]
     with pytest.raises(ValueError):
         evaluate_sides(spec, g, wb_radial3)
+
+
+def test_workbench_mismatch_has_package_type(wb_radial3):
+    spec = dk.make_spec("FractionalHardy", N=3, gamma=0.5, s=1.0)
+    g = generate_corpus(1, 1, ["Gaussian"], mode="radial")[0]
+    with pytest.raises(WorkbenchMismatchError, match="does not match"):
+        evaluate_sides(spec, g, wb_radial3)
+    assert issubclass(WorkbenchMismatchError, ValueError)

@@ -80,6 +80,18 @@ def test_plancherel_and_round_trip(setting, family, seed):
     assert np.max(np.abs(back - vals)) < 1e-6 * np.max(np.abs(vals))
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(k=st.floats(0.0, 2.0), shift=st.floats(-2.0, 2.0), odd=st.floats(-1.0, 1.0))
+def test_rank1_wave_spectrum_is_conjugate_symmetric(k, shift, odd):
+    # real data: U(t, -ξ) = conj U(t, ξ) on the mirrored ξ grid
+    cfg = dk.WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=1.5, k=k, nx=48, nxi=56,
+                        x_max=10.0, xi_max=12.0, t_final=1.0, dt=0.05)
+    sol = dk.solve_nonlinear(cfg, lambda x: (1.0 + odd * x) * np.exp(-(x - shift) ** 2), None)
+    assert np.array_equal(sol.xi[::-1], -sol.xi)
+    for U in (sol.U, sol.dtU):
+        assert np.array_equal(U[:, ::-1], np.conj(U))
+
+
 # ---------------------------------------------------------------------------
 # dilation: f.dilate(λ) is r ↦ f(λr), and its derivative is λ f'(λr)
 

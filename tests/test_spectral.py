@@ -278,5 +278,43 @@ def test_batch_apply_matches_columns():
             np.testing.assert_allclose(back[:, j], tr.inverse(fwd[:, j]), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.3])
+def test_rank1_blocks_match_dense_kernel(k):
+    # the real half-line blocks against the dense full-line transform built
+    # from the public kernel, on unequal grids, for real/complex (n,)/(n, m) input
+    xq, xiq = dk.rank1_quadrature(k, 11.0, 96), dk.rank1_quadrature(k, 15.0, 130)
+    tr = dk.DunklTransformRank1(k, xq, xiq)
+    ker = rank1_kernel(k, np.outer(xiq.nodes, xq.nodes))
+    dense_fwd = ker * (xq.weights / tr.M)
+    dense_inv = ker.conj().T * (xiq.weights / tr.M)
+    rng = np.random.default_rng(7)
+
+    def inputs(n):
+        for shape in ((n,), (n, 3)):
+            yield rng.standard_normal(shape)
+            yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for apply, dense, n in ((lambda v: tr.forward(v).values, dense_fwd, xq.npoints),
+                            (tr.inverse, dense_inv, xiq.npoints)):
+        for v in inputs(n):
+            want, got = dense @ v, apply(v)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # coordinates: Σ w·c² is the L²(μ_k) norm of the full-grid values, and
+    # to_full/from_full are inverse to each other
+    c = rng.standard_normal((xiq.npoints, 2))
+    full = tr.to_full(c)
+    np.testing.assert_allclose(tr.coord_weights @ c ** 2, xiq.weights @ np.abs(full) ** 2,
+                               rtol=1e-13)
+    np.testing.assert_allclose(tr.from_full(full), c, rtol=0, atol=1e-15)
+
+
+def test_rank1_transform_rejects_unmirrored_rule():
+    q = dk.rank1_quadrature(0.5, 10.0, 80)
+    shifted = dk.WeightedQuadrature("rank1", q.nodes + 0.01, q.weights, q.rmax, q.recipe)
+    with pytest.raises(ValueError, match="mirrored"):
+        dk.DunklTransformRank1(0.5, shifted, q)
+
+
 def test_rank1_workbench_takes_rmax():
     assert dk.rank1_workbench(0.5, rmax=12.0).quad.rmax == 12.0

@@ -210,13 +210,37 @@ def test_duhamel_matches_direct_trapezoid():
     t = dt * np.arange(nt)[:, None]
     kernels = (np.exp(-0.5 * t) * np.sin(t * np.linspace(0.5, 2.0, n_xi)),
                np.exp(-0.3 * t) * np.cos(t * np.linspace(0.2, 1.0, n_xi)))
-    F = rng.standard_normal((nt, n_xi)) + 1j * rng.standard_normal((nt, n_xi))
+    F = rng.standard_normal((nt, n_xi))       # real: the solver's spectral coordinates
     got = _duhamel(kernels, dt)(F)
     for K, G in zip(kernels, got):
         direct = np.zeros_like(F)
         for i in range(1, nt):
             direct[i] = np.trapezoid(K[i::-1] * F[: i + 1], dx=dt, axis=0)
         assert np.max(np.abs(G - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("mode", ["rank1", "radial"])
+def test_linear_solution_matches_full_grid_modes(mode):
+    # the real-coordinate solver against the closed-form modes applied to the
+    # complex transform on the full ξ grid
+    cfg = WaveConfig(b=1.0, m=1.5, mode=mode, k=0.7, N=3, gamma=0.5, x_max=10.0, nx=60,
+                     xi_max=12.0, nxi=70, t_final=2.0, dt=0.05)
+    u0 = lambda x: (1.0 + 0.3 * x) * np.exp(-(x - 0.4) ** 2)
+    u1 = lambda x: x * np.exp(-0.5 * x * x)
+    sol = solve_linear(cfg, u0, u1)
+    tr = cfg.build_transform()
+    U0, U1 = tr.forward(u0).values, tr.forward(u1).values
+    t, xi = sol.times, np.abs(sol.xi)
+    for got, want in ((sol.U, linear_mode_solution(1.0, 1.5, xi, t, U0, U1)),
+                      (sol.dtU, mode_time_derivative(1.0, 1.5, xi, t, U0, U1))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    snaps = np.real(tr.inverse(sol.U[sol.snapshot_indices].T)).T
+    assert np.max(np.abs(sol.snapshots - snaps)) <= 1e-13 * np.max(np.abs(snaps))
+    w = tr.xi_quad.weights
+    np.testing.assert_allclose(sol.h1_trace, np.sqrt(np.abs(sol.U) ** 2 @ (w * (1 + xi ** 2))),
+                               rtol=1e-12)
+    np.testing.assert_allclose(sol.dt_trace, np.sqrt(np.abs(sol.dtU) ** 2 @ w), rtol=1e-12)
 
 
 def test_import_leaves_scipy_signal_out():
@@ -238,5 +262,8 @@ def test_build_transform_is_the_workbench_transform(mode):
           else dunklkit.radial_workbench(3, 0.5, **grid))
     tr = cfg.build_transform()
     assert type(tr) is type(wb.transform)
-    assert np.array_equal(tr._fwd, wb.transform._fwd)
-    assert np.array_equal(tr._inv, wb.transform._inv)
+    # the kernel arrays: rank-1 even/odd half-line blocks, radial _fwd/_inv
+    names = (["_fwd_even", "_fwd_odd", "_inv_even", "_inv_odd"] if mode == "rank1"
+             else ["_fwd", "_inv"])
+    for name in names + ["coord_xi", "coord_weights"]:
+        assert np.array_equal(getattr(tr, name), getattr(wb.transform, name))
