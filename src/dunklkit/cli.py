@@ -2,8 +2,11 @@
 
 Outputs are deterministic given config + seed: CSV bodies are byte-identical
 across reruns (17 significant digits, no timestamps); run provenance lives
-in a separate metadata.json.  Exit codes: 0 ok, 1 inequality violation or
-Picard divergence, 2 config/schema error, 3 numerical failure.
+in a separate metadata.json, written on every exit path once the output
+directory exists.  Exit codes: 0 ok, 1 inequality violation or Picard
+divergence, 2 config/schema error, 3 numerical failure, 4 internal error
+(any exception that is not one of the package's own; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -13,24 +16,30 @@ import csv
 import inspect
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .extremal import (TrialFamily, bump_scale_family, inverse_power_family,
-                       power_gaussian_family, rayleigh_maximize)
+from .extremal import (RecomputationError, TrialFamily, bump_scale_family,
+                       inverse_power_family, power_gaussian_family, rayleigh_maximize)
 from .functions import CORPUS_FAMILIES, generate_corpus
-from .inequalities import (InequalitySpec, THEOREMS, admissible, verify_corpus)
-from .measure import weighted_lp_norm
-from .spectral import classical_fourier_reference
-from .waveeq import PicardDivergenceError, WaveConfig, solve_linear, solve_nonlinear, x_norm
+from .inequalities import (AdmissibilityError, DegenerateFunctionError, FunctionClassError,
+                           InequalitySpec, SeriesCapError, THEOREMS, WorkbenchMismatchError,
+                           admissible, verify_corpus)
+from .measure import QuadratureError, weighted_lp_norm
+from .rootsys import GroupClosureError, RootSystemError
+from .spectral import LowFrequencyError, classical_fourier_reference
+from .waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, solve_linear,
+                     solve_nonlinear, x_norm)
 from .workbench import Workbench, radial_workbench, rank1_workbench
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 CSV_SCHEMAS = {
     "version": 1,
@@ -44,6 +53,14 @@ CSV_SCHEMAS = {
 
 class ConfigError(ValueError):
     pass
+
+
+# the package's own exception types, by exit code; anything else is internal
+_CONFIG_ERRORS = (ConfigError, AdmissibilityError, RootSystemError, WaveConfigError,
+                  WorkbenchMismatchError)
+_NUMERICAL_ERRORS = (ArithmeticError, DegenerateFunctionError, FunctionClassError,
+                     SeriesCapError, GroupClosureError, LowFrequencyError, QuadratureError,
+                     RecomputationError)
 
 
 def _fmt(x) -> str:
@@ -145,6 +162,8 @@ def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
     count = _require(c, "count", int, "$.corpus", 10)
     families = _require(c, "families", list, "$.corpus",
                         ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
+    if count < 1 or not families:
+        raise ConfigError("$.corpus: count must be ≥ 1 and families non-empty")
     unknown = [f for f in families if f not in CORPUS_FAMILIES]
     if unknown:
         raise ConfigError(f"$.corpus.families: unknown families {unknown}; "
@@ -199,7 +218,8 @@ def _box(box: dict, tag: str) -> dict:
             raise ConfigError(f"$.family.box.{key}: unknown field for {tag}; "
                               f"expected one of {sorted(names)}")
         if not (isinstance(v, list) and len(v) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+                and v[0] <= v[1]):
             raise ConfigError(f"$.family.box.{key}: expected [lo, hi], got {v!r}")
     return {k: tuple(v) for k, v in box.items()}
 
@@ -214,12 +234,19 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
     family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
     opt = _require(cfg, "optimizer", dict, default={})
     opt_seed = _require(opt, "seed", int, "$.optimizer", 0)
+    restarts = _require(opt, "restarts", int, "$.optimizer", 3)
+    if restarts < 1:
+        raise ConfigError("$.optimizer.restarts: must be ≥ 1")
+    rep = admissible(spec)
+    if not rep.admissible:
+        raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters "
+                                 f"({', '.join(c.cid for c in rep.failed)})")
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
     result = rayleigh_maximize(
         spec, family, wb,
         max_iter=_require(opt, "max_iters", int, "$.optimizer", 120),
         tol=_require(opt, "tolerance", float, "$.optimizer", 1e-4),
-        restarts=_require(opt, "restarts", int, "$.optimizer", 3),
+        restarts=restarts,
         seed=opt_seed if seed is None else seed,
         ceiling=ceiling)
     _write_json(out / "summary.json", {
@@ -356,6 +383,30 @@ COMMANDS = {
 }
 
 
+def _load_config(args) -> dict:
+    """The JSON config that --config names; {} for a command that needs none."""
+    if args.config is None:
+        if args.command in ("verify", "sharp", "wave"):
+            raise ConfigError(f"--config is required for {args.command!r}")
+        return {}
+    try:
+        with open(args.config) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{args.config}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}")
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dunklkit",
@@ -367,45 +418,33 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=str, default="out", help="output directory")
     args = parser.parse_args(argv)
 
-    cfg = {}
+    out, code, error = None, None, None
     try:
-        if args.config is not None:
-            with open(args.config) as fh:
-                try:
-                    cfg = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}")
-        elif args.command in ("verify", "sharp", "wave"):
-            raise ConfigError(f"--config is required for {args.command!r}")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
+        out = _out_dir(args.out)
+        code = COMMANDS[args.command](_load_config(args), out, args.seed)
+    except _CONFIG_ERRORS as exc:
+        code, error = EXIT_CONFIG, exc
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from .inequalities import AdmissibilityError
-    from .rootsys import RootSystemError
-    from .waveeq import WaveConfigError
-
-    try:
-        code = COMMANDS[args.command](cfg, out, args.seed)
-    except (ConfigError, AdmissibilityError, RootSystemError, WaveConfigError,
-            KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FloatingPointError, ArithmeticError, RuntimeError, TypeError,
-            ValueError) as exc:
+    except _NUMERICAL_ERRORS as exc:
+        code, error = EXIT_NUMERICAL, exc
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    _write_json(Path(args.out) / "metadata.json", {
-        "tool": "dunklkit",
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "numpy": np.__version__,
-        "csv_schemas": CSV_SCHEMAS,
-    })
+    except Exception as exc:
+        code, error = EXIT_INTERNAL, exc
+        traceback.print_exc()
+    finally:
+        if out is not None:
+            meta = {
+                "tool": "dunklkit",
+                "version": __version__,
+                "command": args.command,
+                "seed": args.seed,
+                "numpy": np.__version__,
+                "csv_schemas": CSV_SCHEMAS,
+                "exit_code": code,
+            }
+            if error is not None:
+                meta["error"] = {"class": type(error).__name__, "message": str(error)}
+            _write_json(out / "metadata.json", meta)
     return code
 
 

@@ -28,7 +28,12 @@ __all__ = [
     "OptimizationResult",
     "nelder_mead",
     "rayleigh_maximize",
+    "RecomputationError",
 ]
+
+
+class RecomputationError(RuntimeError):
+    """The search's best ratio differs from a fresh evaluation at its point."""
 
 
 def rellich_sharp_constant(N: int, gamma: float) -> float:
@@ -244,8 +249,8 @@ def rayleigh_maximize(spec: InequalitySpec, family: TrialFamily, wb: Workbench,
     # recomputation check: the reported ratio is the ratio at the reported point
     rec = evaluate_sides(spec, family.make(best_x), wb)
     if not abs(-best_f - rec.ratio) <= 1e-9 * max(1.0, abs(rec.ratio)):
-        raise RuntimeError(f"recomputation check failed: search reported ratio {-best_f!r}, "
-                           f"recomputed {rec.ratio!r} at {best_x.tolist()}")
+        raise RecomputationError(f"recomputation check failed: search reported ratio "
+                                 f"{-best_f!r}, recomputed {rec.ratio!r} at {best_x.tolist()}")
     span = np.where(hi > lo, hi - lo, 1.0)
     boundary = bool(np.any((best_x - lo) / span < 1e-3) or np.any((hi - best_x) / span < 1e-3))
     return OptimizationResult(

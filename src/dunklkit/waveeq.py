@@ -19,10 +19,12 @@ machine precision:
 The nonlinear problem is solved by Picard iteration on the Duhamel map
 u ↦ φ + ∫₀ᵗ T(f(u(s)))(t-s) ds with f(u) = |u|^{p-1}u applied pointwise in
 physical space (pseudo-spectral) and the time integral by the trapezoid rule
-on the stored grid, evaluated as an FFT convolution per mode.  The Duhamel
-kernels are the mode solutions with data (U₀, U₁) = (0, 1).  Both solvers
+on the stored grid.  The Duhamel kernels are the mode solutions with data
+(U₀, U₁) = (0, 1); by the addition theorems of C and S the trapezoid sums
+advance one time step by a fixed 2×2 map per mode, so each Duhamel integral
+is one forward sweep over the time grid, exact and O(nt·n_ξ).  Both solvers
 run in the transform's real spectral coordinates: a Picard step is a real
-inverse, a real forward and real FFTs.
+inverse, a real forward and one sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .workbench import radial_workbench, rank1_workbench
 
@@ -289,19 +290,31 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
     return float(np.max(w * (h1_trace + dt_trace)))
 
 
-def _duhamel(kernels, dt: float):
-    """F ↦ [dt Σ'_{j≤i} K(t_i - t_j) F(t_j) for K in kernels]: trapezoid-rule
-    Duhamel integrals on the time grid (axis 0), with Σ' halving the j = 0
-    and j = i terms; kernels and F are real.  The kernel spectra are computed
-    here, once; each call transforms F once and shares it between them."""
-    nt = kernels[0].shape[0]
-    n = sp_fft.next_fast_len(2 * nt - 1, real=True)
-    spectra = [sp_fft.rfft(K, n=n, axis=0) for K in kernels]
+def _duhamel(b: float, cs, dt: float):
+    """F ↦ (U, ∂_t U) Duhamel parts dt Σ'_{j≤i} K(t_i - t_j) F(t_j), with Σ'
+    halving the j = 0 and j = i terms, for the kernel K = e^{-bt/2} S and its
+    t-derivative; F is real (nt, n_ξ).
+
+    The addition theorems C(t+τ) = C(t)C(τ) + (D/4)S(t)S(τ) and
+    S(t+τ) = S(t)C(τ) + C(t)S(τ) make the sums P_i = Σ w_j e^{-b(t_i-t_j)/2}
+    C(t_i - t_j) F_j and Q_i (the same with S), w_0 = ½ and w_j = 1 after,
+    advance one step by a fixed 2×2 map per mode, built from row 1 (t = dt)
+    of the _mode_cs output alone: the exact trapezoid sum in O(nt·n_ξ).
+    The map's eigenvalues are the damped mode factors e^{λ± dt}, so the
+    sweep is stable."""
+    C, S, D, env = cs
+    r = min(1, C.shape[0] - 1)     # t = dt; a one-point time grid takes no step
+    c, s = env[r] * C[r], env[r] * S[r]
+    d = 0.25 * D * s
 
     def apply(F):
-        fF = sp_fft.rfft(F, n=n, axis=0)
-        return [dt * (sp_fft.irfft(s * fF, n=n, axis=0)[:nt] - 0.5 * K * F[0] - 0.5 * K[0] * F)
-                for K, s in zip(kernels, spectra)]
+        F = np.ascontiguousarray(F)             # swept row by row
+        P, Q = np.empty_like(F), np.empty_like(F)
+        P[0], Q[0] = 0.5 * F[0], 0.0
+        for i in range(1, F.shape[0]):
+            P[i] = c * P[i - 1] + d * Q[i - 1] + F[i]
+            Q[i] = s * P[i - 1] + c * Q[i - 1]
+        return dt * Q, dt * (P - 0.5 * b * Q - 0.5 * F)
     return apply
 
 
@@ -329,7 +342,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
 
     eps = config.epsilon
     tr, times, cs, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
-    duhamel = _duhamel(_mode_terms(config.b, cs, 0.0, 1.0), config.dt)
+    duhamel = _duhamel(config.b, cs, config.dt)
 
     h1_lin, dt_lin = _traces(Phi, dtPhi, tr)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))

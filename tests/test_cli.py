@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dunklkit
 from dunklkit.cli import main
 
 
@@ -26,7 +31,9 @@ def test_verify_exit0_and_summary(tmp_path):
     assert summary["admissible"] is True
     assert summary["sup_ratio"] <= 2.0002
     assert summary["violations"] == []
-    assert (out / "records.csv").exists() and (out / "metadata.json").exists()
+    assert (out / "records.csv").exists()
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["exit_code"] == 0 and "error" not in meta
 
 
 def test_verify_deterministic_reruns(tmp_path):
@@ -58,6 +65,8 @@ def test_malformed_config_exit2(tmp_path):
     missing = write(tmp_path / "m.json", {"mode": {"type": "radial"}})
     assert main(["verify", "--config", missing, "--out", str(tmp_path / "o2")]) == 2
     assert main(["verify", "--out", str(tmp_path / "o3")]) == 2    # --config required
+    assert main(["verify", "--config", str(tmp_path / "none.json"),
+                 "--out", str(tmp_path / "o4")]) == 2                # no such file
 
 
 def test_unknown_mode_exit2(tmp_path):
@@ -177,11 +186,20 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
     ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "N": 5}}),
     ("sharp", {**_SHARP_BASE, "mode": {"type": "rank1", "k": 0.5}}),
     ("corpus", {"corpus": {"families": ["Gaussian", "Lorentzian"]}}),
+    # values of the right type that the commands cannot run with
+    ("corpus", {"corpus": {"count": 0}}),
+    ("verify", {**VERIFY_CFG, "corpus": {"families": []}}),
+    ("sharp", {**_SHARP_BASE, "optimizer": {"restarts": 0}}),
+    ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": [2.0, 1.0]}}}),
+    ("sharp", {**_SHARP_BASE, "spec": {"theorem": "FractionalHardy",
+                                       "params": {"N": 3, "gamma": 0.0, "s": 2.0}}}),
 ], ids=["mode.resolution", "mode.gamma", "mode.N", "spec.params", "corpus.count",
         "corpus.seed", "corpus.families", "corpus.constraints",
         "corpus", "norms", "norms.p", "norms.entry", "optimizer.max_iters",
         "family.box.key", "family.box.value",
-        "verify.mode_lambda", "sharp.mode_lambda", "corpus.families_unknown"])
+        "verify.mode_lambda", "sharp.mode_lambda", "corpus.families_unknown",
+        "corpus.count_zero", "corpus.families_empty", "optimizer.restarts_zero",
+        "family.box.reversed", "sharp.inadmissible"])
 def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
     path = write(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -226,3 +244,49 @@ def test_seed_flag_overrides_optimizer_seed(tmp_path):
         assert main(["sharp", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] != traces[1]
+
+
+def _raising(exc):
+    def command(cfg, out, seed):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ValueError("a library bug"), 4), (KeyError("x"), 4), (TypeError("t"), 4),
+    (RuntimeError("r"), 4), (FloatingPointError("overflow"), 3),
+])
+def test_exception_exit_codes(monkeypatch, tmp_path, capsys, exc, code):
+    # only the package's own types (and arithmetic faults) map to 2 or 3;
+    # anything else is an internal error with its traceback on stderr
+    import dunklkit.cli as cli
+    monkeypatch.setitem(cli.COMMANDS, "selftest", _raising(exc))
+    assert main(["selftest", "--out", str(tmp_path / "o")]) == code
+    if code == 4:
+        assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, code, error", [
+    ("verify", {"mode": {"type": "hyperbolic"}, "spec": VERIFY_CFG["spec"]}, 2, "ConfigError"),
+    ("corpus", {"corpus": {"count": 2}, "norms": [{"p": 0.0}]}, 3, "QuadratureError"),
+    ("selftest", None, 4, "ValueError"),
+])
+def test_metadata_written_on_failure(monkeypatch, tmp_path, command, cfg, code, error):
+    import dunklkit.cli as cli
+    monkeypatch.setitem(cli.COMMANDS, "selftest", _raising(ValueError("a library bug")))
+    argv = [command, "--out", str(tmp_path / "o")]
+    if cfg is not None:
+        argv += ["--config", write(tmp_path / "cfg.json", cfg)]
+    assert main(argv) == code
+    meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+    assert meta["exit_code"] == code and meta["command"] == command
+    assert meta["error"]["class"] == error and meta["error"]["message"]
+
+
+def test_python_m_dunklkit(tmp_path):
+    src = str(Path(dunklkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "dunklkit", "selftest", "--help"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dunklkit")

@@ -105,7 +105,7 @@ def test_recomputation_mismatch_raises(wb_radial5, monkeypatch):
     monkeypatch.setattr(extremal, "evaluate_sides", drifting)
     spec = dk.make_spec("ClassicalRellich", N=5, gamma=0.0)
     fam = power_gaussian_family(beta_box=(0.5, 0.5), scale_box=(1.0, 1.0))
-    with pytest.raises(RuntimeError, match="recomputation check failed"):
+    with pytest.raises(extremal.RecomputationError, match="recomputation check failed"):
         rayleigh_maximize(spec, fam, wb_radial5, seed=0)
     assert len(calls) == 2
 

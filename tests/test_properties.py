@@ -1,8 +1,9 @@
 """Property tests over generated inputs: exact weighted norms through the
 shared quadrature builder, Plancherel / round trip of both transforms,
-dilation of every test-function carrier, of weighted norms and of the
-benchmark's verify-sweep ratios, and the equality conditions of the
-`*_spec` constructors' output."""
+causality and linearity of the wave solver's Duhamel sweep, dilation of
+every test-function carrier, of weighted norms and of the benchmark's
+verify-sweep ratios, and the equality conditions of the `*_spec`
+constructors' output."""
 
 import importlib.util
 import sys
@@ -20,6 +21,7 @@ from dunklkit import inequalities
 from dunklkit.extremal import bump_scale_family
 from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit.measure import radial_quadrature, rank1_quadrature, weighted_lp_norm
+from dunklkit.waveeq import _duhamel, _mode_cs
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 EXACT_FAMILIES = ["Gaussian", "DilatedGaussian", "HermiteGaussian"]
@@ -90,6 +92,27 @@ def test_rank1_wave_spectrum_is_conjugate_symmetric(k, shift, odd):
     assert np.array_equal(sol.xi[::-1], -sol.xi)
     for U in (sol.U, sol.dtU):
         assert np.array_equal(U[:, ::-1], np.conj(U))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(b=st.floats(0.1, 30.0), m=st.floats(0.0, 3.0), dt=st.floats(0.005, 0.2),
+       i0=st.integers(1, 39), alpha=st.floats(-3.0, 3.0), seed=SEEDS)
+def test_duhamel_is_causal_and_linear(b, m, dt, i0, alpha, seed):
+    # rows < i0 of both Duhamel parts see only F[:i0], bit for bit, and the
+    # parts are linear in F
+    nt = 40
+    seam = np.sqrt(max(0.25 * b * b - m, 0.0))
+    xi = np.array([0.0, 0.5, 2.0, 9.0, seam, seam + 1e-9])
+    duhamel = _duhamel(b, _mode_cs(b, m, xi, dt * np.arange(nt)), dt)
+    rng = np.random.default_rng(seed)
+    F, G = rng.standard_normal((2, nt, xi.size))
+    late = F.copy()
+    late[i0:] = G[i0:]
+    for a, c in zip(duhamel(F), duhamel(late)):
+        assert np.array_equal(a[:i0], c[:i0])
+    for f, g, h in zip(duhamel(F), duhamel(G), duhamel(alpha * F + G)):
+        scale = np.max(np.abs(alpha * f) + np.abs(g))
+        assert np.max(np.abs(h - (alpha * f + g))) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dunklkit
-from dunklkit.waveeq import (WaveConfig, WaveConfigError, _duhamel,
+from dunklkit.waveeq import (WaveConfig, WaveConfigError, _duhamel, _mode_cs, _mode_terms,
                              decay_rate_fit, linear_mode_solution, mode_time_derivative,
                              solve_linear, solve_nonlinear, x_norm)
 
@@ -204,19 +204,25 @@ def test_radial_mode_solver_runs():
 
 
 def test_duhamel_matches_direct_trapezoid():
-    # FFT convolution against the O(nt²) trapezoid sum of K(t_i - s) F(s) over [0, t_i]
+    # the per-mode sweep against the O(nt²) trapezoid sum of K(t_i - s) F(s)
+    # over [0, t_i], for the mode kernels K = e^{-bt/2} S and ∂_t K, with ξ on
+    # the critical seam D = 0 and 1e-9 either side of it where it exists
     rng = np.random.default_rng(3)
-    nt, n_xi, dt = 37, 5, 0.1
-    t = dt * np.arange(nt)[:, None]
-    kernels = (np.exp(-0.5 * t) * np.sin(t * np.linspace(0.5, 2.0, n_xi)),
-               np.exp(-0.3 * t) * np.cos(t * np.linspace(0.2, 1.0, n_xi)))
-    F = rng.standard_normal((nt, n_xi))       # real: the solver's spectral coordinates
-    got = _duhamel(kernels, dt)(F)
-    for K, G in zip(kernels, got):
-        direct = np.zeros_like(F)
-        for i in range(1, nt):
-            direct[i] = np.trapezoid(K[i::-1] * F[: i + 1], dx=dt, axis=0)
-        assert np.max(np.abs(G - direct)) <= 1e-12 * np.max(np.abs(direct))
+    nt, dt = 60, 0.05
+    for b, m in [(1.0, 1.0), (5.0, 0.1), (2.0, 0.0), (30.0, 1.0), (0.2, 3.0)]:
+        seam = np.sqrt(max(0.25 * b * b - m, 0.0))
+        xi = np.concatenate([[0.0, 0.3, 1.7, 6.0], seam + np.array([-1e-9, 0.0, 1e-9])])
+        cs = _mode_cs(b, m, xi[xi >= 0.0], dt * np.arange(nt))
+        kernels = _mode_terms(b, cs, 0.0, 1.0)
+        F = rng.standard_normal(kernels[0].shape)   # real: the solver's spectral coordinates
+        got = _duhamel(b, cs, dt)(F)
+        for K, G in zip(kernels, got):
+            direct, scale = np.zeros_like(F), np.zeros_like(F)
+            for i in range(1, nt):
+                terms = K[i::-1] * F[: i + 1]
+                direct[i] = np.trapezoid(terms, dx=dt, axis=0)
+                scale[i] = dt * np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(G - direct) <= 1e-13 * scale), (b, m)
 
 
 @pytest.mark.parametrize("mode", ["rank1", "radial"])
