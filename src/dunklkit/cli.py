@@ -4,9 +4,10 @@ Outputs are deterministic given config + seed: CSV bodies are byte-identical
 across reruns (17 significant digits, no timestamps); run provenance lives
 in a separate metadata.json, written on every exit path once the output
 directory exists.  Exit codes: 0 ok, 1 inequality violation or Picard
-divergence, 2 config/schema error, 3 numerical failure, 4 internal error
-(any exception that is not one of the package's own; its traceback goes to
-stderr).
+divergence, 2 config/schema error (bad quadrature parameters included),
+3 numerical failure (a NaN or infinite output number included: no JSON
+output ever holds one), 4 internal error (any exception that is not one of
+the package's own; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -28,7 +30,7 @@ from .functions import CORPUS_FAMILIES, generate_corpus
 from .inequalities import (AdmissibilityError, DegenerateFunctionError, FunctionClassError,
                            InequalitySpec, SeriesCapError, THEOREMS, WorkbenchMismatchError,
                            admissible, verify_corpus)
-from .measure import QuadratureError, weighted_lp_norm
+from .measure import QuadratureError, QuadratureInputError, weighted_lp_norm
 from .rootsys import GroupClosureError, RootSystemError
 from .spectral import LowFrequencyError, classical_fourier_reference
 from .waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, solve_linear,
@@ -55,9 +57,13 @@ class ConfigError(ValueError):
     pass
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A number that a command would write out is NaN or infinite."""
+
+
 # the package's own exception types, by exit code; anything else is internal
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, RootSystemError, WaveConfigError,
-                  WorkbenchMismatchError)
+                  WorkbenchMismatchError, QuadratureInputError)
 _NUMERICAL_ERRORS = (ArithmeticError, DegenerateFunctionError, FunctionClassError,
                      SeriesCapError, GroupClosureError, LowFrequencyError, QuadratureError,
                      RecomputationError)
@@ -80,9 +86,23 @@ def _write_csv(out: Path, schema: str, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    _check_finite(obj, path.name)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _check_finite(obj, where: str) -> None:
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        for key, v in obj.items():
+            _check_finite(v, f"{where}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _check_finite(v, f"{where}[{i}]")
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise NonFiniteResultError(f"{where} is {obj}")
 
 
 def _json_default(o):
@@ -291,13 +311,8 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             divergence = exc
             sol = None
     if sol is not None:
-        _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
-        rows = []
-        for row, ti in zip(sol.snapshots, sol.snapshot_indices):
-            for xval, uval in zip(sol.x_nodes, row):
-                rows.append((sol.times[ti], xval, uval))
-        _write_csv(out, "snapshots.csv", rows)
-        summary = {
+        # the summary first: a non-finite number in it stops the run before any CSV
+        _write_json(out / "summary.json", {
             "command": "wave",
             "config": {k: v for k, v in vars(config).items() if not k.startswith("_")},
             "delta_fit": sol.delta_fit,
@@ -306,8 +321,13 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             "contraction_factors": sol.contraction_factors,
             "converged": sol.converged,
             "x_norm": x_norm(sol.times, sol.h1_trace, sol.dt_trace, max(sol.delta_fit * 0.9, 1e-6)),
-        }
-        _write_json(out / "summary.json", summary)
+        })
+        _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
+        rows = []
+        for row, ti in zip(sol.snapshots, sol.snapshot_indices):
+            for xval, uval in zip(sol.x_nodes, row):
+                rows.append((sol.times[ti], xval, uval))
+        _write_csv(out, "snapshots.csv", rows)
         return EXIT_OK
     _write_json(out / "summary.json", {
         "command": "wave",

@@ -32,6 +32,7 @@ from .rootsys import RootSystem, weight as rs_weight
 __all__ = [
     "WeightedQuadrature",
     "QuadratureError",
+    "QuadratureInputError",
     "NonIntegrableWeightError",
     "build_quadrature",
     "radial_quadrature",
@@ -45,6 +46,11 @@ __all__ = [
 
 class QuadratureError(ValueError):
     pass
+
+
+class QuadratureInputError(QuadratureError):
+    """A rule parameter outside its domain (resolution < 16, rmax ≤ 0, k < 0,
+    N + 2γ ≤ 0): bad input, not a numerical failure."""
 
 
 class NonIntegrableWeightError(QuadratureError):
@@ -67,9 +73,9 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
     oscillatory kernels.
     """
     if resolution < 16:
-        raise QuadratureError("resolution must be ≥ 16")
+        raise QuadratureInputError("resolution must be ≥ 16")
     if rmax <= 0:
-        raise QuadratureError("rmax must be positive")
+        raise QuadratureInputError("rmax must be positive")
     if sigma <= -1.0:
         raise NonIntegrableWeightError(f"r^{sigma:g} is not integrable at 0")
     r0 = min(0.02, rmax / 64.0)
@@ -165,7 +171,7 @@ def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
 def rank1_quadrature(k: float, rmax: float, resolution: int) -> WeightedQuadrature:
     """Full-line rule for N=1 with weight w_k(x) = 2^k |x|^{2k} folded in."""
     if k < 0:
-        raise QuadratureError("multiplicity k must be ≥ 0")
+        raise QuadratureInputError("multiplicity k must be ≥ 0")
     return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution)
 
 
@@ -174,7 +180,7 @@ def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
     """Radial rule: ∫ f(|x|) dμ_k = d ∫_0^∞ f(r) r^{Λ-1} dr, Λ = N + 2γ."""
     lam = N + 2.0 * gamma
     if lam <= 0:
-        raise QuadratureError("N + 2γ must be positive")
+        raise QuadratureInputError("N + 2γ must be positive")
     d = surface_constant(N, gamma) if surface_const is None else float(surface_const)
     return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution)
 

@@ -23,8 +23,12 @@ The kernel splits by parity into real half-line Hankel blocks of orders
 k-1/2 (even part of f) and k+1/2 (odd part), so both transforms work in real
 spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
 radial: the samples) via `to_coords`/`from_coords`/`to_full`, `coord_xi` and
-`coord_weights`.  The blocks are dense (no fast algorithm exists for general
-k): built once, applied as real matmuls.  Multipliers (fractional Laplacian
+`coord_weights`.  The blocks are dense (no fast transform algorithm exists
+for general k): built once, applied as real matmuls.  Their entries come from
+`normalized_bessel_j`, whose cost depends on the order: half-integer orders
+(integer k; odd integer Λ) use spherical Bessel functions, orders 0 and 1
+(k = ½; Λ = 2, 4) the Cephes J0/J1, and every other order the general `jv`,
+several times slower per entry.  Multipliers (fractional Laplacian
 |ξ|^s, Riesz potential |ξ|^{-s}, Sobolev weights, dyadic Littlewood-Paley
 projectors) are diagonal in this representation.
 """
@@ -91,12 +95,17 @@ class SpectralField:
                 fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
+def _rank1_parts(k: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd real parts of E_k(-i, ·) at z = ξx: j_{k-1/2}(z) and
+    z/(2k+1) j_{k+1/2}(z)."""
+    z = np.asarray(z, dtype=float)
+    return normalized_bessel_j(k - 0.5, z), z / (2.0 * k + 1.0) * normalized_bessel_j(k + 0.5, z)
+
+
 def rank1_kernel(k: float, z: np.ndarray) -> np.ndarray:
     """E_k(-i, ·) sampled at z = ξx: j_{k-1/2}(z) - i z/(2k+1) j_{k+1/2}(z)."""
-    z = np.asarray(z, dtype=float)
-    re = normalized_bessel_j(k - 0.5, z)
-    im = -z / (2.0 * k + 1.0) * normalized_bessel_j(k + 0.5, z)
-    return re + 1j * im
+    even, odd = _rank1_parts(k, z)
+    return even - 1j * odd
 
 
 def _real_apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -154,10 +163,10 @@ class DunklTransformRank1:
         self.M = float(2.0 ** (2.0 * k + 0.5) * sps.gamma(k + 0.5))
         h, hxi = x_quad.npoints // 2, xi_quad.npoints // 2
         rho, w_rho = xi_quad.nodes[hxi:], xi_quad.weights[hxi:]
-        ker = rank1_kernel(k, np.outer(rho, x_quad.nodes[h:]))
+        even, odd = _rank1_parts(k, np.outer(rho, x_quad.nodes[h:]))
         w_r, w_inv = x_quad.weights[h:] / self.M, 2.0 * w_rho / self.M
-        self._fwd_even, self._fwd_odd = ker.real * w_r, -ker.imag * w_r
-        self._inv_even, self._inv_odd = ker.real.T * w_inv, -ker.imag.T * w_inv
+        self._fwd_even, self._fwd_odd = even * w_r, odd * w_r
+        self._inv_even, self._inv_odd = even.T * w_inv, odd.T * w_inv
         self.coord_xi, self.coord_weights = np.tile(rho, 2), np.tile(2.0 * w_rho, 2)
 
     # bound here, not inherited: perfbench/tracing.py patches each class's own __dict__

@@ -163,10 +163,24 @@ class WaveConfig:
     def lam(self) -> float:
         return 1.0 + 2.0 * self.k if self.mode == "rank1" else self.N + 2.0 * self.gamma
 
+    @property
+    def times(self) -> np.ndarray:
+        """The time grid 0, dt, ..., about t_final."""
+        return self.dt * np.arange(int(round(self.t_final / self.dt)) + 1)
+
     def validate(self) -> None:
         for name in ("b", "m", "epsilon", "dt", "t_final"):
             if getattr(self, name) <= 0:
                 raise WaveConfigError(f"{name} must be positive")
+        # the decay fit (and every number derived from it) needs two grid times
+        times = self.times
+        if times.size < 2:
+            raise WaveConfigError(f"time grid T={self.t_final:g}, dt={self.dt:g} holds "
+                                  "a single time")
+        lo, hi = _fit_window(self)
+        if np.count_nonzero((times >= lo) & (times <= hi)) < 2:
+            raise WaveConfigError(f"fit window [{lo:g}, {hi:g}] holds fewer than two "
+                                  f"grid times (dt={self.dt:g})")
         if self.mode not in ("rank1", "radial"):
             raise WaveConfigError("mode must be rank1 or radial")
         if self.p is not None:
@@ -224,8 +238,7 @@ def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
     """Transform, time grid, _mode_cs output and the linear solution
     (U, ∂_t U) in real coordinates (nt, n_ξ) for the data scaled by `scale`."""
     tr = config.build_transform()
-    nt = int(round(config.t_final / config.dt)) + 1
-    times = config.dt * np.arange(nt)
+    times = config.times
     cs = _mode_cs(config.b, config.m, tr.coord_xi, times)
     U, dtU = _mode_terms(config.b, cs, scale * _spectral_data(tr, u0),
                          scale * _spectral_data(tr, u1))
@@ -303,8 +316,7 @@ def _duhamel(b: float, cs, dt: float):
     The map's eigenvalues are the damped mode factors e^{λ± dt}, so the
     sweep is stable."""
     C, S, D, env = cs
-    r = min(1, C.shape[0] - 1)     # t = dt; a one-point time grid takes no step
-    c, s = env[r] * C[r], env[r] * S[r]
+    c, s = env[1] * C[1], env[1] * S[1]      # t = dt; validate() rules out nt = 1
     d = 0.25 * D * s
 
     def apply(F):

@@ -79,3 +79,19 @@ def half_axis_rule_loop(sigma, rmax, resolution):
         for a, b in zip(edges[:-1], edges[1:]):
             add_panel(a, b)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def normalized_bessel_j_jv(nu, z):
+    """j_nu(z) = Γ(nu+1) (2/z)^nu J_nu(z) by the general `jv` at every order,
+    with the series 1 - z²/(4(nu+1)) + z⁴/(32(nu+1)(nu+2)) for |z| < 1e-4:
+    the reference for the order-dependent fast paths of `normalized_bessel_j`."""
+    az = np.abs(np.asarray(z, dtype=float))
+    out = np.empty_like(az)
+    small = az < 1e-4
+    z2 = az[small] ** 2
+    c1 = 1.0 / (4.0 * (nu + 1.0))
+    c2 = 1.0 / (32.0 * (nu + 1.0) * (nu + 2.0))
+    out[small] = 1.0 - c1 * z2 + c2 * z2 * z2
+    zl = az[~small]
+    out[~small] = sps.gamma(nu + 1.0) * (2.0 / zl) ** nu * sps.jv(nu, zl)
+    return out

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dunklkit
@@ -115,6 +116,53 @@ def test_wave_config_wrong_type_exit2(tmp_path):
                  {**base, "mode": 1}, {**base, "data": {"gaussian_scale": "wide"}}):
         cfg = write(tmp_path / "cfg.json", {"wave": wave})
         assert main(["wave", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("time", [{"T": 0.01, "dt": 0.1}, {"T": 0.2, "dt": 0.1}],
+                         ids=["one_time", "fit_window_one_time"])
+def test_wave_time_grid_too_short_exit2(tmp_path, time):
+    # a one-point time grid, or a fit window holding one grid time, has no decay fit
+    cfg = write(tmp_path / "cfg.json", {"wave": {"b": 1, "m": 1, "time": time}})
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 2
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"]["class"] == "WaveConfigError"
+    assert not (out / "summary.json").exists()
+
+
+def test_wave_nonfinite_summary_exit3(tmp_path):
+    # data that underflows to zero leaves no decay rate to fit: delta_fit is NaN
+    cfg = write(tmp_path / "cfg.json", {
+        "wave": {"b": 1.0, "m": 1.0, "data": {"gaussian_scale": 1e-150},
+                 "grid": {"x_max": 12, "nx": 80, "xi_max": 14, "nxi": 80},
+                 "time": {"T": 2.0, "dt": 0.05}},
+    })
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["exit_code"] == 3
+    assert meta["error"] == {"class": "NonFiniteResultError",
+                             "message": "summary.json.delta_fit is nan"}
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
+def test_json_outputs_reject_nan(tmp_path):
+    import dunklkit.cli as cli
+    with pytest.raises(cli.NonFiniteResultError, match=r"s\.json\.a\[1\]\.b is inf"):
+        cli._write_json(tmp_path / "s.json", {"a": [1.0, {"b": np.array(np.inf)}]})
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wave", {"wave": {"b": 1, "m": 1, "grid": {"nx": 4}}}),
+    ("verify", {**VERIFY_CFG, "mode": {**VERIFY_CFG["mode"], "resolution": 8}}),
+], ids=["wave.nx", "verify.resolution"])
+def test_bad_rule_input_exit2(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    assert "config error: resolution must be ≥ 16" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"]["class"] == "QuadratureInputError"
 
 
 def test_wave_null_p_is_linear(tmp_path):

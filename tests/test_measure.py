@@ -3,7 +3,7 @@ import pytest
 from scipy import special as sps
 
 from dunklkit.functions import RadialPG, TestFunction, generate_corpus
-from dunklkit.measure import (NonIntegrableWeightError, QuadratureError,
+from dunklkit.measure import (NonIntegrableWeightError, QuadratureError, QuadratureInputError,
                               _axis_quadrature, _half_axis_rule, build_quadrature,
                               exact_macdonald_mehta, macdonald_mehta,
                               radial_quadrature, rank1_quadrature, surface_constant,
@@ -163,6 +163,19 @@ def test_bad_rule_requests_raise_every_time():
             radial_quadrature(3, 0.0, 14.0, 8)
         with pytest.raises(QuadratureError):
             rank1_quadrature(0.5, 0.0, 160)
+
+
+def test_rule_input_errors_are_their_own_type():
+    # bad parameters are input errors; a non-integrable weight is not
+    for build in (lambda: radial_quadrature(3, 0.0, 14.0, 8),
+                  lambda: rank1_quadrature(0.5, 0.0, 160),
+                  lambda: rank1_quadrature(-0.5, 14.0, 160),
+                  lambda: radial_quadrature(1, -0.5, 14.0, 160)):
+        with pytest.raises(QuadratureInputError):
+            build()
+    with pytest.raises(NonIntegrableWeightError) as info:
+        radial_quadrature(3, 0.0, 14.0, 420).with_power(-4.5)
+    assert not isinstance(info.value, QuadratureInputError)
 
 
 def test_quasi_norm_small_p():
