@@ -296,6 +296,9 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
     config = WaveConfig(b=_require(w, "b", float, "$.wave"), m=_require(w, "m", float, "$.wave"),
                         **{name: v for name, v in given.items() if v is not None})
     scale = _require(w, "data.gaussian_scale", float, "$.wave", 1.0)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigError(f"$.wave.data.gaussian_scale: must be positive and finite, "
+                          f"got {scale!r}")
 
     def u0(x):
         return np.exp(-0.5 * (np.asarray(x) / scale) ** 2)

@@ -16,15 +16,19 @@ machine precision:
     U(t)  = e^{-bt/2} [U₀ C + (U₁ + (b/2)U₀) S]
     U'(t) = e^{-bt/2} [-(b/2)(U₀ C + V S) + (D/4) S U₀ + V C].
 
+The time grid is two-level, blocks of B = ⌈√nt⌉ steps: the closed forms run
+only at the block starts and at the in-block offsets j·dt, j = 0..B, and
+the semigroup property carries each block's start state through the block
+by the mode propagator A(τ), whose columns are the mode solutions with data
+(1, 0) and (0, 1).
+
 The nonlinear problem is solved by Picard iteration on the Duhamel map
 u ↦ φ + ∫₀ᵗ T(f(u(s)))(t-s) ds with f(u) = |u|^{p-1}u applied pointwise in
 physical space (pseudo-spectral) and the time integral by the trapezoid rule
-on the stored grid.  The Duhamel kernels are the mode solutions with data
-(U₀, U₁) = (0, 1); by the addition theorems of C and S the trapezoid sums
-advance one time step by a fixed 2×2 map per mode, so each Duhamel integral
-is one forward sweep over the time grid, exact and O(nt·n_ξ).  Both solvers
-run in the transform's real spectral coordinates: a Picard step is a real
-inverse, a real forward and one sweep.
+on the stored grid.  The Duhamel kernels are the second column of A, so the
+trapezoid sums are an exact O(nt·n_ξ) linear scan by A(dt), run blockwise
+(_duhamel).  Both solvers run in the transform's real spectral coordinates:
+a Picard step is a real inverse, a real forward and one scan.
 """
 
 from __future__ import annotations
@@ -103,6 +107,12 @@ def _mode_terms(b: float, cs, U0, U1):
     V = U1 + 0.5 * b * U0
     base = U0 * C + V * S
     return env * base, env * (-0.5 * b * base + 0.25 * D * S * U0 + V * C)
+
+
+def _propagator(b: float, cs):
+    """The columns (a11, a21), (a12, a22) of the mode propagator A from the
+    _mode_cs output: (U, ∂_t U)(t + τ) = A(τ)·(U, ∂_t U)(t)."""
+    return _mode_terms(b, cs, 1.0, 0.0), _mode_terms(b, cs, 0.0, 1.0)
 
 
 def _pointwise(xi, t, out):
@@ -234,24 +244,49 @@ def _spectral_data(tr, u) -> np.ndarray:
     return tr.to_coords(np.asarray(u(tr.x_quad.nodes) if callable(u) else u, dtype=float))
 
 
+def _block_size(nt: int) -> int:
+    """Steps per block of the two-level time grid, ⌈√nt⌉: the block starts
+    and the in-block offsets then hold about √nt rows each."""
+    return math.isqrt(nt - 1) + 1
+
+
+def _linear_modes(b: float, m: float, xi, dt: float, nt: int, U0, U1):
+    """The _mode_cs output on the in-block offsets dt·(0..B) and the mode
+    solution (U, ∂_t U) on the grid dt·(0..nt-1), (nt, n_ξ).
+
+    The closed forms run at the block starts and the offsets only; row
+    t_b + τ_j is A(τ_j)·(U, ∂_t U)(t_b), two products and one sum."""
+    B = _block_size(nt)
+    U_b, V_b = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(0, nt, B)), U0, U1)
+    offsets = _mode_cs(b, m, xi, dt * np.arange(B + 1))
+    (a11, a21), (a12, a22) = _propagator(b, offsets)
+
+    def carry(col0, col1):
+        rows = col0[None, :B] * U_b[:, None] + col1[None, :B] * V_b[:, None]
+        return rows.reshape(-1, U_b.shape[1])[:nt]
+    return offsets, carry(a11, a12), carry(a21, a22)
+
+
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
-    """Transform, time grid, _mode_cs output and the linear solution
-    (U, ∂_t U) in real coordinates (nt, n_ξ) for the data scaled by `scale`."""
+    """Transform, time grid, the _mode_cs output on the in-block offsets and
+    the linear solution (U, ∂_t U) in real coordinates (nt, n_ξ) for the
+    data scaled by `scale`."""
     tr = config.build_transform()
     times = config.times
-    cs = _mode_cs(config.b, config.m, tr.coord_xi, times)
-    U, dtU = _mode_terms(config.b, cs, scale * _spectral_data(tr, u0),
-                         scale * _spectral_data(tr, u1))
-    return tr, times, cs, U, dtU
+    offsets, U, dtU = _linear_modes(config.b, config.m, tr.coord_xi, config.dt, times.size,
+                                    scale * _spectral_data(tr, u0),
+                                    scale * _spectral_data(tr, u1))
+    return tr, times, offsets, U, dtU
 
 
 def _fit_window(config: WaveConfig) -> tuple:
     return config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
 
 
-def _solution(config: WaveConfig, tr, times, U, dtU, **picard) -> WaveSolution:
-    """Norm traces, physical snapshots and the decay fit of (U, ∂_t U)."""
-    h1, dt2 = _traces(U, dtU, tr)
+def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSolution:
+    """Physical snapshots and the decay fit of (U, ∂_t U), whose norm traces
+    _traces(U, ∂_t U) are `traces`."""
+    h1, dt2 = traces
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
     snaps = tr.from_coords(U[idx].T).T
     delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
@@ -267,7 +302,7 @@ def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     """
     config.validate()
     tr, times, _, U, dtU = _linear_stage(config, u0, u1)
-    return _solution(config, tr, times, U, dtU)
+    return _solution(config, tr, times, U, dtU, _traces(U, dtU, tr))
 
 
 def _safe_fit(times, trace, window):
@@ -303,30 +338,41 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
     return float(np.max(w * (h1_trace + dt_trace)))
 
 
-def _duhamel(b: float, cs, dt: float):
+def _duhamel(b: float, offsets, dt: float):
     """F ↦ (U, ∂_t U) Duhamel parts dt Σ'_{j≤i} K(t_i - t_j) F(t_j), with Σ'
     halving the j = 0 and j = i terms, for the kernel K = e^{-bt/2} S and its
-    t-derivative; F is real (nt, n_ξ).
+    t-derivative; F is real (nt, n_ξ), `offsets` the _mode_cs output on dt·(0..B).
 
-    The addition theorems C(t+τ) = C(t)C(τ) + (D/4)S(t)S(τ) and
-    S(t+τ) = S(t)C(τ) + C(t)S(τ) make the sums P_i = Σ w_j e^{-b(t_i-t_j)/2}
-    C(t_i - t_j) F_j and Q_i (the same with S), w_0 = ½ and w_j = 1 after,
-    advance one step by a fixed 2×2 map per mode, built from row 1 (t = dt)
-    of the _mode_cs output alone: the exact trapezoid sum in O(nt·n_ξ).
-    The map's eigenvalues are the damped mode factors e^{λ± dt}, so the
-    sweep is stable."""
-    C, S, D, env = cs
-    c, s = env[1] * C[1], env[1] * S[1]      # t = dt; validate() rules out nt = 1
-    d = 0.25 * D * s
+    (K, ∂_t K) is the second column of A, so x_i = Σ_{j≤i} A(t_i - t_j)(0, w_j dt F_j),
+    w_0 = ½ and w_j = 1 after, is (U part, ∂_t U part + (dt/2) F_i) and obeys
+    x_i = A(dt) x_{i-1} + (0, w_i dt F_i).  The scan runs in blocks of B steps:
+    the block-end sums Σ_j A((B-1-j)dt)(0, w_j dt F_j), a carry of the state
+    before each block by A(B·dt), then B steps that advance all blocks at
+    once.  Every power of A(dt) is a closed form, so rounding grows over B
+    steps, not nt; A's eigenvalues are the damped mode factors e^{λ± dt}, so
+    the scan is stable.  Row i reads F[:i+1] only."""
+    (a11, a21), (a12, a22) = _propagator(b, offsets)
+    B = a11.shape[0] - 1
 
     def apply(F):
-        F = np.ascontiguousarray(F)             # swept row by row
-        P, Q = np.empty_like(F), np.empty_like(F)
-        P[0], Q[0] = 0.5 * F[0], 0.0
-        for i in range(1, F.shape[0]):
-            P[i] = c * P[i - 1] + d * Q[i - 1] + F[i]
-            Q[i] = s * P[i - 1] + c * Q[i - 1]
-        return dt * Q, dt * (P - 0.5 * b * Q - 0.5 * F)
+        nt, n = F.shape
+        nb = -(-nt // B)
+        G = np.zeros((nb, B, n))
+        np.multiply(dt, F, out=G.reshape(-1, n)[:nt])
+        G[0, 0] *= 0.5
+        end_u = np.einsum("kjn,jn->kn", G, a12[B - 1::-1])
+        end_v = np.einsum("kjn,jn->kn", G, a22[B - 1::-1])
+        u, v = np.zeros((nb, n)), np.zeros((nb, n))
+        for k in range(1, nb):
+            u[k] = a11[B] * u[k - 1] + a12[B] * v[k - 1] + end_u[k - 1]
+            v[k] = a21[B] * u[k - 1] + a22[B] * v[k - 1] + end_v[k - 1]
+        U, V = np.empty_like(G), np.empty_like(G)
+        for j in range(B):
+            u, v = a11[1] * u + a12[1] * v, a21[1] * u + a22[1] * v + G[:, j]
+            U[:, j], V[:, j] = u, v
+        U, V = U.reshape(-1, n)[:nt], V.reshape(-1, n)[:nt]
+        V -= (0.5 * dt) * F
+        return U, V
     return apply
 
 
@@ -353,8 +399,8 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         _check_nonlinearity(nonlinearity, p)
 
     eps = config.epsilon
-    tr, times, cs, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
-    duhamel = _duhamel(config.b, cs, config.dt)
+    tr, times, offsets, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
+    duhamel = _duhamel(config.b, offsets, config.dt)
 
     h1_lin, dt_lin = _traces(Phi, dtPhi, tr)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
@@ -363,7 +409,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     delta_used = config.delta_factor * max(delta_lin, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
 
-    U, dtU = Phi, dtPhi
+    U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
     diffs: List[float] = []
     converged = False
     for _ in range(config.max_picard):
@@ -381,8 +427,8 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
             break
 
     factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-    return _solution(config, tr, times, U, dtU, iterations=len(diffs), diff_xnorms=diffs,
-                     contraction_factors=factors, converged=converged)
+    return _solution(config, tr, times, U, dtU, (h1_now, dt_now), iterations=len(diffs),
+                     diff_xnorms=diffs, contraction_factors=factors, converged=converged)
 
 
 def _check_nonlinearity(f: Callable, p: float) -> None:

@@ -38,6 +38,23 @@ def rk4_modes(b, m, xi, u0, u1, t_grid, h=1e-3):
     return out
 
 
+def duhamel_serial(b, cs, dt, F):
+    """Row-by-row form of `waveeq._duhamel`: the trapezoid sums
+    P_i = Σ w_j e^{-b(t_i-t_j)/2} C(t_i - t_j) F_j and Q_i (the same with S),
+    advanced one step at a time by the fixed map of row 1 (t = dt) of the
+    _mode_cs output `cs`; returns the (U, ∂_t U) Duhamel parts.
+    """
+    C, S, D, env = cs
+    c, s = env[1] * C[1], env[1] * S[1]
+    d = 0.25 * D * s
+    P, Q = np.empty_like(F), np.empty_like(F)
+    P[0], Q[0] = 0.5 * F[0], 0.0
+    for i in range(1, F.shape[0]):
+        P[i] = c * P[i - 1] + d * Q[i - 1] + F[i]
+        Q[i] = s * P[i - 1] + c * Q[i - 1]
+    return dt * Q, dt * (P - 0.5 * b * Q - 0.5 * F)
+
+
 def half_axis_rule_loop(sigma, rmax, resolution):
     """Panel-by-panel form of `measure._half_axis_rule` (valid inputs only).
 

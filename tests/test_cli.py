@@ -130,6 +130,16 @@ def test_wave_time_grid_too_short_exit2(tmp_path, time):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+def test_wave_bad_gaussian_scale_exit2(tmp_path, capsys, scale):
+    cfg = write(tmp_path / "cfg.json",
+                {"wave": {"b": 1, "m": 1, "data": {"gaussian_scale": scale}}})
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 2
+    assert "gaussian_scale: must be positive and finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
 def test_wave_nonfinite_summary_exit3(tmp_path):
     # data that underflows to zero leaves no decay rate to fit: delta_fit is NaN
     cfg = write(tmp_path / "cfg.json", {

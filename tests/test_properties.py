@@ -1,9 +1,10 @@
 """Property tests over generated inputs: exact weighted norms through the
 shared quadrature builder, Plancherel / round trip of both transforms,
-causality and linearity of the wave solver's Duhamel sweep, dilation of
-every test-function carrier, of weighted norms and of the benchmark's
-verify-sweep ratios, and the equality conditions of the `*_spec`
-constructors' output."""
+causality and linearity of the wave solver's blocked Duhamel scan and its
+agreement with the serial sweep, the two-level linear modes against the
+full-grid closed forms, dilation of every test-function carrier, of
+weighted norms and of the benchmark's verify-sweep ratios, and the equality
+conditions of the `*_spec` constructors' output."""
 
 import importlib.util
 import sys
@@ -21,7 +22,8 @@ from dunklkit import inequalities
 from dunklkit.extremal import bump_scale_family
 from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit.measure import radial_quadrature, rank1_quadrature, weighted_lp_norm
-from dunklkit.waveeq import _duhamel, _mode_cs
+from dunklkit.waveeq import _block_size, _duhamel, _linear_modes, _mode_cs, _mode_terms
+from oracles import duhamel_serial
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 EXACT_FAMILIES = ["Gaussian", "DilatedGaussian", "HermiteGaussian"]
@@ -103,7 +105,7 @@ def test_duhamel_is_causal_and_linear(b, m, dt, i0, alpha, seed):
     nt = 40
     seam = np.sqrt(max(0.25 * b * b - m, 0.0))
     xi = np.array([0.0, 0.5, 2.0, 9.0, seam, seam + 1e-9])
-    duhamel = _duhamel(b, _mode_cs(b, m, xi, dt * np.arange(nt)), dt)
+    duhamel = _duhamel(b, _mode_cs(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt)
     rng = np.random.default_rng(seed)
     F, G = rng.standard_normal((2, nt, xi.size))
     late = F.copy()
@@ -113,6 +115,51 @@ def test_duhamel_is_causal_and_linear(b, m, dt, i0, alpha, seed):
     for f, g, h in zip(duhamel(F), duhamel(G), duhamel(alpha * F + G)):
         scale = np.max(np.abs(alpha * f) + np.abs(g))
         assert np.max(np.abs(h - (alpha * f + g))) <= 1e-13 * scale
+
+
+def _seam_modes(b, m):
+    # ξ on the critical seam D = 0 and 1e-9 either side of it, where it exists
+    seam = np.sqrt(max(0.25 * b * b - m, 0.0))
+    xi = np.array([0.0, 0.5, 2.0, 6.0, seam - 1e-9, seam, seam + 1e-9])
+    return xi[xi >= 0.0]
+
+
+# nt = q(q + a) + r has ⌈√nt⌉ = q steps per block: whole blocks (r = 0), one
+# row past them (r = 1) or one row short (r = -1).  The full-grid closed form
+# itself rounds like (bt/2)·eps in e^{-bt/2} and cosh(√D t/2), so the drawn
+# grids keep b·T ≤ 40 (the README grid has b·T = 10)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(b=st.floats(0.1, 30.0), m=st.floats(0.0, 3.0), dt=st.floats(0.005, 0.05),
+       q=st.integers(2, 14), shape=st.sampled_from([(-1, 0), (-1, 1), (0, 0), (0, -1)]),
+       seed=SEEDS)
+def test_two_level_linear_modes_match_full_grid_closed_form(b, m, dt, q, shape, seed):
+    nt = q * (q + shape[0]) + shape[1]
+    assume(b * dt * nt <= 40.0)
+    assert _block_size(nt) == q
+    xi = _seam_modes(b, m)
+    U0, U1 = np.random.default_rng(seed).standard_normal((2, xi.size))
+    _, U, dtU = _linear_modes(b, m, xi, dt, nt, U0, U1)
+    for got, want in zip((U, dtU), _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), U0, U1)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# nt < B (one short block), k whole blocks, and k blocks and one row
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(b=st.floats(0.1, 30.0), m=st.floats(0.0, 3.0), dt=st.floats(0.005, 0.2),
+       B=st.integers(2, 12), k=st.integers(1, 6),
+       shape=st.sampled_from(["short", "whole", "whole+1"]), seed=SEEDS)
+def test_blocked_duhamel_matches_serial_sweep(b, m, dt, B, k, shape, seed):
+    nt = {"short": B - 1, "whole": k * B, "whole+1": k * B + 1}[shape]
+    xi = _seam_modes(b, m)
+    F = np.random.default_rng(seed).standard_normal((nt, xi.size))
+    offsets = _mode_cs(b, m, xi, dt * np.arange(B + 1))
+    got = _duhamel(b, offsets, dt)(F)
+    want = duhamel_serial(b, offsets, dt, F)
+    kernels = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), 0.0, 1.0)
+    for K, g, w in zip(kernels, got, want):
+        scale = np.array([dt * np.sum(np.abs(K[i::-1] * F[: i + 1]), axis=0) for i in range(nt)])
+        assert np.all(np.abs(g - w) <= 1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------

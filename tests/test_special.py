@@ -27,13 +27,35 @@ def test_normalized_bessel_j_against_mpmath(nu):
     assert float(normalized_bessel_j(nu, 0.0)) == 1.0
 
 
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
+def test_half_integer_orders_up_to_z_equal_n_against_mpmath(nu):
+    # the power series below z = n, spherical_jn above it, both sides of the switch
+    mp = pytest.importorskip("mpmath")
+    n = nu - 0.5
+    z = np.concatenate([np.geomspace(1.0001e-4, n, 60),
+                        n * (1.0 + np.array([-1e-6, -1e-12, 1e-12, 1e-6])), [n + 0.5, 2 * n]])
+    with mp.workdps(30):
+        ref = np.array([float(mp.gamma(nu + 1) * (2 / mp.mpf(x)) ** nu * mp.besselj(nu, x))
+                        for x in z])
+    assert np.max(np.abs(normalized_bessel_j(nu, z) - ref)) <= 1e-14
+
+
 def test_closed_form_orders_bypass_jv(monkeypatch):
     def no_jv(*args):
         raise AssertionError("jv called")
+    spherical_jn, smallest = sps.spherical_jn, {}
+
+    def recording_spherical_jn(n, z):
+        smallest[n] = min(smallest.get(n, np.inf), np.min(z))
+        return spherical_jn(n, z)
     monkeypatch.setattr(sps, "jv", no_jv)
+    monkeypatch.setattr(sps, "spherical_jn", recording_spherical_jn)
     z = np.linspace(0.0, 50.0, 101)
-    for nu in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 7.5):
+    for nu in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5, 7.5):
         normalized_bessel_j(nu, z)
+    # spherical_jn itself runs jv at z ≤ n
+    assert set(smallest) == {0, 1, 2, 3, 7}
+    assert all(z_min > n for n, z_min in smallest.items())
     with pytest.raises(AssertionError, match="jv called"):
         normalized_bessel_j(0.85, z)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import dunklkit
-from dunklkit.waveeq import (WaveConfig, WaveConfigError, _duhamel, _mode_cs, _mode_terms,
-                             decay_rate_fit, linear_mode_solution, mode_time_derivative,
-                             solve_linear, solve_nonlinear, x_norm)
+from dunklkit import waveeq
+from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _duhamel, _mode_cs,
+                             _mode_terms, _traces, decay_rate_fit, linear_mode_solution,
+                             mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
 
 
 from oracles import rk4_modes
@@ -204,7 +205,7 @@ def test_radial_mode_solver_runs():
 
 
 def test_duhamel_matches_direct_trapezoid():
-    # the per-mode sweep against the O(nt²) trapezoid sum of K(t_i - s) F(s)
+    # the blocked per-mode scan against the O(nt²) trapezoid sum of K(t_i - s) F(s)
     # over [0, t_i], for the mode kernels K = e^{-bt/2} S and ∂_t K, with ξ on
     # the critical seam D = 0 and 1e-9 either side of it where it exists
     rng = np.random.default_rng(3)
@@ -212,10 +213,11 @@ def test_duhamel_matches_direct_trapezoid():
     for b, m in [(1.0, 1.0), (5.0, 0.1), (2.0, 0.0), (30.0, 1.0), (0.2, 3.0)]:
         seam = np.sqrt(max(0.25 * b * b - m, 0.0))
         xi = np.concatenate([[0.0, 0.3, 1.7, 6.0], seam + np.array([-1e-9, 0.0, 1e-9])])
-        cs = _mode_cs(b, m, xi[xi >= 0.0], dt * np.arange(nt))
-        kernels = _mode_terms(b, cs, 0.0, 1.0)
+        xi = xi[xi >= 0.0]
+        kernels = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), 0.0, 1.0)
         F = rng.standard_normal(kernels[0].shape)   # real: the solver's spectral coordinates
-        got = _duhamel(b, cs, dt)(F)
+        offsets = _mode_cs(b, m, xi, dt * np.arange(_block_size(nt) + 1))
+        got = _duhamel(b, offsets, dt)(F)
         for K, G in zip(kernels, got):
             direct, scale = np.zeros_like(F), np.zeros_like(F)
             for i in range(1, nt):
@@ -223,6 +225,39 @@ def test_duhamel_matches_direct_trapezoid():
                 direct[i] = np.trapezoid(terms, dx=dt, axis=0)
                 scale[i] = dt * np.sum(np.abs(terms), axis=0)
             assert np.all(np.abs(G - direct) <= 1e-13 * scale), (b, m)
+
+
+def test_closed_forms_run_on_block_starts_and_offsets_only(monkeypatch):
+    # on the README wave grid no closed-form evaluation covers the full
+    # (nt, n_ξ) grid: only the nb block starts and the B + 1 in-block offsets
+    sizes = []
+    inner = waveeq._cosh_sinhc_like
+
+    def recording(z):
+        sizes.append(np.size(z))
+        return inner(z)
+    monkeypatch.setattr(waveeq, "_cosh_sinhc_like", recording)
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.01, p=3.0, mode="rank1", k=0.5, x_max=16.0,
+                     nx=280, xi_max=20.0, nxi=280, t_final=10.0, dt=0.01)
+    sol = solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
+    assert sol.converged
+    nt, n_xi = sol.times.size, cfg.build_transform().coord_xi.size
+    B = _block_size(nt)
+    nb = -(-nt // B)
+    assert sizes and max(sizes) <= (B + nb + 2) * n_xi
+
+
+@pytest.mark.parametrize("mode", ["rank1", "radial"])
+def test_reported_traces_are_those_of_the_final_iterate(mode):
+    # the traces the last Picard step computed are the solution's, bit for bit
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=1.5, mode=mode, k=0.5, N=3, x_max=12.0,
+                     nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.05)
+    sol = solve_nonlinear(cfg, lambda x: np.exp(-x * x), None)
+    assert sol.iterations > 1
+    tr = cfg.build_transform()
+    U, dtU = (np.ascontiguousarray(tr.from_full(X.T).real.T) for X in (sol.U, sol.dtU))
+    h1, dt2 = _traces(U, dtU, tr)
+    assert np.array_equal(sol.h1_trace, h1) and np.array_equal(sol.dt_trace, dt2)
 
 
 @pytest.mark.parametrize("mode", ["rank1", "radial"])
