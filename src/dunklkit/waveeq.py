@@ -2,33 +2,30 @@
 decay-rate fits, and the nonlinear Duhamel fixed point.
 
 Per spectral mode ξ the problem  ∂²_t U + b ∂_t U + (m + |ξ|²) U = 0  is a
-damped oscillator whose branch is selected by the discriminant
+damped oscillator with discriminant D = b² - 4(m + |ξ|²), solved by the mode
+propagator  (U, ∂_t U)(t) = A(t)·(U₀, U₁):
 
-    D = b² - 4(m + |ξ|²):
+    A(t) = [[eC + (b/2) eS,  eS], [-(m + |ξ|²) eS,  eC - (b/2) eS]],
 
-overdamped (D > 0, cosh/sinh), underdamped (D < 0, cos/sin), critical
-(D = 0, polynomial × exponential).  All three are evaluated through the
-seam-safe pair C(t), S(t) — cosh(√D t/2) and sinh(√D t/2)/(√D/2) continued
-through D ≤ 0 as functions of z = D t²/4, with a power series for |z| small
-— so the solution and its t-derivative are continuous across D = 0 to
-machine precision:
+eC = e^{-bt/2} cosh(√D t/2) and eS = e^{-bt/2} sinh(√D t/2)/(√D/2), read as
+cos/sin for D < 0 and as power series in z = D t²/4 near the seam D = 0, so
+A is continuous across it.  For D > 0 the envelope is folded in,
+eC = ½(e^{λ+ t} + e^{λ- t}) and eS = (e^{λ+ t} - e^{λ- t})/√D with
+λ± = (-b ± √D)/2, so A is finite at every b·t.  Every closed form in this
+module comes from _enveloped_cs through _propagator.
 
-    U(t)  = e^{-bt/2} [U₀ C + (U₁ + (b/2)U₀) S]
-    U'(t) = e^{-bt/2} [-(b/2)(U₀ C + V S) + (D/4) S U₀ + V C].
-
-The time grid is two-level, blocks of B = ⌈√nt⌉ steps: the closed forms run
-only at the block starts and at the in-block offsets j·dt, j = 0..B, and
-the semigroup property carries each block's start state through the block
-by the mode propagator A(τ), whose columns are the mode solutions with data
-(1, 0) and (0, 1).
+The time grid is two-level, blocks of B = ⌈√nt⌉ steps: A runs only at the
+block starts and at the in-block offsets j·dt, j = 0..B, and the semigroup
+property carries each block's start state through the block by A(τ).
 
 The nonlinear problem is solved by Picard iteration on the Duhamel map
 u ↦ φ + ∫₀ᵗ T(f(u(s)))(t-s) ds with f(u) = |u|^{p-1}u applied pointwise in
 physical space (pseudo-spectral) and the time integral by the trapezoid rule
 on the stored grid.  The Duhamel kernels are the second column of A, so the
 trapezoid sums are an exact O(nt·n_ξ) linear scan by A(dt), run blockwise
-(_duhamel).  Both solvers run in the transform's real spectral coordinates:
-a Picard step is a real inverse, a real forward and one scan.
+(_duhamel).  Both solvers run in the transform's real spectral coordinates
+and report U, ∂_t U in them: a Picard step is a real inverse, a real
+forward and one scan.
 """
 
 from __future__ import annotations
@@ -68,51 +65,48 @@ class PicardDivergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# seam-safe oscillator kernels
+# the mode propagator
 
 _SEAM = 1e-6
 
 
-def _cosh_sinhc_like(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(z) = cosh(√z) and φ(z) = sinh(√z)/√z for z>0, cos(√-z) and
-    sin(√-z)/√-z for z<0, series near 0."""
-    z = np.asarray(z, dtype=float)
-    C, phi = np.empty_like(z), np.empty_like(z)
+def _enveloped_cs(b: float, q: np.ndarray, t):
+    """eC = e^{-bt/2} C and eS = e^{-bt/2} S on the (t, ξ) grid for the mode
+    stiffness q = m + ξ², with the envelope folded in where D > 0 so that no
+    factor overflows."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    T, Q = np.broadcast_arrays(t[:, None], q[None, :])
+    D = b * b - 4.0 * Q
+    z = 0.25 * T * T * D
+    eC, eS = np.empty_like(z), np.empty_like(z)
     pos, neg = z > _SEAM, z < -_SEAM
     mid = ~(pos | neg)
-    sp, sn, zm = np.sqrt(z[pos]), np.sqrt(-z[neg]), z[mid]
-    C[pos], phi[pos] = np.cosh(sp), np.sinh(sp) / sp
-    C[neg], phi[neg] = np.cos(sn), np.sin(sn) / sn
-    C[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm ** 3 / 720.0
-    phi[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm ** 3 / 5040.0
-    return C, phi
+    # D > 0: e^{-bt/2}(C, S) = (e^{λ+ t} ± e^{λ- t})(½, 1/√D), λ+ free of cancellation
+    s, tp = np.sqrt(D[pos]), T[pos]
+    grow, em = np.exp(-2.0 * Q[pos] / (b + s) * tp), np.expm1(-s * tp)
+    eC[pos], eS[pos] = grow * (1.0 + 0.5 * em), -grow * em / s
+    sn, tn = np.sqrt(-z[neg]), T[neg]
+    env = np.exp(-0.5 * b * tn)
+    eC[neg], eS[neg] = env * np.cos(sn), env * tn * np.sin(sn) / sn
+    zm, tm = z[mid], T[mid]
+    env = np.exp(-0.5 * b * tm)
+    eC[mid] = env * (1.0 + zm / 2.0 + zm * zm / 24.0 + zm ** 3 / 720.0)
+    eS[mid] = env * tm * (1.0 + zm / 6.0 + zm * zm / 120.0 + zm ** 3 / 5040.0)
+    return eC, eS
 
 
-def _mode_cs(b: float, m: float, xi, t):
-    """C and S = t·φ(Dt²/4) on the (t, ξ) grid, plus D and e^{-bt/2}."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    D = b * b - 4.0 * (m + xi ** 2)
-    z = 0.25 * np.multiply.outer(t * t, D)
-    C, phi = _cosh_sinhc_like(z)
-    S = t[:, None] * phi
-    env = np.exp(-0.5 * b * t)[:, None]
-    return C, S, D, env
+def _propagator(b: float, m: float, xi, t):
+    """The entries (a11, a12, a21, a22) of the mode propagator A(t) on the
+    (t, ξ) grid: (U, ∂_t U)(s + t) = A(t)·(U, ∂_t U)(s)."""
+    q = m + np.atleast_1d(np.asarray(xi, dtype=float)) ** 2
+    eC, eS = _enveloped_cs(b, q, t)
+    return eC + 0.5 * b * eS, eS, -q * eS, eC - 0.5 * b * eS
 
 
-def _mode_terms(b: float, cs, U0, U1):
-    """U and ∂_t U of the exact mode solution from the _mode_cs output
-    (C' = (D/4)S, S' = C); U0 and U1 broadcast against the ξ axis."""
-    C, S, D, env = cs
-    V = U1 + 0.5 * b * U0
-    base = U0 * C + V * S
-    return env * base, env * (-0.5 * b * base + 0.25 * D * S * U0 + V * C)
-
-
-def _propagator(b: float, cs):
-    """The columns (a11, a21), (a12, a22) of the mode propagator A from the
-    _mode_cs output: (U, ∂_t U)(t + τ) = A(τ)·(U, ∂_t U)(t)."""
-    return _mode_terms(b, cs, 1.0, 0.0), _mode_terms(b, cs, 0.0, 1.0)
+def _modes(A, U0, U1):
+    """(U, ∂_t U) = A·(U0, U1); U0 and U1 broadcast against the ξ axis."""
+    a11, a12, a21, a22 = A
+    return a11 * U0 + a12 * U1, a21 * U0 + a22 * U1
 
 
 def _pointwise(xi, t, out):
@@ -124,16 +118,16 @@ def _pointwise(xi, t, out):
 def linear_mode_solution(b: float, m: float, xi, t, U0, U1):
     """Exact mode solution; broadcasts over arrays of ξ and t.
 
-    Total for t ≥ 0; |D| below the seam is routed through the series so the
-    critical case never divides 0/0.
+    Total and finite for t ≥ 0; |D| below the seam is routed through the
+    series so the critical case never divides 0/0.
     """
-    U, _ = _mode_terms(b, _mode_cs(b, m, xi, t), np.asarray(U0), np.asarray(U1))
+    U, _ = _modes(_propagator(b, m, xi, t), np.asarray(U0), np.asarray(U1))
     return _pointwise(xi, t, U)
 
 
 def mode_time_derivative(b: float, m: float, xi, t, U0, U1):
     """∂_t of the exact mode solution."""
-    _, dtU = _mode_terms(b, _mode_cs(b, m, xi, t), np.asarray(U0), np.asarray(U1))
+    _, dtU = _modes(_propagator(b, m, xi, t), np.asarray(U0), np.asarray(U1))
     return _pointwise(xi, t, dtU)
 
 
@@ -214,7 +208,7 @@ class WaveConfig:
 class WaveSolution:
     times: np.ndarray
     xi: np.ndarray
-    U: np.ndarray                  # (nt, nxi) spectral snapshots on the full ξ grid
+    U: np.ndarray                  # (nt, n_coord) real spectral coordinates at xi
     dtU: np.ndarray
     h1_trace: np.ndarray           # ‖u(t)‖_{H¹_D}
     dt_trace: np.ndarray           # ‖∂_t u(t)‖₂
@@ -251,32 +245,30 @@ def _block_size(nt: int) -> int:
 
 
 def _linear_modes(b: float, m: float, xi, dt: float, nt: int, U0, U1):
-    """The _mode_cs output on the in-block offsets dt·(0..B) and the mode
+    """The propagator A on the in-block offsets dt·(0..B) and the mode
     solution (U, ∂_t U) on the grid dt·(0..nt-1), (nt, n_ξ).
 
     The closed forms run at the block starts and the offsets only; row
     t_b + τ_j is A(τ_j)·(U, ∂_t U)(t_b), two products and one sum."""
     B = _block_size(nt)
-    U_b, V_b = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(0, nt, B)), U0, U1)
-    offsets = _mode_cs(b, m, xi, dt * np.arange(B + 1))
-    (a11, a21), (a12, a22) = _propagator(b, offsets)
+    U_b, V_b = _modes(_propagator(b, m, xi, dt * np.arange(0, nt, B)), U0, U1)
+    A = _propagator(b, m, xi, dt * np.arange(B + 1))
 
-    def carry(col0, col1):
-        rows = col0[None, :B] * U_b[:, None] + col1[None, :B] * V_b[:, None]
+    def carry(row0, row1):
+        rows = row0[None, :B] * U_b[:, None] + row1[None, :B] * V_b[:, None]
         return rows.reshape(-1, U_b.shape[1])[:nt]
-    return offsets, carry(a11, a12), carry(a21, a22)
+    return A, carry(A[0], A[1]), carry(A[2], A[3])
 
 
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
-    """Transform, time grid, the _mode_cs output on the in-block offsets and
+    """Transform, time grid, the propagator on the in-block offsets and
     the linear solution (U, ∂_t U) in real coordinates (nt, n_ξ) for the
     data scaled by `scale`."""
     tr = config.build_transform()
     times = config.times
-    offsets, U, dtU = _linear_modes(config.b, config.m, tr.coord_xi, config.dt, times.size,
-                                    scale * _spectral_data(tr, u0),
-                                    scale * _spectral_data(tr, u1))
-    return tr, times, offsets, U, dtU
+    A, U, dtU = _linear_modes(config.b, config.m, tr.coord_xi, config.dt, times.size,
+                              scale * _spectral_data(tr, u0), scale * _spectral_data(tr, u1))
+    return tr, times, A, U, dtU
 
 
 def _fit_window(config: WaveConfig) -> tuple:
@@ -290,8 +282,8 @@ def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSo
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
     snaps = tr.from_coords(U[idx].T).T
     delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
-    return WaveSolution(times, tr.xi_quad.nodes, tr.to_full(U.T).T, tr.to_full(dtU.T).T,
-                        h1, dt2, tr.x_quad.nodes, idx, snaps, delta, resid, **picard)
+    return WaveSolution(times, tr.coord_xi, U, dtU, h1, dt2, tr.x_quad.nodes, idx, snaps,
+                        delta, resid, **picard)
 
 
 def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
@@ -338,20 +330,21 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
     return float(np.max(w * (h1_trace + dt_trace)))
 
 
-def _duhamel(b: float, offsets, dt: float):
+def _duhamel(A, dt: float):
     """F ↦ (U, ∂_t U) Duhamel parts dt Σ'_{j≤i} K(t_i - t_j) F(t_j), with Σ'
     halving the j = 0 and j = i terms, for the kernel K = e^{-bt/2} S and its
-    t-derivative; F is real (nt, n_ξ), `offsets` the _mode_cs output on dt·(0..B).
+    t-derivative; F is real (nt, n_ξ), A the propagator on dt·(0..B).
 
-    (K, ∂_t K) is the second column of A, so x_i = Σ_{j≤i} A(t_i - t_j)(0, w_j dt F_j),
-    w_0 = ½ and w_j = 1 after, is (U part, ∂_t U part + (dt/2) F_i) and obeys
-    x_i = A(dt) x_{i-1} + (0, w_i dt F_i).  The scan runs in blocks of B steps:
+    (K, ∂_t K) = (a12, a22) is the second column of A, so
+    x_i = Σ_{j≤i} A(t_i - t_j)(0, w_j dt F_j), w_0 = ½ and w_j = 1 after, is
+    (U part, ∂_t U part + (dt/2) F_i) and obeys x_i = A(dt) x_{i-1} + (0, w_i dt F_i).
+    The scan runs in blocks of B steps:
     the block-end sums Σ_j A((B-1-j)dt)(0, w_j dt F_j), a carry of the state
     before each block by A(B·dt), then B steps that advance all blocks at
     once.  Every power of A(dt) is a closed form, so rounding grows over B
     steps, not nt; A's eigenvalues are the damped mode factors e^{λ± dt}, so
     the scan is stable.  Row i reads F[:i+1] only."""
-    (a11, a21), (a12, a22) = _propagator(b, offsets)
+    a11, a12, a21, a22 = A
     B = a11.shape[0] - 1
 
     def apply(F):
@@ -399,8 +392,8 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         _check_nonlinearity(nonlinearity, p)
 
     eps = config.epsilon
-    tr, times, offsets, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
-    duhamel = _duhamel(config.b, offsets, config.dt)
+    tr, times, A, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
+    duhamel = _duhamel(A, config.dt)
 
     h1_lin, dt_lin = _traces(Phi, dtPhi, tr)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
@@ -421,12 +414,14 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
             raise PicardDivergenceError(eps, diffs)
         h1_now, dt_now = _traces(U, dtU, tr)
-        scale = float(np.max(xw * (h1_now + dt_now))) + 1e-300
-        if diffs[-1] <= config.picard_tol * scale:
+        floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
+        if diffs[-1] <= floor:
             converged = True
             break
 
-    factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
+    # a difference at or below the stopping floor is rounding residue, and so is
+    # its ratio to the one before
+    factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]
     return _solution(config, tr, times, U, dtU, (h1_now, dt_now), iterations=len(diffs),
                      diff_xnorms=diffs, contraction_factors=factors, converged=converged)
 

@@ -38,15 +38,16 @@ def rk4_modes(b, m, xi, u0, u1, t_grid, h=1e-3):
     return out
 
 
-def duhamel_serial(b, cs, dt, F):
+def duhamel_serial(b, a_dt, dt, F):
     """Row-by-row form of `waveeq._duhamel`: the trapezoid sums
     P_i = Σ w_j e^{-b(t_i-t_j)/2} C(t_i - t_j) F_j and Q_i (the same with S),
-    advanced one step at a time by the fixed map of row 1 (t = dt) of the
-    _mode_cs output `cs`; returns the (U, ∂_t U) Duhamel parts.
+    advanced one step at a time by the fixed map read off the propagator
+    entries `a_dt` = (a11, a12, a21, a22) at t = dt: e^{-bt/2}(C, S, C') =
+    ((a11 + a22)/2, a12, a21 + (b²/4) a12); returns the (U, ∂_t U) Duhamel parts.
     """
-    C, S, D, env = cs
-    c, s = env[1] * C[1], env[1] * S[1]
-    d = 0.25 * D * s
+    a11, a12, a21, a22 = a_dt
+    c, s = 0.5 * (a11 + a22), a12
+    d = a21 + 0.25 * b * b * s
     P, Q = np.empty_like(F), np.empty_like(F)
     P[0], Q[0] = 0.5 * F[0], 0.0
     for i in range(1, F.shape[0]):

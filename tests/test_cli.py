@@ -156,6 +156,22 @@ def test_wave_nonfinite_summary_exit3(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
+@pytest.mark.parametrize("nonlinear", [{"p": None}, {"p": 3.0, "epsilon": 0.01}],
+                         ids=["linear", "p3"])
+def test_wave_strong_damping_long_time_is_finite(tmp_path, nonlinear):
+    # b·T/2 = 900: e^{-bt/2} alone underflows long before T, the modes do not
+    cfg = write(tmp_path / "cfg.json", {
+        "wave": {"b": 30.0, "m": 1.0, "mode": "rank1", "k": 0.5, **nonlinear,
+                 "grid": {"x_max": 12, "nx": 80, "xi_max": 14, "nxi": 80},
+                 "time": {"T": 60.0, "dt": 0.05}},
+    })
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert np.isfinite(summary["delta_fit"]) and summary["delta_fit"] > 0
+    assert np.isfinite(summary["x_norm"]) and summary["converged"] is True
+
+
 def test_json_outputs_reject_nan(tmp_path):
     import dunklkit.cli as cli
     with pytest.raises(cli.NonFiniteResultError, match=r"s\.json\.a\[1\]\.b is inf"):

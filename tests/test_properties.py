@@ -2,9 +2,10 @@
 shared quadrature builder, Plancherel / round trip of both transforms,
 causality and linearity of the wave solver's blocked Duhamel scan and its
 agreement with the serial sweep, the two-level linear modes against the
-full-grid closed forms, dilation of every test-function carrier, of
-weighted norms and of the benchmark's verify-sweep ratios, and the equality
-conditions of the `*_spec` constructors' output."""
+full-grid closed forms, the mode propagator against mpmath, dilation of
+every test-function carrier, of weighted norms and of the benchmark's
+verify-sweep ratios, and the equality conditions of the `*_spec`
+constructors' output."""
 
 import importlib.util
 import sys
@@ -22,7 +23,8 @@ from dunklkit import inequalities
 from dunklkit.extremal import bump_scale_family
 from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit.measure import radial_quadrature, rank1_quadrature, weighted_lp_norm
-from dunklkit.waveeq import _block_size, _duhamel, _linear_modes, _mode_cs, _mode_terms
+from dunklkit.waveeq import (_block_size, _duhamel, _linear_modes, _propagator,
+                             linear_mode_solution)
 from oracles import duhamel_serial
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -87,13 +89,18 @@ def test_plancherel_and_round_trip(setting, family, seed):
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(k=st.floats(0.0, 2.0), shift=st.floats(-2.0, 2.0), odd=st.floats(-1.0, 1.0))
 def test_rank1_wave_spectrum_is_conjugate_symmetric(k, shift, odd):
-    # real data: U(t, -ξ) = conj U(t, ξ) on the mirrored ξ grid
+    # real data: U and ∂_t U are real coordinates, so on the mirrored ξ grid
+    # their full spectrum obeys U(t, -ξ) = conj U(t, ξ)
     cfg = dk.WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=1.5, k=k, nx=48, nxi=56,
                         x_max=10.0, xi_max=12.0, t_final=1.0, dt=0.05)
     sol = dk.solve_nonlinear(cfg, lambda x: (1.0 + odd * x) * np.exp(-(x - shift) ** 2), None)
-    assert np.array_equal(sol.xi[::-1], -sol.xi)
+    tr = cfg.build_transform()
+    xi = tr.xi_quad.nodes
+    assert np.array_equal(sol.xi, tr.coord_xi) and np.array_equal(xi[::-1], -xi)
     for U in (sol.U, sol.dtU):
-        assert np.array_equal(U[:, ::-1], np.conj(U))
+        assert U.dtype == np.float64 and U.shape == (sol.times.size, xi.size)
+        full = tr.to_full(U.T).T
+        assert np.array_equal(full[:, ::-1], np.conj(full))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -105,7 +112,7 @@ def test_duhamel_is_causal_and_linear(b, m, dt, i0, alpha, seed):
     nt = 40
     seam = np.sqrt(max(0.25 * b * b - m, 0.0))
     xi = np.array([0.0, 0.5, 2.0, 9.0, seam, seam + 1e-9])
-    duhamel = _duhamel(b, _mode_cs(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt)
+    duhamel = _duhamel(_propagator(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt)
     rng = np.random.default_rng(seed)
     F, G = rng.standard_normal((2, nt, xi.size))
     late = F.copy()
@@ -126,20 +133,20 @@ def _seam_modes(b, m):
 
 # nt = q(q + a) + r has ⌈√nt⌉ = q steps per block: whole blocks (r = 0), one
 # row past them (r = 1) or one row short (r = -1).  The full-grid closed form
-# itself rounds like (bt/2)·eps in e^{-bt/2} and cosh(√D t/2), so the drawn
-# grids keep b·T ≤ 40 (the README grid has b·T = 10)
+# is finite at every b·T (the D > 0 envelope is folded in), so b·T is not
+# capped: it reaches about 300
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(b=st.floats(0.1, 30.0), m=st.floats(0.0, 3.0), dt=st.floats(0.005, 0.05),
        q=st.integers(2, 14), shape=st.sampled_from([(-1, 0), (-1, 1), (0, 0), (0, -1)]),
        seed=SEEDS)
 def test_two_level_linear_modes_match_full_grid_closed_form(b, m, dt, q, shape, seed):
     nt = q * (q + shape[0]) + shape[1]
-    assume(b * dt * nt <= 40.0)
     assert _block_size(nt) == q
     xi = _seam_modes(b, m)
     U0, U1 = np.random.default_rng(seed).standard_normal((2, xi.size))
     _, U, dtU = _linear_modes(b, m, xi, dt, nt, U0, U1)
-    for got, want in zip((U, dtU), _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), U0, U1)):
+    a11, a12, a21, a22 = _propagator(b, m, xi, dt * np.arange(nt))
+    for got, want in zip((U, dtU), (a11 * U0 + a12 * U1, a21 * U0 + a22 * U1)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -153,13 +160,57 @@ def test_blocked_duhamel_matches_serial_sweep(b, m, dt, B, k, shape, seed):
     nt = {"short": B - 1, "whole": k * B, "whole+1": k * B + 1}[shape]
     xi = _seam_modes(b, m)
     F = np.random.default_rng(seed).standard_normal((nt, xi.size))
-    offsets = _mode_cs(b, m, xi, dt * np.arange(B + 1))
-    got = _duhamel(b, offsets, dt)(F)
-    want = duhamel_serial(b, offsets, dt, F)
-    kernels = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), 0.0, 1.0)
+    A = _propagator(b, m, xi, dt * np.arange(B + 1))
+    got = _duhamel(A, dt)(F)
+    want = duhamel_serial(b, [a[1] for a in A], dt, F)
+    kernels = _propagator(b, m, xi, dt * np.arange(nt))[1::2]
     for K, g, w in zip(kernels, got, want):
         scale = np.array([dt * np.sum(np.abs(K[i::-1] * F[: i + 1]), axis=0) for i in range(nt)])
         assert np.all(np.abs(g - w) <= 1e-13 * scale)
+
+
+# The propagator against 50-digit mpmath for b·t up to 2000, far past
+# b·t/2 ≈ 709 where e^{-bt/2} underflows and cosh(√D t/2) overflows, with ξ at
+# 10^-e·max(seam, 1) from the seam D = 0 on either side of it.  Near the seam
+# the modes are ill-conditioned in D (one ulp of m + ξ² moves z = Dt²/4 by
+# about (bt/2)²·eps), so the reference takes the q = m + ξ² and D the solver
+# forms.  An entry c1·eC + c2·eS is measured against its amplitude
+# |c1|·env + |c2|·env·min(t, 2/√|D|), env = e^{λt} with λ = λ+ for D > 0 and
+# -b/2 otherwise: rounding λt and √|D|t/2 costs eps·(|λ|t + √|D|t/2 + 1) of
+# it, plus the smallest normal double where the entry is subnormal
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(b=st.floats(0.1, 30.0), m=st.floats(0.0, 3.0), bt=st.floats(0.0, 2000.0),
+       e=st.floats(0.0, 12.0), side=st.sampled_from([-1.0, 1.0]))
+def test_propagator_is_finite_and_matches_mpmath(b, m, bt, e, side):
+    mp = pytest.importorskip("mpmath")
+    t = bt / b
+    seam = np.sqrt(max(0.25 * b * b - m, 0.0))
+    xi = max(seam + side * 10.0 ** -e * max(seam, 1.0), 0.0)
+    got = [a.item() for a in _propagator(b, m, xi, t)]
+    assert all(np.isfinite(got))
+    q = m + xi * xi
+    D = b * b - 4.0 * q
+    s = np.sqrt(abs(D))
+    lam = -2.0 * q / (b + s) if D > 0 else -0.5 * b
+    with mp.workdps(50):
+        B, T = mp.mpf(b), mp.mpf(t)
+        r = mp.sqrt(mp.mpf(D) * T * T / 4)
+        env = mp.exp(-B * T / 2)
+        eC = mp.re(env * mp.cosh(r))
+        eS = mp.re(env * T * mp.sinh(r) / r) if r != 0 else env * T
+        want = [eC + B / 2 * eS, eS, -mp.mpf(q) * eS, eC - B / 2 * eS]
+        env = mp.exp(mp.mpf(lam) * T)
+        sig = env * (min(t, 2.0 / s) if s > 0 else t)
+        amp = [env + B / 2 * sig, sig, q * sig, env + B / 2 * sig]
+        bound = 4.0 * np.finfo(float).eps * (abs(lam) * t + 0.5 * s * t + 1.0)
+        for g, w, a in zip(got, want, amp):
+            assert abs(g - w) <= bound * a + np.finfo(float).tiny, (g, w)
+
+
+def test_overdamped_mode_past_the_envelope_underflow_matches_mpmath():
+    # b·t/2 = 750: e^{-bt/2} alone underflows, the mode is e^{λ+ t}·O(1) ≈ 0.19
+    got = linear_mode_solution(30.0, 1.0, 0.0, 50.0, 1.0, 0.0)
+    assert got == pytest.approx(0.18873555235714237, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

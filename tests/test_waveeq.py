@@ -8,8 +8,8 @@ import pytest
 
 import dunklkit
 from dunklkit import waveeq
-from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _duhamel, _mode_cs,
-                             _mode_terms, _traces, decay_rate_fit, linear_mode_solution,
+from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _duhamel, _propagator,
+                             _traces, decay_rate_fit, linear_mode_solution,
                              mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
 
 
@@ -206,18 +206,18 @@ def test_radial_mode_solver_runs():
 
 def test_duhamel_matches_direct_trapezoid():
     # the blocked per-mode scan against the O(nt²) trapezoid sum of K(t_i - s) F(s)
-    # over [0, t_i], for the mode kernels K = e^{-bt/2} S and ∂_t K, with ξ on
-    # the critical seam D = 0 and 1e-9 either side of it where it exists
+    # over [0, t_i], for the mode kernels K = e^{-bt/2} S and ∂_t K (the second
+    # column of the propagator), with ξ on the critical seam D = 0 and 1e-9
+    # either side of it where it exists
     rng = np.random.default_rng(3)
     nt, dt = 60, 0.05
     for b, m in [(1.0, 1.0), (5.0, 0.1), (2.0, 0.0), (30.0, 1.0), (0.2, 3.0)]:
         seam = np.sqrt(max(0.25 * b * b - m, 0.0))
         xi = np.concatenate([[0.0, 0.3, 1.7, 6.0], seam + np.array([-1e-9, 0.0, 1e-9])])
         xi = xi[xi >= 0.0]
-        kernels = _mode_terms(b, _mode_cs(b, m, xi, dt * np.arange(nt)), 0.0, 1.0)
+        kernels = _propagator(b, m, xi, dt * np.arange(nt))[1::2]
         F = rng.standard_normal(kernels[0].shape)   # real: the solver's spectral coordinates
-        offsets = _mode_cs(b, m, xi, dt * np.arange(_block_size(nt) + 1))
-        got = _duhamel(b, offsets, dt)(F)
+        got = _duhamel(_propagator(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt)(F)
         for K, G in zip(kernels, got):
             direct, scale = np.zeros_like(F), np.zeros_like(F)
             for i in range(1, nt):
@@ -231,12 +231,12 @@ def test_closed_forms_run_on_block_starts_and_offsets_only(monkeypatch):
     # on the README wave grid no closed-form evaluation covers the full
     # (nt, n_ξ) grid: only the nb block starts and the B + 1 in-block offsets
     sizes = []
-    inner = waveeq._cosh_sinhc_like
+    inner = waveeq._enveloped_cs
 
-    def recording(z):
-        sizes.append(np.size(z))
-        return inner(z)
-    monkeypatch.setattr(waveeq, "_cosh_sinhc_like", recording)
+    def recording(b, q, t):
+        sizes.append(np.size(t) * np.size(q))
+        return inner(b, q, t)
+    monkeypatch.setattr(waveeq, "_enveloped_cs", recording)
     cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.01, p=3.0, mode="rank1", k=0.5, x_max=16.0,
                      nx=280, xi_max=20.0, nxi=280, t_final=10.0, dt=0.01)
     sol = solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
@@ -254,16 +254,14 @@ def test_reported_traces_are_those_of_the_final_iterate(mode):
                      nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.05)
     sol = solve_nonlinear(cfg, lambda x: np.exp(-x * x), None)
     assert sol.iterations > 1
-    tr = cfg.build_transform()
-    U, dtU = (np.ascontiguousarray(tr.from_full(X.T).real.T) for X in (sol.U, sol.dtU))
-    h1, dt2 = _traces(U, dtU, tr)
+    h1, dt2 = _traces(sol.U, sol.dtU, cfg.build_transform())
     assert np.array_equal(sol.h1_trace, h1) and np.array_equal(sol.dt_trace, dt2)
 
 
 @pytest.mark.parametrize("mode", ["rank1", "radial"])
 def test_linear_solution_matches_full_grid_modes(mode):
-    # the real-coordinate solver against the closed-form modes applied to the
-    # complex transform on the full ξ grid
+    # the real-coordinate solver, mapped to the full ξ grid by to_full, against
+    # the closed-form modes applied to the complex transform on that grid
     cfg = WaveConfig(b=1.0, m=1.5, mode=mode, k=0.7, N=3, gamma=0.5, x_max=10.0, nx=60,
                      xi_max=12.0, nxi=70, t_final=2.0, dt=0.05)
     u0 = lambda x: (1.0 + 0.3 * x) * np.exp(-(x - 0.4) ** 2)
@@ -271,17 +269,18 @@ def test_linear_solution_matches_full_grid_modes(mode):
     sol = solve_linear(cfg, u0, u1)
     tr = cfg.build_transform()
     U0, U1 = tr.forward(u0).values, tr.forward(u1).values
-    t, xi = sol.times, np.abs(sol.xi)
-    for got, want in ((sol.U, linear_mode_solution(1.0, 1.5, xi, t, U0, U1)),
-                      (sol.dtU, mode_time_derivative(1.0, 1.5, xi, t, U0, U1))):
+    t, xi = sol.times, np.abs(tr.xi_quad.nodes)
+    U, dtU = tr.to_full(sol.U.T).T, tr.to_full(sol.dtU.T).T
+    for got, want in ((U, linear_mode_solution(1.0, 1.5, xi, t, U0, U1)),
+                      (dtU, mode_time_derivative(1.0, 1.5, xi, t, U0, U1))):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    snaps = np.real(tr.inverse(sol.U[sol.snapshot_indices].T)).T
+    snaps = np.real(tr.inverse(U[sol.snapshot_indices].T)).T
     assert np.max(np.abs(sol.snapshots - snaps)) <= 1e-13 * np.max(np.abs(snaps))
     w = tr.xi_quad.weights
-    np.testing.assert_allclose(sol.h1_trace, np.sqrt(np.abs(sol.U) ** 2 @ (w * (1 + xi ** 2))),
+    np.testing.assert_allclose(sol.h1_trace, np.sqrt(np.abs(U) ** 2 @ (w * (1 + xi ** 2))),
                                rtol=1e-12)
-    np.testing.assert_allclose(sol.dt_trace, np.sqrt(np.abs(sol.dtU) ** 2 @ w), rtol=1e-12)
+    np.testing.assert_allclose(sol.dt_trace, np.sqrt(np.abs(dtU) ** 2 @ w), rtol=1e-12)
 
 
 def test_import_leaves_scipy_signal_out():
