@@ -40,7 +40,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special as sps
-from scipy.integrate import simpson
 
 from .measure import WeightedQuadrature
 from .special import normalized_bessel_j, smooth_cutoff
@@ -363,6 +362,8 @@ def classical_fourier_reference(f: Callable[[np.ndarray], np.ndarray],
     Deliberately independent of the Bessel-kernel path: used as the k = 0
     oracle for the rank-1 transform.
     """
+    from scipy.integrate import simpson  # loads scipy.optimize/sparse; kept out of import
+
     xs = np.linspace(-xmax, xmax, n)
     fx = np.asarray(f(xs))
     phase = np.exp(-1j * np.outer(np.asarray(xi, float), xs))

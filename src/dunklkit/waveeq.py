@@ -26,6 +26,14 @@ trapezoid sums are an exact O(nt·n_ξ) linear scan by A(dt), run blockwise
 (_duhamel).  Both solvers run in the transform's real spectral coordinates
 and report U, ∂_t U in them: a Picard step is a real inverse, a real
 forward and one scan.
+
+In rank 1 the Dunkl transform of an even function is the Hankel transform
+of order k - ½ (the even block), and its odd coordinates are 0.  When both
+data have exactly zero odd coordinates, the linear stage and the Picard
+loop run on the even block alone, on the r > 0 samples: f(u) of an even u
+is even for every pointwise f, so the odd coordinates stay exactly 0.  Odd
+data stay odd only under an odd f, which a user-supplied f need not be, so
+odd and mixed data keep both blocks.
 """
 
 from __future__ import annotations
@@ -260,14 +268,38 @@ def _linear_modes(b: float, m: float, xi, dt: float, nt: int, U0, U1):
     return A, carry(A[0], A[1]), carry(A[2], A[3])
 
 
+class _EvenBlock:
+    """The even half-line block of a rank-1 transform as a transform of its
+    own: physical samples on r > 0 ↔ the even coordinates.  For a field with
+    zero odd coordinates, pos + neg = 2·pos, so to_coords is the full path's
+    even rows exactly."""
+
+    def __init__(self, tr):
+        h = tr.coord_xi.size // 2
+        self.full = tr
+        self._fwd, self._inv = 2.0 * tr._fwd_even, tr._inv_even
+        self.coord_xi, self.coord_weights = tr.coord_xi[:h], tr.coord_weights[:h]
+
+    def to_coords(self, vals: np.ndarray) -> np.ndarray:
+        return self._fwd @ vals
+
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        return self._inv @ coords
+
+
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
     """Transform, time grid, the propagator on the in-block offsets and
     the linear solution (U, ∂_t U) in real coordinates (nt, n_ξ) for the
-    data scaled by `scale`."""
+    data scaled by `scale`.  Rank-1 data with zero odd coordinates run on
+    the even block alone (_EvenBlock)."""
     tr = config.build_transform()
     times = config.times
+    c0, c1 = _spectral_data(tr, u0), _spectral_data(tr, u1)
+    h = c0.size // 2
+    if config.mode == "rank1" and not (np.any(c0[h:]) or np.any(c1[h:])):
+        tr, c0, c1 = _EvenBlock(tr), c0[:h], c1[:h]
     A, U, dtU = _linear_modes(config.b, config.m, tr.coord_xi, config.dt, times.size,
-                              scale * _spectral_data(tr, u0), scale * _spectral_data(tr, u1))
+                              scale * c0, scale * c1)
     return tr, times, A, U, dtU
 
 
@@ -278,6 +310,9 @@ def _fit_window(config: WaveConfig) -> tuple:
 def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSolution:
     """Physical snapshots and the decay fit of (U, ∂_t U), whose norm traces
     _traces(U, ∂_t U) are `traces`."""
+    if isinstance(tr, _EvenBlock):  # the odd coordinates back, as exact zeros
+        zeros = np.zeros_like(U)
+        tr, U, dtU = tr.full, np.hstack([U, zeros]), np.hstack([dtU, zeros])
     h1, dt2 = traces
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
     snaps = tr.from_coords(U[idx].T).T

@@ -1,7 +1,11 @@
 """Independent numerical oracles shared by the test modules."""
 
+import math
+
 import numpy as np
 from scipy import special as sps
+
+from dunklkit import waveeq
 
 
 def rk4_modes(b, m, xi, u0, u1, t_grid, h=1e-3):
@@ -54,6 +58,43 @@ def duhamel_serial(b, a_dt, dt, F):
         P[i] = c * P[i - 1] + d * Q[i - 1] + F[i]
         Q[i] = s * P[i - 1] + c * Q[i - 1]
     return dt * Q, dt * (P - 0.5 * b * Q - 0.5 * F)
+
+
+def picard_full(config, u0, u1, nonlinearity=None):
+    """`waveeq.solve_nonlinear` with both parity blocks in every Picard step:
+    the loop on the transform's full real coordinates, whatever the parity
+    of the data, built from the transform's public maps and the solver's
+    helpers.  With `config.p` None, `waveeq.solve_linear` the same way."""
+    tr, times = config.build_transform(), config.times
+    scale = 1.0 if config.p is None else config.epsilon
+    A, Phi, dtPhi = waveeq._linear_modes(
+        config.b, config.m, tr.coord_xi, config.dt, times.size,
+        scale * waveeq._spectral_data(tr, u0), scale * waveeq._spectral_data(tr, u1))
+    traces = waveeq._traces(Phi, dtPhi, tr)
+    if config.p is None:
+        return waveeq._solution(config, tr, times, Phi, dtPhi, traces)
+    if nonlinearity is None:
+        def nonlinearity(u):
+            return np.abs(u) ** (config.p - 1.0) * u
+    duhamel = waveeq._duhamel(A, config.dt)
+    delta_lin, _ = waveeq._safe_fit(times, traces[0] + traces[1], waveeq._fit_window(config))
+    delta_used = config.delta_factor * max(delta_lin if math.isfinite(delta_lin) else 0.0, 1e-6)
+    xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
+    U, dtU, diffs = Phi, dtPhi, []
+    for _ in range(config.max_picard):
+        dU, ddtU = duhamel(tr.to_coords(nonlinearity(tr.from_coords(U.T))).T)
+        U_new, dtU_new = Phi + dU, dtPhi + ddtU
+        dH, dV = waveeq._traces(U_new - U, dtU_new - dtU, tr)
+        diffs.append(float(np.max(xw * (dH + dV))))
+        U, dtU = U_new, dtU_new
+        traces = waveeq._traces(U, dtU, tr)
+        floor = config.picard_tol * (float(np.max(xw * (traces[0] + traces[1]))) + 1e-300)
+        if diffs[-1] <= floor:
+            break
+    factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]
+    return waveeq._solution(config, tr, times, U, dtU, traces, iterations=len(diffs),
+                            diff_xnorms=diffs, contraction_factors=factors,
+                            converged=diffs[-1] <= floor)
 
 
 def half_axis_rule_loop(sigma, rmax, resolution):

@@ -13,7 +13,7 @@ from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _duhamel,
                              mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
 
 
-from oracles import rk4_modes
+from oracles import picard_full, rk4_modes
 
 
 def test_initial_conditions():
@@ -283,14 +283,90 @@ def test_linear_solution_matches_full_grid_modes(mode):
     np.testing.assert_allclose(sol.dt_trace, np.sqrt(np.abs(dtU) ** 2 @ w), rtol=1e-12)
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal costs a large share of the import time and is not used
+def _loaded_after_import(*modules):
+    """Which of `modules` a fresh interpreter holds after `import dunklkit`."""
     src = str(Path(dunklkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, dunklkit; print('scipy.signal' in sys.modules)"
+    code = f"import sys, dunklkit; print([m for m in {list(modules)} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs a large share of the import time and is not used
+    assert _loaded_after_import("scipy.signal") == "[]"
+
+
+def test_import_leaves_scipy_integrate_and_optimize_out():
+    # only the k = 0 selftest oracle integrates (simpson); scipy.integrate would
+    # load scipy.optimize and scipy.sparse with it at every import
+    assert _loaded_after_import("scipy.integrate", "scipy.optimize") == "[]"
+
+
+def _gauss(x):
+    return np.exp(-0.5 * x * x)
+
+
+# (u0, u1, nonlinearity): even data qualify for the even block, odd and mixed
+# data do not
+PARITY_CASES = {
+    "even": (_gauss, None, None),
+    "even, f=|u|^3": (_gauss, None, lambda u: np.abs(u) ** 3),
+    "even, u1 even": (_gauss, lambda x: 0.5 * x * x * _gauss(x), None),
+    "odd": (lambda x: x * _gauss(x), None, None),
+    "mixed": (lambda x: np.exp(-0.5 * (x - 1.0) ** 2), None, None),
+}
+
+
+def _close(got, want):
+    # the H¹ and L² traces sum 268 squares where the full loop sums 536 with
+    # zeros in the odd half, so BLAS may round their last bit differently
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+@pytest.mark.parametrize("p", [3.0, None])
+def test_solvers_match_the_full_coordinate_loop(k, case, p):
+    u0, u1, f = PARITY_CASES[case]
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=p, mode="rank1", k=k, x_max=12.0,
+                     nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.02)
+    sol = (solve_linear(cfg, u0, u1) if p is None
+           else solve_nonlinear(cfg, u0, u1, nonlinearity=f, check_nonlinearity=False))
+    want = picard_full(cfg, u0, u1, f)
+    for name in ("times", "xi", "U", "dtU", "x_nodes", "snapshot_indices", "snapshots"):
+        assert np.array_equal(getattr(sol, name), getattr(want, name)), name
+    for name in ("h1_trace", "dt_trace", "diff_xnorms", "contraction_factors"):
+        _close(getattr(sol, name), getattr(want, name))
+    assert (sol.iterations, sol.converged) == (want.iterations, want.converged)
+    assert p is None or sol.iterations > 1
+    np.testing.assert_allclose([sol.delta_fit, sol.fit_residual],
+                               [want.delta_fit, want.fit_residual], rtol=1e-13, atol=1e-16)
+
+
+def test_even_data_picard_loop_runs_on_the_even_block(monkeypatch):
+    # the full transform maps the data in and the snapshots out; every Picard
+    # step runs on the even block alone
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=3.0, mode="rank1", k=0.5, x_max=12.0,
+                     nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.02)
+    tr = cfg.build_transform()
+    calls = []
+    for name in ("to_coords", "from_coords"):
+        def spy(v, name=name, inner=getattr(tr, name)):
+            calls.append((name, np.shape(v)))
+            return inner(v)
+        monkeypatch.setattr(tr, name, spy, raising=False)
+    monkeypatch.setattr(WaveConfig, "build_transform", lambda self: tr)
+    _, u1, _ = PARITY_CASES["even, u1 even"]
+    sol = solve_nonlinear(cfg, _gauss, u1)
+    assert sol.iterations > 1 and sol.U.shape[1] == tr.coord_xi.size
+    n_x = tr.x_quad.npoints
+    assert sorted(calls) == [("from_coords", (tr.coord_xi.size, sol.snapshot_indices.size)),
+                             ("to_coords", (n_x,)), ("to_coords", (n_x,))]
+    assert not np.any(sol.U[:, tr.coord_xi.size // 2:])
 
 
 @pytest.mark.parametrize("mode", ["rank1", "radial"])
