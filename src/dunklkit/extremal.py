@@ -203,6 +203,8 @@ def rayleigh_maximize(spec: InequalitySpec, family: TrialFamily, wb: Workbench,
     infeasible (outside-box) proposals are rejected with +inf, never clipped.
     Box-boundary proximity of the winner is reported as a diagnostic.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be ≥ 1, got {restarts}")
     probe = family.make([0.5 * (a + b) for a, b in family.box.values()])
     if probe.heavy_tails and wb.quad.rmax < 1e12:
         raise ValueError(

@@ -667,8 +667,9 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     """Constant-free lhs/rhs evaluation for one function.
 
     Raises AdmissibilityError on an inadmissible spec, FunctionClassError on
-    a class mismatch, WorkbenchMismatchError when wb has another Λ than the
-    spec, DegenerateFunctionError when rhs = 0 or a side or the ratio is not
+    a class mismatch or when f has another mode than wb,
+    WorkbenchMismatchError when wb has another Λ than the spec,
+    DegenerateFunctionError when rhs = 0 or a side or the ratio is not
     finite.  Passing enforce_hypotheses=False evaluates the two
     sides as plain quantities (evaluator arithmetic only; no inequality is
     claimed).
@@ -682,6 +683,8 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     P = spec.params
     if abs(P["N"] + 2.0 * P["gamma"] - wb.lam) > 1e-9:
         raise WorkbenchMismatchError("workbench (N, γ) does not match the spec parameters")
+    if f.mode != wb.mode:
+        raise FunctionClassError(f"{f.fid} is a {f.mode} function; the workbench is {wb.mode}")
     if enforce_hypotheses and thm.requires_vanishing and not (
             f.vanishes_at_origin or f.in_origin_closure):
         raise FunctionClassError(
@@ -703,11 +706,18 @@ def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Work
     direction): a record violates when ratio > bound (1 + violation_rtol).
     Without one, the sup (or inf) ratio is reported as the empirical
     constant estimate.
+
+    When the first member's evaluation transformed it, the remaining
+    members are transformed in one batched forward before they are
+    evaluated; a spec with no fractional side builds no transform.
     """
     if not corpus:
         raise ValueError("empty corpus")
     thm = THEOREMS[spec.theorem]
-    records = tuple(evaluate_sides(spec, f, wb) for f in corpus)
+    first = evaluate_sides(spec, corpus[0], wb)
+    if wb.has_spectral(corpus[0]):
+        wb.spectral_many(corpus[1:])
+    records = (first,) + tuple(evaluate_sides(spec, f, wb) for f in corpus[1:])
     bound = thm.known_bound(spec.params)
     violations = ()
     if bound is not None and thm.direction == "upper":

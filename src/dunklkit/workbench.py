@@ -83,6 +83,22 @@ class Workbench:
             self._fields[f] = fld
         return fld
 
+    def has_spectral(self, f: TestFunction) -> bool:
+        return f in self._fields
+
+    def spectral_many(self, fs) -> list:
+        """Fields of several functions: the uncached ones go through one
+        batched forward, each column cached as its function's field.  A
+        one-column batch gives `spectral`'s field bit for bit; a wider one is
+        a matmul, whose sums may round differently (about 1e-15 relative)."""
+        todo = [f for f in dict.fromkeys(fs) if f not in self._fields]
+        if todo:
+            batch = self.transform.forward(np.stack(
+                [np.asarray(f.value(self.quad.nodes), dtype=float) for f in todo], axis=1))
+            for j, f in enumerate(todo):
+                self._fields[f] = SpectralField(batch.quad, batch.values[:, j].copy())
+        return [self._fields[f] for f in fs]
+
     # -- norms --------------------------------------------------------------
 
     def norm(self, f, p: float, a: float = 0.0) -> float:

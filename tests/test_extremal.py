@@ -115,3 +115,13 @@ def test_bump_scale_family_evaluates(wb_radial3):
     fam = bump_scale_family(scale_box=(1.5, 4.0))
     res = rayleigh_maximize(spec, fam, wb_radial3, seed=5, max_iter=30, restarts=1)
     assert np.isfinite(res.best_ratio) and res.best_ratio > 0
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_no_restart_is_refused_before_any_evaluation(wb_radial5, monkeypatch, restarts):
+    calls = []
+    monkeypatch.setattr(extremal, "evaluate_sides", lambda *a: calls.append(a))
+    spec = dk.make_spec("ClassicalRellich", N=5, gamma=0.0)
+    with pytest.raises(ValueError, match="restarts must be ≥ 1"):
+        rayleigh_maximize(spec, power_gaussian_family(), wb_radial5, restarts=restarts)
+    assert calls == []

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -276,3 +277,73 @@ def test_workbench_mismatch_has_package_type(wb_radial3):
     with pytest.raises(WorkbenchMismatchError, match="does not match"):
         evaluate_sides(spec, g, wb_radial3)
     assert issubclass(WorkbenchMismatchError, ValueError)
+
+
+@pytest.mark.parametrize("wb_mode, corpus_mode", [("radial", "rank1"), ("rank1", "radial")])
+def test_function_of_another_mode_rejected(wb_mode, corpus_mode):
+    # the sides would be finite but meaningless: a rank-1 function on a radial
+    # rule reads only its r > 0 half, a radial one on the line is even
+    if wb_mode == "radial":
+        wb, spec = dk.radial_workbench(3, 0.0, resolution=64, xi_resolution=64), \
+            dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
+    else:
+        wb, spec = dk.rank1_workbench(0.5, resolution=64, xi_resolution=64), \
+            dk.make_spec("FractionalHardy", N=1, gamma=0.5, s=0.5)
+    corpus = generate_corpus(3, 2, ["HermiteGaussian", "SeededSuperposition"], mode=corpus_mode)
+    with pytest.raises(FunctionClassError, match="workbench is"):
+        evaluate_sides(spec, corpus[0], wb)
+    with pytest.raises(FunctionClassError, match="workbench is"):
+        verify_corpus(spec, corpus, wb)
+    for f in corpus:              # the gate is not a hypothesis check
+        with pytest.raises(FunctionClassError):
+            evaluate_sides(spec, f, wb, enforce_hypotheses=False)
+
+
+def _small_radial3():
+    return dk.radial_workbench(3, 0.0, resolution=64, xi_resolution=64)
+
+
+def test_spec_without_fractional_side_builds_no_transform():
+    wb = _small_radial3()
+    corpus = generate_corpus(5, 6, ["Gaussian", "HermiteGaussian"], mode="radial")
+    verify_corpus(dk.make_spec("Hardy_Lp", N=3, gamma=0.0, p=2.0), corpus, wb)
+    assert wb._transform is None and len(wb._fields) == 0
+
+
+def test_batched_fields_live_as_long_as_their_functions():
+    wb = _small_radial3()
+    corpus = generate_corpus(5, 6, ["Gaussian", "HermiteGaussian"], mode="radial")
+    verify_corpus(dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0), corpus, wb)
+    assert len(wb._fields) == 6
+    del corpus
+    gc.collect()
+    assert len(wb._fields) == 0
+
+
+@pytest.mark.parametrize("mode", ["radial", "rank1"])
+def test_corpus_is_transformed_in_one_batch(mode, monkeypatch):
+    if mode == "radial":
+        wb, specs = _small_radial3(), [dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0),
+                                       dk.sobolev_spec(3, 0.0, 2.0)]
+    else:
+        wb, specs = dk.rank1_workbench(0.5, resolution=64, xi_resolution=64), \
+            [dk.make_spec("FractionalHardy", N=1, gamma=0.5, s=0.5),
+             dk.sobolev_spec(1, 0.5, 1.5)]
+    tr, shapes = wb.transform, []
+    forward = tr.forward
+    monkeypatch.setattr(tr, "forward", lambda v: shapes.append(np.shape(v)) or forward(v))
+    corpus = generate_corpus(7, 12, ["Gaussian", "DilatedGaussian", "HermiteGaussian",
+                                     "SeededSuperposition"], mode=mode)
+    n = wb.quad.npoints
+    first = verify_corpus(specs[0], corpus, wb)
+    assert shapes == [(n,), (n, 11)]     # corpus[0] alone, then the other eleven
+    verify_corpus(specs[1], corpus, wb)
+    assert len(shapes) == 2              # every field is cached already
+    # a one-column batch is the plain apply bit for bit; a wider one is a
+    # matmul, which may round differently
+    fresh = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad, tr)
+    assert np.array_equal(fresh.spectral_many(corpus[:1])[0].values,
+                          wb.spectral(corpus[0]).values)
+    for f, rec in zip(corpus, first.records):
+        want = evaluate_sides(specs[0], f, fresh)
+        assert rec.ratio == pytest.approx(want.ratio, rel=1e-13, abs=0.0)

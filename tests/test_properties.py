@@ -4,7 +4,8 @@ causality and linearity of the wave solver's blocked Duhamel scan and its
 agreement with the serial sweep, the two-level linear modes against the
 full-grid closed forms, the mode propagator against mpmath, dilation of
 every test-function carrier, of weighted norms and of the benchmark's
-verify-sweep ratios, and the equality conditions of the `*_spec`
+verify-sweep ratios, batched `verify_corpus` against per-member
+evaluation, and the equality conditions of the `*_spec`
 constructors' output."""
 
 import importlib.util
@@ -295,6 +296,29 @@ def test_verify_sweep_ratio_dilation_invariance(index, seed, lam):
         want = dk.evaluate_sides(spec, f, wb).ratio
         got = dk.evaluate_sides(spec, f.dilate(lam), wb).ratio
         assert abs(got / want - 1.0) < 1e-3, (f.fid, lam, got, want)
+
+
+@PROPERTY
+@given(seed=SEEDS, count=st.integers(1, 12))
+def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
+    # verify_corpus transforms a corpus in one batched forward; each record
+    # must match evaluate_sides on a workbench with an empty field cache
+    # (same kernel), where every member is transformed alone
+    corpora = {(mode, vanishing): generate_corpus(seed, count, VERIFY_FAMILIES,
+                                                  {"vanish_at_origin": vanishing}, mode=mode)
+               for mode, vanishing in (("radial", False), ("radial", True), ("rank1", False))}
+    fresh = {}
+    for spec, key, vanishing in VERIFY_SPECS:
+        setting = ("rank1", 0.5) if key == "rank1" else ("radial", *key)
+        wb = _workbench(setting)
+        if setting not in fresh:
+            fresh[setting] = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad,
+                                          wb.transform)
+        corpus = corpora[setting[0], vanishing]
+        for f, rec in zip(corpus, dk.verify_corpus(spec, corpus, wb).records):
+            want = dk.evaluate_sides(spec, f, fresh[setting])
+            for got, ref in ((rec.lhs, want.lhs), (rec.rhs, want.rhs), (rec.ratio, want.ratio)):
+                assert abs(got - ref) <= 1e-13 * abs(ref), (spec.theorem, f.fid, got, ref)
 
 
 # ---------------------------------------------------------------------------
