@@ -250,6 +250,8 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         raise ConfigError(f"$.family.tag: unknown family {tag!r}")
     box = _box(_require(cfg, "family.box", dict, default={}), tag)
     wb = _build_workbench(cfg, wide=tag == "InversePower")
+    if wb.mode != "radial":
+        raise ConfigError(f"$.mode.type: the {tag} family is radial; got {wb.mode!r}")
     spec = _build_spec(cfg, wb)
     family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
     opt = _require(cfg, "optimizer", dict, default={})

@@ -78,10 +78,7 @@ class Workbench:
 
     def spectral(self, f: TestFunction) -> SpectralField:
         fld = self._fields.get(f)
-        if fld is None:
-            fld = self.transform.forward(np.asarray(f.value(self.quad.nodes), dtype=float))
-            self._fields[f] = fld
-        return fld
+        return fld if fld is not None else self.spectral_many([f])[0]
 
     def has_spectral(self, f: TestFunction) -> bool:
         return f in self._fields
@@ -89,9 +86,9 @@ class Workbench:
     def spectral_many(self, fs) -> list:
         """Fields of several functions: the uncached ones go through one
         batched forward, each column cached as its function's field.  A
-        one-column batch gives `spectral`'s field bit for bit; a wider one is
-        a matmul, whose sums may round differently (about 1e-15 relative)."""
-        todo = [f for f in dict.fromkeys(fs) if f not in self._fields]
+        one-column batch is the 1-D apply bit for bit; a wider one is a
+        matmul, whose sums may round differently (about 1e-15 relative)."""
+        todo = [f for f in fs if f not in self._fields]
         if todo:
             batch = self.transform.forward(np.stack(
                 [np.asarray(f.value(self.quad.nodes), dtype=float) for f in todo], axis=1))

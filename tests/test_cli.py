@@ -259,6 +259,9 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
     # fields of the right type that contradict each other or name nothing known
     ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "N": 5}}),
     ("sharp", {**_SHARP_BASE, "mode": {"type": "rank1", "k": 0.5}}),
+    ("sharp", {**_SHARP_BASE, "mode": {"type": "rank1", "k": 0.5},
+               "spec": {"theorem": "FractionalHardy",
+                        "params": {"N": 1, "gamma": 0.5, "s": 0.5}}}),
     ("corpus", {"corpus": {"families": ["Gaussian", "Lorentzian"]}}),
     # values of the right type that the commands cannot run with
     ("corpus", {"corpus": {"count": 0}}),
@@ -271,7 +274,8 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
         "corpus.seed", "corpus.families", "corpus.constraints",
         "corpus", "norms", "norms.p", "norms.entry", "optimizer.max_iters",
         "family.box.key", "family.box.value",
-        "verify.mode_lambda", "sharp.mode_lambda", "corpus.families_unknown",
+        "verify.mode_lambda", "sharp.mode_lambda", "sharp.mode_rank1",
+        "corpus.families_unknown",
         "corpus.count_zero", "corpus.families_empty", "optimizer.restarts_zero",
         "family.box.reversed", "sharp.inadmissible"])
 def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):

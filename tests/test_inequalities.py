@@ -336,14 +336,14 @@ def test_corpus_is_transformed_in_one_batch(mode, monkeypatch):
                                      "SeededSuperposition"], mode=mode)
     n = wb.quad.npoints
     first = verify_corpus(specs[0], corpus, wb)
-    assert shapes == [(n,), (n, 11)]     # corpus[0] alone, then the other eleven
+    assert shapes == [(n, 1), (n, 11)]   # corpus[0] alone, then the other eleven
     verify_corpus(specs[1], corpus, wb)
     assert len(shapes) == 2              # every field is cached already
-    # a one-column batch is the plain apply bit for bit; a wider one is a
+    # a one-column batch is the 1-D apply bit for bit; a wider one is a
     # matmul, which may round differently
     fresh = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad, tr)
-    assert np.array_equal(fresh.spectral_many(corpus[:1])[0].values,
-                          wb.spectral(corpus[0]).values)
+    assert np.array_equal(fresh.spectral(corpus[0]).values,
+                          forward(corpus[0].value(wb.quad.nodes)).values)
     for f, rec in zip(corpus, first.records):
         want = evaluate_sides(specs[0], f, fresh)
         assert rec.ratio == pytest.approx(want.ratio, rel=1e-13, abs=0.0)
