@@ -134,6 +134,8 @@ def _require(cfg: dict, path: str, typ, where: str = "$", default=_MISSING):
     if cur is None and default is not _MISSING:
         return default
     if typ is float and isinstance(cur, (int, float)) and not isinstance(cur, bool):
+        if not math.isfinite(cur):  # json.load reads NaN, Infinity and 1e999
+            raise ConfigError(f"{where}.{path}: expected a finite number, got {cur!r}")
         return float(cur)
     if typ is int and isinstance(cur, int) and not isinstance(cur, bool):
         return cur
@@ -238,8 +240,8 @@ def _box(box: dict, tag: str) -> dict:
             raise ConfigError(f"$.family.box.{key}: unknown field for {tag}; "
                               f"expected one of {sorted(names)}")
         if not (isinstance(v, list) and len(v) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-                and v[0] <= v[1]):
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in v) and v[0] <= v[1]):
             raise ConfigError(f"$.family.box.{key}: expected [lo, hi], got {v!r}")
     return {k: tuple(v) for k, v in box.items()}
 
@@ -298,9 +300,8 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
     config = WaveConfig(b=_require(w, "b", float, "$.wave"), m=_require(w, "m", float, "$.wave"),
                         **{name: v for name, v in given.items() if v is not None})
     scale = _require(w, "data.gaussian_scale", float, "$.wave", 1.0)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ConfigError(f"$.wave.data.gaussian_scale: must be positive and finite, "
-                          f"got {scale!r}")
+    if not scale > 0.0:
+        raise ConfigError(f"$.wave.data.gaussian_scale: must be positive, got {scale!r}")
 
     def u0(x):
         return np.exp(-0.5 * (np.asarray(x) / scale) ** 2)

@@ -19,9 +19,10 @@ transform reduces to the self-inverse Hankel-type transform of order
 normalized so that e^{-r²/2} is a fixed point and so that the rank-1 path is
 reproduced exactly on even functions at N = 1, γ = k.
 
-The kernel splits by parity into real half-line Hankel blocks of orders
-k-1/2 (even part of f) and k+1/2 (odd part), so both transforms work in real
-spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
+The radial transform is one real half-line Hankel block (_HankelBlock), the
+rank-1 transform two, by the parity split of its kernel: `even` (order k-1/2,
+on ½(f(r) + f(-r))) and `odd` (order k+1/2, on ½(f(r) - f(-r))).  Both work in
+real spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
 radial: the samples) via `to_coords`/`from_coords`/`to_full`, `coord_xi` and
 `coord_weights`.  The blocks are dense (no fast transform algorithm exists
 for general k): built once, applied as real matmuls.  Their entries come from
@@ -80,11 +81,18 @@ class SpectralField:
     def abs_xi(self) -> np.ndarray:
         return np.abs(self.quad.nodes)
 
+    def _abs2(self) -> np.ndarray:
+        """|values|² of a single field: a float-valued norm refuses a batch."""
+        if self.values.ndim != 1:
+            raise ValueError(f"a norm takes one field, not a batch of shape {self.values.shape}")
+        return np.abs(self.values) ** 2
+
     def l2(self) -> float:
-        return float(np.sqrt(np.sum(self.quad.weights * np.abs(self.values) ** 2)))
+        return float(np.sqrt(np.sum(self.quad.weights * self._abs2())))
 
     def scaled(self, mult: np.ndarray) -> "SpectralField":
-        return replace(self, values=self.values * mult)
+        """The field times a multiplier on the ξ grid (axis 0, also of a batch)."""
+        return replace(self, values=(self.values.T * mult).T)
 
     def to_csv(self, path) -> None:
         """Dump as rows (ξ, Re, Im) with 17 significant digits."""
@@ -146,9 +154,23 @@ def _calibration_report(self) -> dict:
     }
 
 
+class _HankelBlock:
+    """A real half-line Hankel block: samples on r > 0 ↔ real coordinates at
+    coord_xi, by forward and inverse kernels with the weights folded in."""
+
+    def __init__(self, fwd, inv, coord_xi, coord_weights):
+        self._fwd, self._inv, self.coord_xi, self.coord_weights = fwd, inv, coord_xi, coord_weights
+
+    def to_coords(self, vals: np.ndarray) -> np.ndarray:
+        return _real_apply(self._fwd, vals)
+
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        return _real_apply(self._inv, coords)
+
+
 class DunklTransformRank1:
-    """Rank-1 Dunkl transform between two mirrored full-line quadratures,
-    as real half-line blocks: f(±r) = e(r) ± o(r) ↔ D_k f(±ρ) = E(ρ) ∓ iO(ρ)."""
+    """Rank-1 Dunkl transform between two mirrored full-line quadratures, as
+    blocks `even`, `odd`: f(±r) = e(r) ± o(r) ↔ D_k f(±ρ) = E(ρ) ∓ iO(ρ)."""
 
     def __init__(self, k: float, x_quad: WeightedQuadrature, xi_quad: WeightedQuadrature):
         if x_quad.kind != "rank1" or xi_quad.kind != "rank1":
@@ -157,16 +179,18 @@ class DunklTransformRank1:
                    and np.array_equal(q.weights[::-1], q.weights) for q in (x_quad, xi_quad)):
             raise ValueError("rank-1 transform needs rules mirrored about the origin")
         self.k = float(k)
-        self.x_quad = x_quad
-        self.xi_quad = xi_quad
+        self.x_quad, self.xi_quad = x_quad, xi_quad
         self.M = float(2.0 ** (2.0 * k + 0.5) * sps.gamma(k + 0.5))
         h, hxi = x_quad.npoints // 2, xi_quad.npoints // 2
-        rho, w_rho = xi_quad.nodes[hxi:], xi_quad.weights[hxi:]
+        rho, w_rho = xi_quad.nodes[hxi:], 2.0 * xi_quad.weights[hxi:]
         even, odd = _rank1_parts(k, np.outer(rho, x_quad.nodes[h:]))
-        w_r, w_inv = x_quad.weights[h:] / self.M, 2.0 * w_rho / self.M
+        # the blocks share these kernels; perfbench/tracing.py sizes the arrays in vars(self)
+        w_r, w_inv = 2.0 * x_quad.weights[h:] / self.M, w_rho / self.M
         self._fwd_even, self._fwd_odd = even * w_r, odd * w_r
         self._inv_even, self._inv_odd = even.T * w_inv, odd.T * w_inv
-        self.coord_xi, self.coord_weights = np.tile(rho, 2), np.tile(2.0 * w_rho, 2)
+        self.even = _HankelBlock(self._fwd_even, self._inv_even, rho, w_rho)
+        self.odd = _HankelBlock(self._fwd_odd, self._inv_odd, rho, w_rho)
+        self.coord_xi, self.coord_weights = np.tile(rho, 2), np.tile(w_rho, 2)
 
     # bound here, not inherited: perfbench/tracing.py patches each class's own __dict__
     forward = _forward
@@ -176,12 +200,12 @@ class DunklTransformRank1:
     def to_coords(self, vals: np.ndarray) -> np.ndarray:
         h = vals.shape[0] // 2
         pos, neg = vals[h:], vals[h - 1::-1]
-        return np.concatenate([_real_apply(self._fwd_even, pos + neg),
-                               _real_apply(self._fwd_odd, pos - neg)])
+        return np.concatenate([self.even.to_coords(0.5 * (pos + neg)),
+                               self.odd.to_coords(0.5 * (pos - neg))])
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         h = coords.shape[0] // 2
-        e, o = _real_apply(self._inv_even, coords[:h]), _real_apply(self._inv_odd, coords[h:])
+        e, o = self.even.from_coords(coords[:h]), self.odd.from_coords(coords[h:])
         return np.concatenate([(e - o)[::-1], e + o])
 
     def to_full(self, coords: np.ndarray) -> np.ndarray:
@@ -195,38 +219,29 @@ class DunklTransformRank1:
         return np.concatenate([0.5 * (pos + neg), 0.5j * (pos - neg)])
 
 
-class RadialDunklTransform:
-    """Self-inverse radial (Hankel-type) transform for dimension Λ = N + 2γ."""
+class RadialDunklTransform(_HankelBlock):
+    """Self-inverse radial (Hankel-type) transform for dimension Λ = N + 2γ:
+    one half-line Hankel block of order Λ/2 - 1."""
 
     def __init__(self, lam: float, x_quad: WeightedQuadrature, xi_quad: WeightedQuadrature):
         if x_quad.kind != "radial" or xi_quad.kind != "radial":
             raise ValueError("radial transform needs radial quadratures on both sides")
         if lam <= 0:
             raise ValueError("Λ = N + 2γ must be positive")
-        self.lam = float(lam)
-        self.nu = lam / 2.0 - 1.0
-        self.x_quad = x_quad
-        self.xi_quad = xi_quad
+        self.lam, self.nu = float(lam), lam / 2.0 - 1.0
+        self.x_quad, self.xi_quad = x_quad, xi_quad
         # M = d * 2^{Λ/2-1} Γ(Λ/2) with d the surface constant carried by the
         # quadrature weights; the transform itself is d-independent.
-        d_r = x_quad.recipe["const"]
-        d_rho = xi_quad.recipe["const"]
-        self.M = float(d_r * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
-        M_rho = float(d_rho * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
+        self.M, M_rho = (float(q.recipe["const"] * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
+                         for q in (x_quad, xi_quad))
         ker = normalized_bessel_j(self.nu, np.outer(xi_quad.nodes, x_quad.nodes))
-        self._fwd = ker * (x_quad.weights / self.M)[None, :]
-        self._inv = ker.T * (xi_quad.weights / M_rho)[None, :]
-        self.coord_xi, self.coord_weights = xi_quad.nodes, xi_quad.weights
+        super().__init__(ker * (x_quad.weights / self.M)[None, :],
+                         ker.T * (xi_quad.weights / M_rho)[None, :],
+                         xi_quad.nodes, xi_quad.weights)
 
     forward = _forward
     inverse = _inverse
     calibration_report = _calibration_report
-
-    def to_coords(self, vals: np.ndarray) -> np.ndarray:
-        return _real_apply(self._fwd, vals)
-
-    def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return _real_apply(self._inv, coords)
 
     def to_full(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords, dtype=complex)
@@ -274,13 +289,13 @@ def riesz_potential(field: SpectralField, s: float, xi_floor: float = 0.125,
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """‖f‖_{H^s}: (∫ |D_k f|² (1+|ξ|²)^s dμ_k(ξ))^{1/2}."""
     w = (1.0 + field.abs_xi ** 2) ** s
-    return float(np.sqrt(np.sum(field.quad.weights * w * np.abs(field.values) ** 2)))
+    return float(np.sqrt(np.sum(field.quad.weights * w * field._abs2())))
 
 
 def homogeneous_norm(field: SpectralField, s: float) -> float:
     """‖(-Δ_k)^{s/2} f‖₂ computed in the transform domain (Plancherel)."""
     w = field.abs_xi ** (2.0 * s)
-    return float(np.sqrt(np.sum(field.quad.weights * w * np.abs(field.values) ** 2)))
+    return float(np.sqrt(np.sum(field.quad.weights * w * field._abs2())))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +357,7 @@ def square_function_l2_ratio(field: SpectralField, s: float,
     in the transform domain.
     """
     w = field.quad.weights
-    a2 = np.abs(field.values) ** 2
+    a2 = field._abs2()
     num = 0.0
     for j in partition.j_range:
         num += 4.0 ** (j * s) * np.sum(w * partition.psi_j(field.xi, j) ** 2 * a2)

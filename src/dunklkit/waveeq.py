@@ -27,13 +27,13 @@ trapezoid sums are an exact O(nt·n_ξ) linear scan by A(dt), run blockwise
 and report U, ∂_t U in them: a Picard step is a real inverse, a real
 forward and one scan.
 
-In rank 1 the Dunkl transform of an even function is the Hankel transform
-of order k - ½ (the even block), and its odd coordinates are 0.  When both
-data have exactly zero odd coordinates, the linear stage and the Picard
-loop run on the even block alone, on the r > 0 samples: f(u) of an even u
-is even for every pointwise f, so the odd coordinates stay exactly 0.  Odd
-data stay odd only under an odd f, which a user-supplied f need not be, so
-odd and mixed data keep both blocks.
+In rank 1 the Dunkl transform of an even function is the transform's
+`even` block, the Hankel transform of order k - ½, and its odd coordinates
+are 0.  When both data have exactly zero odd coordinates, the linear stage
+and the Picard loop run on `tr.even` alone, on the r > 0 samples: f(u) of an
+even u is even for every pointwise f, so the odd coordinates stay exactly 0.
+Odd data stay odd only under an odd f, which a user-supplied f need not be,
+so odd and mixed data run on the whole transform.
 """
 
 from __future__ import annotations
@@ -268,39 +268,20 @@ def _linear_modes(b: float, m: float, xi, dt: float, nt: int, U0, U1):
     return A, carry(A[0], A[1]), carry(A[2], A[3])
 
 
-class _EvenBlock:
-    """The even half-line block of a rank-1 transform as a transform of its
-    own: physical samples on r > 0 ↔ the even coordinates.  For a field with
-    zero odd coordinates, pos + neg = 2·pos, so to_coords is the full path's
-    even rows exactly."""
-
-    def __init__(self, tr):
-        h = tr.coord_xi.size // 2
-        self.full = tr
-        self._fwd, self._inv = 2.0 * tr._fwd_even, tr._inv_even
-        self.coord_xi, self.coord_weights = tr.coord_xi[:h], tr.coord_weights[:h]
-
-    def to_coords(self, vals: np.ndarray) -> np.ndarray:
-        return self._fwd @ vals
-
-    def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return self._inv @ coords
-
-
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
-    """Transform, time grid, the propagator on the in-block offsets and
-    the linear solution (U, ∂_t U) in real coordinates (nt, n_ξ) for the
-    data scaled by `scale`.  Rank-1 data with zero odd coordinates run on
-    the even block alone (_EvenBlock)."""
+    """Transform, the block to solve on (tr.even for rank-1 data with zero
+    odd coordinates, else tr), time grid, the propagator on the in-block
+    offsets and the linear solution (U, ∂_t U) in the block's real
+    coordinates (nt, n_ξ) for the data scaled by `scale`."""
     tr = config.build_transform()
     times = config.times
     c0, c1 = _spectral_data(tr, u0), _spectral_data(tr, u1)
     h = c0.size // 2
-    if config.mode == "rank1" and not (np.any(c0[h:]) or np.any(c1[h:])):
-        tr, c0, c1 = _EvenBlock(tr), c0[:h], c1[:h]
-    A, U, dtU = _linear_modes(config.b, config.m, tr.coord_xi, config.dt, times.size,
+    even = config.mode == "rank1" and not (np.any(c0[h:]) or np.any(c1[h:]))
+    block, c0, c1 = (tr.even, c0[:h], c1[:h]) if even else (tr, c0, c1)
+    A, U, dtU = _linear_modes(config.b, config.m, block.coord_xi, config.dt, times.size,
                               scale * c0, scale * c1)
-    return tr, times, A, U, dtU
+    return tr, block, times, A, U, dtU
 
 
 def _fit_window(config: WaveConfig) -> tuple:
@@ -309,10 +290,11 @@ def _fit_window(config: WaveConfig) -> tuple:
 
 def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSolution:
     """Physical snapshots and the decay fit of (U, ∂_t U), whose norm traces
-    _traces(U, ∂_t U) are `traces`."""
-    if isinstance(tr, _EvenBlock):  # the odd coordinates back, as exact zeros
+    _traces(U, ∂_t U) are `traces`.  U and ∂_t U in the coordinates of the
+    rank-1 even block get the odd coordinates back, as exact zeros."""
+    if U.shape[1] < tr.coord_xi.size:
         zeros = np.zeros_like(U)
-        tr, U, dtU = tr.full, np.hstack([U, zeros]), np.hstack([dtU, zeros])
+        U, dtU = np.hstack([U, zeros]), np.hstack([dtU, zeros])
     h1, dt2 = traces
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
     snaps = tr.from_coords(U[idx].T).T
@@ -328,8 +310,8 @@ def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     or None (zero data).
     """
     config.validate()
-    tr, times, _, U, dtU = _linear_stage(config, u0, u1)
-    return _solution(config, tr, times, U, dtU, _traces(U, dtU, tr))
+    tr, block, times, _, U, dtU = _linear_stage(config, u0, u1)
+    return _solution(config, tr, times, U, dtU, _traces(U, dtU, block))
 
 
 def _safe_fit(times, trace, window):
@@ -427,10 +409,10 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         _check_nonlinearity(nonlinearity, p)
 
     eps = config.epsilon
-    tr, times, A, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
+    tr, block, times, A, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
     duhamel = _duhamel(A, config.dt)
 
-    h1_lin, dt_lin = _traces(Phi, dtPhi, tr)
+    h1_lin, dt_lin = _traces(Phi, dtPhi, block)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
@@ -441,14 +423,14 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     diffs: List[float] = []
     converged = False
     for _ in range(config.max_picard):
-        dU, ddtU = duhamel(tr.to_coords(nonlinearity(tr.from_coords(U.T))).T)
+        dU, ddtU = duhamel(block.to_coords(nonlinearity(block.from_coords(U.T))).T)
         U_new, dtU_new = Phi + dU, dtPhi + ddtU
-        dH, dV = _traces(U_new - U, dtU_new - dtU, tr)
+        dH, dV = _traces(U_new - U, dtU_new - dtU, block)
         diffs.append(float(np.max(xw * (dH + dV))))
         U, dtU = U_new, dtU_new
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
             raise PicardDivergenceError(eps, diffs)
-        h1_now, dt_now = _traces(U, dtU, tr)
+        h1_now, dt_now = _traces(U, dtU, block)
         floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
         if diffs[-1] <= floor:
             converged = True

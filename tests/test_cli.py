@@ -130,13 +130,16 @@ def test_wave_time_grid_too_short_exit2(tmp_path, time):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
-def test_wave_bad_gaussian_scale_exit2(tmp_path, capsys, scale):
+@pytest.mark.parametrize("scale, message", [
+    (0.0, "must be positive"), (-1.0, "must be positive"),
+    (float("inf"), "expected a finite number"), (float("nan"), "expected a finite number")],
+    ids=["0.0", "-1.0", "inf", "nan"])
+def test_wave_bad_gaussian_scale_exit2(tmp_path, capsys, scale, message):
     cfg = write(tmp_path / "cfg.json",
                 {"wave": {"b": 1, "m": 1, "data": {"gaussian_scale": scale}}})
     out = tmp_path / "out"
     assert main(["wave", "--config", cfg, "--out", str(out)]) == 2
-    assert "gaussian_scale: must be positive and finite" in capsys.readouterr().err
+    assert f"gaussian_scale: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
@@ -282,6 +285,31 @@ def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
     path = write(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wave", {"wave": {"b": 1, "m": 1, "time": {"dt": _NAN}}}),
+    ("wave", {"wave": {"b": _INF, "m": 1}}),
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "rmax": _NAN}}),
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "xi_max": _INF}}),
+    ("verify", {**VERIFY_CFG, "spec": {"theorem": "FractionalHardy",
+                                       "params": {"N": 3, "gamma": 0.0, "s": _NAN}}}),
+    ("verify", {**VERIFY_CFG, "spec": {"theorem": "Trudinger",
+                                       "params": {"N": 3, "gamma": 0.0, "p": _INF, "a": 0.0}}}),
+    ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": [0.5, _INF]}}}),
+    ("sharp", {**_SHARP_BASE, "optimizer": {"tolerance": _NAN}}),
+], ids=["wave.time.dt", "wave.b", "mode.rmax", "mode.xi_max", "spec.params.s",
+        "spec.params.p", "family.box", "optimizer.tolerance"])
+def test_nonfinite_config_number_exit2(tmp_path, capsys, command, cfg):
+    # json.load reads NaN and Infinity; neither is a value any field can take
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert json.loads((out / "metadata.json").read_text())["error"]["class"] == "ConfigError"
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
 def test_null_optional_field_takes_default(tmp_path):

@@ -1,11 +1,13 @@
 """The benchmark's tracer patches package functions by name; every name it
 lists must resolve the way `Tracer.install` resolves it, or a traced run
-(`perfbench/run.py --trace 1`) breaks."""
+(`perfbench/run.py --trace 1`) breaks.  Its kernel-size hook must see the
+kernel arrays each transform applies, or `spectral.kernel_bytes` misreads."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dunklkit  # noqa: F401  (imports every submodule the tracer looks up)
@@ -35,3 +37,21 @@ def test_trace_target_resolves(target):
     else:
         assert callable(getattr(owner, attr))
 
+
+@pytest.mark.parametrize("mode", ["rank1", "radial"])
+def test_kernel_built_sizes_the_kernels_the_transform_applies(mode):
+    # `spectral.kernel_bytes` reads the 2-D arrays held by the transform
+    # itself: the parity blocks of a rank-1 transform must apply those same
+    # arrays, not copies and not arrays held only by the blocks
+    grid = dict(resolution=64, xi_resolution=64)
+    if mode == "rank1":
+        tr = dunklkit.rank1_workbench(0.5, **grid).transform
+        kernels = [a for b in (tr.even, tr.odd) for a in (b._fwd, b._inv)]
+    else:
+        tr = dunklkit.radial_workbench(3, 0.0, **grid).transform
+        kernels = [tr._fwd, tr._inv]
+    held = [v for v in vars(tr).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert len(held) == len(kernels) and all(any(a is b for b in held) for a in kernels)
+    tracer = tracing.Tracer()
+    tracing._kernel_built(tracer, None, (tr,), None)
+    assert tracer.extra["kernel_bytes"] == sum(a.nbytes for a in kernels) > 0

@@ -1,5 +1,6 @@
 """Property tests over generated inputs: exact weighted norms through the
 shared quadrature builder, Plancherel / round trip of both transforms,
+the rank-1 parity blocks against the full rank-1 transform bit for bit,
 causality and linearity of the wave solver's blocked Duhamel scan and its
 agreement with the serial sweep, the two-level linear modes against the
 full-grid closed forms, the mode propagator against mpmath, dilation of
@@ -85,6 +86,29 @@ def test_plancherel_and_round_trip(setting, family, seed):
     vals = f.value(wb.quad.nodes)
     back = wb.transform.inverse(fld)
     assert np.max(np.abs(back - vals)) < 1e-6 * np.max(np.abs(vals))
+
+
+@PROPERTY
+@given(k=st.sampled_from([0.0, 0.3, 0.5, 0.85, 1.0, 2.5]), rmax=st.floats(4.0, 12.0),
+       res=st.tuples(st.integers(16, 48), st.integers(16, 48)),
+       width=st.sampled_from([(), (3,)]), seed=SEEDS)
+def test_rank1_parity_blocks_are_the_full_transform_bit_for_bit(k, rmax, res, width, seed):
+    # samples of one parity reach the coordinates of that parity's block, and
+    # coordinates of one parity come back as that block's r > 0 samples, with
+    # the same rounding as the full transform
+    tr = dk.DunklTransformRank1(k, rank1_quadrature(k, rmax, res[0]),
+                                rank1_quadrature(k, 1.3 * rmax, res[1]))
+    h, hxi = tr.x_quad.npoints // 2, tr.coord_xi.size // 2
+    rng = np.random.default_rng(seed)
+    half, c = rng.standard_normal((h,) + width), rng.standard_normal((hxi,) + width)
+    zeros = np.zeros_like(c)
+    for block, sign, rows in ((tr.even, 1.0, slice(None, hxi)), (tr.odd, -1.0, slice(hxi, None))):
+        v = np.concatenate([sign * half[::-1], half])
+        assert np.array_equal(block.to_coords(v[h:]), tr.to_coords(v)[rows])
+        full = np.concatenate([c, zeros] if sign > 0 else [zeros, c])
+        assert np.array_equal(block.from_coords(c), tr.from_coords(full)[h:])
+        assert np.array_equal(block.coord_xi, tr.coord_xi[rows])
+        assert np.array_equal(block.coord_weights, tr.coord_weights[rows])
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)

@@ -69,7 +69,8 @@ def test_rank1_blocks_match_jv_reference(k):
     z = np.outer(rho, r)
     even = normalized_bessel_j_jv(k - 0.5, z)
     odd = z / (2.0 * k + 1.0) * normalized_bessel_j_jv(k + 0.5, z)
-    w_r, w_inv = xq.weights[h:] / tr.M, 2.0 * xiq.weights[h:] / tr.M
+    # both blocks carry 2w/M: the transform folds samples into ½(f(r) ± f(-r))
+    w_r, w_inv = 2.0 * xq.weights[h:] / tr.M, 2.0 * xiq.weights[h:] / tr.M
     # 1e-14 on the Bessel factors: the odd entries scale j_{k+1/2} by z/(2k+1)
     # (up to 416 here), and with it the reference's own jv error (at k = 0,
     # 2.4e-14 against mpmath at z = 14.1, where sin z is exact to 1e-16)

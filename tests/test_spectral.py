@@ -3,10 +3,10 @@ import pytest
 
 import dunklkit as dk
 from dunklkit.functions import band_profile, generate_corpus
-from dunklkit.spectral import (DyadicPartition, LowFrequencyError, classical_fourier_reference,
-                               fractional_laplacian, homogeneous_norm,
-                               littlewood_paley_project, rank1_kernel, riesz_potential,
-                               sobolev_norm, square_function_l2_ratio)
+from dunklkit.spectral import (DyadicPartition, LowFrequencyError, SpectralField,
+                               classical_fourier_reference, fractional_laplacian,
+                               homogeneous_norm, littlewood_paley_project, rank1_kernel,
+                               riesz_potential, sobolev_norm, square_function_l2_ratio)
 
 
 def band_poly_profile(q=8, s=1.0):
@@ -276,6 +276,30 @@ def test_batch_apply_matches_columns():
         assert back.shape == (x.size, 3)
         for j in range(3):
             np.testing.assert_allclose(back[:, j], tr.inverse(fwd[:, j]), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["m=n_xi", "m=3"])
+def test_batched_multipliers_act_per_column(square):
+    # a batch (n_ξ, m) is scaled along ξ column by column; with m = n_ξ a
+    # multiplier along the batch axis would broadcast and be wrong
+    wb = dk.radial_workbench(3, 0, resolution=64, xi_resolution=64)
+    n_xi = wb.xi_quad.npoints
+    m = n_xi if square else 3
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((n_xi, m)) + 1j * rng.standard_normal((n_xi, m))
+    vals[wb.xi_quad.nodes < 0.125] = 0.0          # passes the Riesz low-frequency gate
+    batch, part = SpectralField(wb.xi_quad, vals), DyadicPartition()
+    for op in (lambda f: fractional_laplacian(f, 1.5), lambda f: riesz_potential(f, 0.5),
+               lambda f: littlewood_paley_project(wb.transform, f, 1, part)[0]):
+        got = op(batch).values
+        assert got.shape == (n_xi, m)
+        for j in range(m):
+            assert np.array_equal(got[:, j], op(SpectralField(wb.xi_quad, vals[:, j])).values)
+    for norm in (SpectralField.l2, lambda f: sobolev_norm(f, 1.0),
+                 lambda f: homogeneous_norm(f, 1.0),
+                 lambda f: square_function_l2_ratio(f, 1.0, part)):
+        with pytest.raises(ValueError, match="batch"):
+            norm(batch)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.3])
