@@ -134,9 +134,14 @@ def _require(cfg: dict, path: str, typ, where: str = "$", default=_MISSING):
     if cur is None and default is not _MISSING:
         return default
     if typ is float and isinstance(cur, (int, float)) and not isinstance(cur, bool):
-        if not math.isfinite(cur):  # json.load reads NaN, Infinity and 1e999
+        try:
+            value = float(cur)
+        except OverflowError:       # an integer past the float range
+            raise ConfigError(f"{where}.{path}: expected a finite number, got an integer "
+                              f"too large for a float") from None
+        if not math.isfinite(value):  # json.load reads NaN, Infinity and 1e999
             raise ConfigError(f"{where}.{path}: expected a finite number, got {cur!r}")
-        return float(cur)
+        return value
     if typ is int and isinstance(cur, int) and not isinstance(cur, bool):
         return cur
     if not isinstance(cur, typ) or isinstance(cur, bool) and typ is not bool:
@@ -266,17 +271,16 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters "
                                  f"({', '.join(c.cid for c in rep.failed)})")
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
-    result = rayleigh_maximize(
-        spec, family, wb,
-        max_iter=_require(opt, "max_iters", int, "$.optimizer", 120),
-        tol=_require(opt, "tolerance", float, "$.optimizer", 1e-4),
-        restarts=restarts,
-        seed=opt_seed if seed is None else seed,
-        ceiling=ceiling)
+    ran = {"seed": opt_seed if seed is None else seed,
+           "max_iters": _require(opt, "max_iters", int, "$.optimizer", 120),
+           "tolerance": _require(opt, "tolerance", float, "$.optimizer", 1e-4)}
+    result = rayleigh_maximize(spec, family, wb, max_iter=ran["max_iters"], tol=ran["tolerance"],
+                               restarts=restarts, seed=ran["seed"], ceiling=ceiling)
     _write_json(out / "summary.json", {
         "command": "sharp",
         "spec": spec.to_dict(),
         "family": {"tag": tag, "box": {k: list(v) for k, v in family.box.items()}},
+        "optimizer": ran,
         **result.to_dict(),
     })
     _write_csv(out, "trace.csv (verify/sharp)", enumerate(result.trace))

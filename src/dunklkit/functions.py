@@ -23,7 +23,8 @@ its carriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "AnnularBump",
     "InversePower",
     "TestFunction",
+    "as_members",
+    "corpus_values",
     "generate_corpus",
     "band_profile",
     "CORPUS_FAMILIES",
@@ -49,9 +52,28 @@ CORPUS_FAMILIES = ("Gaussian", "DilatedGaussian", "HermiteGaussian",
 # exact carriers
 
 
+def _padded(rows: list, ndim: int) -> np.ndarray:
+    """Per-carrier tuples zero-padded to one length, as a (K, W, 1, ...) array
+    whose columns broadcast over an x of `ndim` dimensions."""
+    W = max(map(len, rows))
+    M = np.array([r + (0.0,) * (W - len(r)) for r in rows])
+    return M.reshape(M.shape + (1,) * ndim)
+
+
+def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Σ_d C[:, d] t^d for each row of a padded coefficient matrix (ascending):
+    one Horner pass, broadcasting to shape (K,) + t.shape."""
+    q = np.zeros(t.shape) + C[:, -1]
+    for d in range(C.shape[1] - 2, -1, -1):
+        q *= t
+        q += C[:, d]
+    return q
+
+
 class _PolyGauss:
     """Shared by the polynomial × Gaussian carriers: frozen dataclasses with
-    fields `coeffs` (ascending) and `s` that define value_reduced."""
+    fields `coeffs` (ascending) and `s`.  Each class evaluates a list of its
+    carriers at once (`rows`); one carrier is the one-row case."""
 
     support_inner = 0.0
     heavy_tails = False
@@ -61,7 +83,7 @@ class _PolyGauss:
         if self.s <= 0:
             raise ValueError("Gaussian scale s must be positive")
 
-    @property
+    @functools.cached_property
     def lead(self) -> int:
         for m, c in enumerate(self.coeffs):
             if c != 0.0:
@@ -70,6 +92,10 @@ class _PolyGauss:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.value_reduced(x, 0.0)
+
+    def value_reduced(self, x: np.ndarray, power: float) -> np.ndarray:
+        """f(x) / |x|^power, evaluated stably (requires power ≤ min_power)."""
+        return self.rows([self], x, power)[0]
 
 
 @dataclass(frozen=True)
@@ -85,16 +111,21 @@ class RadialPG(_PolyGauss):
         """Vanishing order at the origin: f ~ r^{beta + 2*lead}."""
         return self.beta + 2 * self.lead
 
-    def value_reduced(self, r: np.ndarray, power: float) -> np.ndarray:
-        """f(r) / r^power, evaluated stably (requires power ≤ min_power)."""
+    @staticmethod
+    def rows(carriers: list, r, power: float) -> np.ndarray:
+        """f(r) / r^power of each carrier, shape (K,) + r.shape: r^(β+2·lead-power)
+        q(r²) e^{-s r²/2} with the q's as one padded coefficient matrix."""
         r = np.asarray(r, dtype=float)
         u = r * r
-        m0 = self.lead
-        q = np.zeros_like(u)
-        for c in reversed(self.coeffs[m0:]):
-            q = q * u + c
-        expo = self.beta + 2 * m0 - power
-        return (r ** expo) * q * np.exp(-0.5 * self.s * u)
+        leads = [c.lead for c in carriers]
+        expo = [c.beta + 2 * m0 - power for c, m0 in zip(carriers, leads)]
+        # columns: -s/2, the power of r, then q's coefficients from the lead on
+        M = _padded([(-0.5 * c.s, e) + c.coeffs[m0:]
+                     for c, m0, e in zip(carriers, leads, expo)], r.ndim)
+        q = _horner(M[:, 2:], u)
+        if any(expo):
+            q = r ** M[:, 1] * q
+        return q * np.exp(M[:, 0] * u)
 
     def derivative(self) -> "RadialPG":
         c = self.coeffs
@@ -146,18 +177,22 @@ class PolyGauss1D(_PolyGauss):
     def min_power(self) -> float:
         return float(self.lead)
 
-    def value_reduced(self, x: np.ndarray, power: float) -> np.ndarray:
+    @staticmethod
+    def rows(carriers: list, x, power: float) -> np.ndarray:
+        """f(x) / x^power of each carrier (an integer power), shape (K,) + x.shape:
+        x^(lead-power) p̃(x) e^{-s x²/2} with the p̃ as one padded coefficient matrix."""
         x = np.asarray(x, dtype=float)
-        m0 = self.lead
-        p = np.zeros_like(x)
-        for c in reversed(self.coeffs[m0:]):
-            p = p * x + c
         red = int(round(power))
         if red != power:
             raise ValueError("rank-1 reduction power must be an integer")
-        if m0 - red:
-            p = p * x ** (m0 - red)
-        return p * np.exp(-0.5 * self.s * x * x)
+        leads = [c.lead for c in carriers]
+        # columns: -s/2, the power of x, then p̃'s coefficients from the lead on
+        M = _padded([(-0.5 * c.s, m0 - red) + c.coeffs[m0:]
+                     for c, m0 in zip(carriers, leads)], x.ndim)
+        p = _horner(M[:, 2:], x)
+        if any(m0 != red for m0 in leads):
+            p = p * x ** M[:, 1]
+        return p * np.exp(M[:, 0] * x * x)
 
     def derivative(self) -> "PolyGauss1D":
         c = self.coeffs
@@ -232,10 +267,17 @@ class _Profile:
     support_inner = 0.0       # the profile vanishes identically on [0, support_inner)
     heavy_tails = False
 
+    @staticmethod
+    def rows(carriers: list, r, power: float) -> np.ndarray:
+        """The carriers' reduced values stacked as rows, shape (K,) + r.shape."""
+        return np.array([c.value_reduced(r, power) for c in carriers], dtype=float)
+
     def value_reduced(self, r, power: float):
         """f(r) / |r|^power, zero wherever f vanishes."""
         r = np.asarray(r, float)
         vals = self.value(r)
+        if power == 0.0:
+            return vals
         rad = np.abs(r)
         out = np.zeros_like(vals)
         live = vals != 0.0
@@ -387,20 +429,13 @@ class TestFunction:
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
-        out = 0.0
-        for c in self.components:
-            out = out + c.value(x)
-        return out
+        return corpus_values([self], x)[0]
 
     __call__ = value
 
     def value_reduced(self, x, power: float):
-        if power == 0.0:
-            return self.value(x)
-        out = 0.0
-        for c in self.components:
-            out = out + c.value_reduced(x, power)
-        return out
+        """f(x) / |x|^power (power ≤ origin_factor_power)."""
+        return corpus_values([self], x, power)[0]
 
     def derivative(self) -> "TestFunction":
         """d/dr of the radial profile (or d/dx in rank-1)."""
@@ -419,7 +454,8 @@ class TestFunction:
         return self._rewrap(tuple(c.dilate(lam) for c in self.components), f"~dil{lam:g}")
 
     def _rewrap(self, comps: tuple, suffix: str) -> "TestFunction":
-        return replace(self, fid=self.fid + suffix, components=comps)
+        return TestFunction(self.fid + suffix, self.family, self.mode, self.params, comps,
+                            self.in_origin_closure)
 
     def to_dict(self) -> dict:
         return {
@@ -431,6 +467,42 @@ class TestFunction:
             "is_radial": self.is_radial,
             "vanishes_at_origin": self.vanishes_at_origin,
         }
+
+
+def as_members(f) -> tuple[list, bool]:
+    """(members, single): a list or tuple of functions as a list, one
+    function as a one-member corpus."""
+    return (list(f), False) if isinstance(f, (list, tuple)) else ([f], True)
+
+
+def corpus_values(fs: Sequence[TestFunction], x, power: float = 0.0) -> np.ndarray:
+    """f(x) / |x|^power for every member of a corpus, shape (m,) + x.shape.
+
+    The carriers of one class are evaluated together (`rows`: one padded
+    Horner pass, one exp and one power for all polynomial × Gaussian
+    carriers); a member's row is the sum of its carriers' rows, in order.
+    A single function is the one-member corpus.
+    """
+    x = np.asarray(x, dtype=float)
+    comps = [c for f in fs for c in f.components]
+    by_class: dict = {}
+    for j, c in enumerate(comps):
+        by_class.setdefault(type(c), []).append(j)
+    if len(by_class) == 1:
+        vals = type(comps[0]).rows(comps, x, power)
+    else:
+        vals = np.empty((len(comps),) + x.shape)
+        for cls, js in by_class.items():
+            vals[js] = cls.rows([comps[j] for j in js], x, power)
+    if len(comps) == len(fs):
+        return vals
+    counts = np.array([len(f.components) for f in fs])
+    starts = np.cumsum(counts) - counts
+    out = vals[starts]
+    for k in range(1, counts.max()):          # carrier k of every member that has one
+        has = np.flatnonzero(counts > k)
+        out[has] += vals[starts[has] + k]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 from scipy import special as sps
 
-from .functions import TestFunction
+from .functions import TestFunction, as_members, corpus_values
 from .measure import WeightedQuadrature
 from .workbench import Workbench
 
@@ -151,7 +151,8 @@ class TheoremDef:
     params: tuple
     direction: str
     conditions: Callable[[dict], List[Condition]]
-    evaluate: Callable[[dict, TestFunction, Workbench], tuple]
+    # (params, corpus, workbench) -> (lhs, rhs), one value per member each
+    evaluate: Callable[[dict, list, Workbench], tuple]
     known_bound: Callable[[dict], float | None] = lambda P: None
     requires_vanishing: bool = False
 
@@ -397,15 +398,14 @@ def _c_trudinger(P):
     ]
 
 
-def _e_trudinger(P, f, wb):
+def _e_trudinger(P, fs, wb):
     lam = wb.lam
     p, a = P["p"], P["a"]
-    c = wb.frac_norm(f, lam / p, p)
-    if c == 0.0:
+    c = wb.frac_norm(fs, lam / p, p)
+    if np.any(c == 0.0):
         raise DegenerateFunctionError("zero critical-derivative norm")
-    vals = np.asarray(f.value(wb.quad.nodes), dtype=float) / c
-    lhs = trudinger_lhs(vals, a, p, wb.quad)
-    rhs = (wb.norm(f, p) / c) ** p
+    lhs = trudinger_lhs(corpus_values(fs, wb.quad.nodes) / c[:, None], a, p, wb.quad)
+    rhs = (wb.norm(fs, p) / c) ** p
     return lhs, rhs
 
 
@@ -662,18 +662,22 @@ def admissible(spec: InequalitySpec) -> AdmissibilityReport:
     return AdmissibilityReport(tuple(thm.conditions(spec.params)))
 
 
-def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
-                   enforce_hypotheses: bool = True) -> VerificationRecord:
-    """Constant-free lhs/rhs evaluation for one function.
+def evaluate_sides(spec: InequalitySpec, f, wb: Workbench,
+                   enforce_hypotheses: bool = True):
+    """Constant-free lhs/rhs evaluation for one function (a record), or for
+    a corpus, a list or tuple of functions (a tuple of records, one per
+    member, from one evaluation of each norm over the whole corpus).
 
     Raises AdmissibilityError on an inadmissible spec, FunctionClassError on
     a class mismatch or when f has another mode than wb,
     WorkbenchMismatchError when wb has another Λ than the spec,
     DegenerateFunctionError when rhs = 0 or a side or the ratio is not
-    finite.  Passing enforce_hypotheses=False evaluates the two
-    sides as plain quantities (evaluator arithmetic only; no inequality is
-    claimed).
+    finite.  For a corpus, the error raised is the one that the first
+    failing member raises alone.  Passing enforce_hypotheses=False
+    evaluates the two sides as plain quantities (evaluator arithmetic only;
+    no inequality is claimed).
     """
+    fs, one = as_members(f)
     thm = THEOREMS[spec.theorem]
     if enforce_hypotheses:
         rep = admissible(spec)
@@ -683,19 +687,44 @@ def evaluate_sides(spec: InequalitySpec, f: TestFunction, wb: Workbench,
     P = spec.params
     if abs(P["N"] + 2.0 * P["gamma"] - wb.lam) > 1e-9:
         raise WorkbenchMismatchError("workbench (N, γ) does not match the spec parameters")
+    # the members before the first one outside the class are evaluated first
+    errors = (_class_error(spec, g, wb, enforce_hypotheses) for g in fs)
+    cut, err = next(((j, e) for j, e in enumerate(errors) if e), (len(fs), None))
+    records = _sides(thm, P, fs[:cut], wb) if cut else ()
+    if err is not None:
+        raise err
+    return records[0] if one else records
+
+
+def _class_error(spec: InequalitySpec, f: TestFunction, wb: Workbench,
+                 enforce_hypotheses: bool) -> FunctionClassError | None:
     if f.mode != wb.mode:
-        raise FunctionClassError(f"{f.fid} is a {f.mode} function; the workbench is {wb.mode}")
-    if enforce_hypotheses and thm.requires_vanishing and not (
+        return FunctionClassError(f"{f.fid} is a {f.mode} function; the workbench is {wb.mode}")
+    if enforce_hypotheses and THEOREMS[spec.theorem].requires_vanishing and not (
             f.vanishes_at_origin or f.in_origin_closure):
-        raise FunctionClassError(
+        return FunctionClassError(
             f"{spec.theorem} requires functions vanishing at the origin; {f.fid} does not")
-    lhs, rhs = thm.evaluate(P, f, wb)
-    if rhs == 0.0 or not np.isfinite(rhs):
-        raise DegenerateFunctionError(f"{f.fid}: degenerate rhs = {rhs}")
-    ratio = lhs / rhs
-    if not (np.isfinite(lhs) and np.isfinite(ratio)):
-        raise DegenerateFunctionError(f"{f.fid}: non-finite lhs = {lhs} or ratio = {ratio}")
-    return VerificationRecord(f.fid, float(lhs), float(rhs), float(ratio))
+    return None
+
+
+def _sides(thm: TheoremDef, P: dict, fs: list, wb: Workbench) -> tuple:
+    """The records of the members of fs, all of one class, in one evaluation."""
+    try:
+        lhs, rhs = thm.evaluate(P, fs, wb)
+    except (ValueError, ArithmeticError, RuntimeError):
+        if len(fs) > 1:                # raise what the first failing member raises alone
+            for f in fs:
+                _sides(thm, P, [f], wb)
+        raise
+    records, m = [], len(fs)
+    for f, left, right in zip(fs, np.full(m, lhs).tolist(), np.full(m, rhs).tolist()):
+        if right == 0.0 or not math.isfinite(right):
+            raise DegenerateFunctionError(f"{f.fid}: degenerate rhs = {right}")
+        ratio = left / right
+        if not (math.isfinite(left) and math.isfinite(ratio)):
+            raise DegenerateFunctionError(f"{f.fid}: non-finite lhs = {left} or ratio = {ratio}")
+        records.append(VerificationRecord(f.fid, left, right, ratio))
+    return tuple(records)
 
 
 def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Workbench,
@@ -707,17 +736,15 @@ def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Work
     Without one, the sup (or inf) ratio is reported as the empirical
     constant estimate.
 
-    When the first member's evaluation transformed it, the remaining
-    members are transformed in one batched forward before they are
-    evaluated; a spec with no fractional side builds no transform.
+    The corpus is evaluated as one (evaluate_sides on the whole corpus):
+    admissibility is checked once, each norm is one reduction over the
+    members' stacked values, and the members' spectral fields come from one
+    batched forward; a spec with no fractional side builds no transform.
     """
     if not corpus:
         raise ValueError("empty corpus")
     thm = THEOREMS[spec.theorem]
-    first = evaluate_sides(spec, corpus[0], wb)
-    if wb.has_spectral(corpus[0]):
-        wb.spectral_many(corpus[1:])
-    records = (first,) + tuple(evaluate_sides(spec, f, wb) for f in corpus[1:])
+    records = evaluate_sides(spec, list(corpus), wb)
     bound = thm.known_bound(spec.params)
     violations = ()
     if bound is not None and thm.direction == "upper":
@@ -728,21 +755,23 @@ def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Work
 
 
 def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature,
-                  series_cap: int = 200) -> float:
+                  series_cap: int = 200):
     """∫ (exp(a|f|^{p'}) - Σ_{0≤j<p-1} (a|f|^{p'})^j / j!) dμ_k.
 
-    The caller normalizes f so the critical-derivative norm is ≤ 1.  The
-    subtracted partial sum removes the integrable low powers; the remaining
-    series Σ_{j≥⌈p-1⌉} z^j/j! is accumulated to machine accuracy, switching
-    to exp(z) minus the partial sum once z is large enough for that to be
-    cancellation-free.  Exceeding series_cap with a non-negligible tail
-    raises SeriesCapError.
+    `f` is a callable or its samples on quad.nodes, shape (n,) (the
+    integral is a float), or the samples of m functions as rows (m, n) (one
+    integral per row).  The caller normalizes f so the critical-derivative
+    norm is ≤ 1.  The subtracted partial sum removes the integrable low
+    powers; the remaining series Σ_{j≥⌈p-1⌉} z^j/j! is accumulated to
+    machine accuracy in every row, switching to exp(z) minus the partial sum
+    once z is large enough for that to be cancellation-free.  A row that
+    exceeds series_cap with a non-negligible tail raises SeriesCapError.
     """
     if a <= 0 or p <= 1:
         raise ValueError("need a > 0 and p > 1")
     vals = np.abs(np.asarray(f(quad.nodes) if callable(f) else f, dtype=float))
     pp = p / (p - 1.0)
-    z = a * vals ** pp
+    z = a * np.atleast_2d(vals) ** pp
     j0 = int(math.ceil(p - 1.0 - 1e-12))
     out = np.zeros_like(z)
 
@@ -758,44 +787,41 @@ def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature,
             term = term * zb / (j + 1.0)
         out[big] = np.exp(zb) - partial
 
-    small = ~big
-    if np.any(small):
-        zs = z[small]
-        with np.errstate(divide="ignore"):
-            logterm = j0 * np.log(np.maximum(zs, 1e-300)) - sps.gammaln(j0 + 1.0)
-        term = np.where(zs > 0.0, np.exp(logterm), 0.0)
-        total = term.copy()
-        j = j0
-        while True:
-            j += 1
-            if j - j0 > series_cap:
-                if np.max(term) > 1e-15 * (np.max(total) + 1e-300):
-                    raise SeriesCapError("Trudinger series cap reached with a "
-                                         "non-negligible tail")
-                break
-            term = term * zs / j
-            total += term
-            if np.max(term) <= 1e-17 * (np.max(total) + 1e-300):
-                break
-        out[small] = total
+    zs = np.where(big, 0.0, z)
+    with np.errstate(divide="ignore"):
+        logterm = j0 * np.log(np.maximum(zs, 1e-300)) - sps.gammaln(j0 + 1.0)
+    term = np.where(zs > 0.0, np.exp(logterm), 0.0)
+    total = term.copy()
+    j = j0
+    while True:
+        j += 1
+        if j - j0 > series_cap:
+            if np.any(term.max(axis=-1) > 1e-15 * (total.max(axis=-1) + 1e-300)):
+                raise SeriesCapError("Trudinger series cap reached with a "
+                                     "non-negligible tail")
+            break
+        term = term * zs / j
+        total += term
+        if np.all(term.max(axis=-1) <= 1e-17 * (total.max(axis=-1) + 1e-300)):
+            break
+    out[~big] = total[~big]
 
-    return float(np.sum(quad.weights * out))
+    integrals = np.sum(quad.weights * out, axis=-1)
+    return float(integrals[0]) if vals.ndim == 1 else integrals
 
 
 def largest_admissible_a(corpus: Sequence[TestFunction], p: float, wb: Workbench,
                          ratio_bound: float, a_hi: float = 8.0,
                          iters: int = 40) -> float:
     """Bisection for the largest a with max_f lhs(a)/‖f‖_p^p ≤ ratio_bound."""
-    lam = wb.lam
-    normalized = []
-    for f in corpus:
-        c = wb.frac_norm(f, lam / p, p)
-        vals = np.asarray(f.value(wb.quad.nodes), dtype=float) / c
-        normalized.append((vals, (wb.norm(f, p) / c) ** p))
+    corpus = list(corpus)
+    c = wb.frac_norm(corpus, wb.lam / p, p)
+    vals = corpus_values(corpus, wb.quad.nodes) / c[:, None]
+    base = (wb.norm(corpus, p) / c) ** p
 
     def admissible_at(a: float) -> bool:
         try:
-            worst = max(trudinger_lhs(v, a, p, wb.quad) / base for v, base in normalized)
+            worst = np.max(trudinger_lhs(vals, a, p, wb.quad) / base)
         except SeriesCapError:
             return False
         return worst <= ratio_bound

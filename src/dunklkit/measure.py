@@ -27,6 +27,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy import special as sps
 
+from .functions import TestFunction, as_members, corpus_values
 from .rootsys import RootSystem, weight as rs_weight
 
 __all__ = [
@@ -70,7 +71,8 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
     scale), then uniform width-capped panels to rmax (bounding the phase
     per panel for oscillatory transform kernels).  For rmax > 100 the rule
     is purely geometric: that regime serves slow power tails, never
-    oscillatory kernels.
+    oscillatory kernels.  Only the core and the outer weights' x^sigma
+    depend on sigma; the rest is `_half_axis_layout`.
     """
     if resolution < 16:
         raise QuadratureInputError("resolution must be ≥ 16")
@@ -78,10 +80,20 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
         raise QuadratureInputError("rmax must be positive")
     if sigma <= -1.0:
         raise NonIntegrableWeightError(f"r^{sigma:g} is not integrable at 0")
+    r0, n_jac, x, base = _half_axis_layout(rmax, resolution)
+    tj, wj = sps.roots_jacobi(n_jac, 0.0, sigma)
+    return (np.concatenate([r0 * (1.0 + tj) / 2.0, x.ravel()]),
+            np.concatenate([wj * (r0 / 2.0) ** (sigma + 1.0), (base * x ** sigma).ravel()]))
+
+
+@functools.lru_cache(maxsize=64)
+def _half_axis_layout(rmax: float, resolution: int) -> tuple:
+    """The sigma-free part of `_half_axis_rule`: core width r0, core size,
+    outer panel nodes x (panels × 16) and their Legendre weights times the
+    panel half-widths; the arrays are shared, so read-only."""
     r0 = min(0.02, rmax / 64.0)
     n_jac = max(12, min(28, resolution // 8))
     n_panels = max(4, (resolution - n_jac) // _TL.size)
-    tj, wj = sps.roots_jacobi(n_jac, 0.0, sigma)
 
     if rmax > 100.0:
         r_mid, n_geom, n_uni = rmax, n_panels, 0
@@ -96,10 +108,9 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
     uni = np.linspace(r_mid, rmax, n_uni + 1)
     lo, hi = np.concatenate([edges[:-1], uni[:-1]]), np.concatenate([edges[1:], uni[1:]])
     mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
-    x = mid + half * _TL
-    w = _WL * half * x ** sigma
-    return (np.concatenate([r0 * (1.0 + tj) / 2.0, x.ravel()]),
-            np.concatenate([wj * (r0 / 2.0) ** (sigma + 1.0), w.ravel()]))
+    x, base = mid + half * _TL, _WL * half
+    x.flags.writeable = base.flags.writeable = False
+    return r0, n_jac, x, base
 
 
 @dataclass(frozen=True)
@@ -319,45 +330,57 @@ def macdonald_mehta(rs: RootSystem | None, quad: WeightedQuadrature) -> float:
 # weighted L^p norms
 
 
-def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature) -> float:
+def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature):
     """(∫ |x|^{ap} |f|^p dμ_k)^{1/p}; 0 < p < 1 computed as a quasi-norm.
 
-    Accepts a TestFunction (whose factorable origin power is folded into the
-    rule exactly and whose inner support hole, if any, licenses a pointwise
-    power) or a bare callable (assumed regular at the origin).  Raises
-    NonIntegrableWeightError when |x|^{ap}|f|^p is not integrable at 0.
+    `f` is one function (the norm is a float) or a list or tuple of them
+    (one norm per member, an (m,) array).  A function is a TestFunction,
+    whose factorable origin power is folded into the rule exactly and whose
+    inner support hole, if any, licenses a pointwise power, or a bare
+    callable (assumed regular at the origin).  Members that share an origin
+    power share one rule and one weighted reduction over their stacked
+    values.  Raises NonIntegrableWeightError when |x|^{ap}|f|^p is not
+    integrable at 0.
     """
     if p <= 0:
         raise QuadratureError("p must be positive")
-    power = float(getattr(f, "origin_factor_power", 0.0))
+    fs, one = as_members(f)
+    groups: dict = {}
+    for i, g in enumerate(fs):
+        groups.setdefault(float(getattr(g, "origin_factor_power", 0.0)), []).append(i)
+    if len(groups) == 1:
+        out = _power_sums(fs, next(iter(groups)), p, a, quad)
+    else:
+        out = np.empty(len(fs))
+        for power, idx in groups.items():
+            out[idx] = _power_sums([fs[i] for i in idx], power, p, a, quad)
+    roots = [v ** (1.0 / p) for v in out.tolist()]    # Python's pow, as for a single float
+    return roots[0] if one else np.array(roots)
 
+
+def _power_sums(fs: list, power: float, p: float, a: float,
+                quad: WeightedQuadrature) -> np.ndarray:
+    """∫ |x|^{ap} |f|^p dμ_k for functions of one origin power, one per row."""
     extra = p * (a + power)
-    sigma_try = quad.recipe.get("sigma", 0.0) + extra
-    if sigma_try > -1.0 or quad.kind == "tensor2":
+    if quad.recipe.get("sigma", 0.0) + extra > -1.0 or quad.kind == "tensor2":
         q = quad.with_power(extra)
-        vals = _reduced_abs_values(f, q, power)
-        return float(np.sum(q.weights * vals ** p)) ** (1.0 / p)
-
+        return (q.weights * _abs_rows(fs, q.nodes, power) ** p).sum(axis=-1)
     # origin exponent invalid but the function vanishes identically near 0:
     # apply the power pointwise and mask the hole.
-    if getattr(f, "support_inner", 0.0) <= 0.0:
+    if any(getattr(g, "support_inner", 0.0) <= 0.0 for g in fs):
         raise NonIntegrableWeightError(
             f"|x|^({a:g}·{p:g}) |f|^{p:g} is not integrable at the origin "
             f"(origin order {power:g}, dimension power {1.0 + quad.recipe['sigma']:g})")
-    vals = _reduced_abs_values(f, quad, 0.0)
+    vals = _abs_rows(fs, quad.nodes, 0.0)
     contrib = np.zeros_like(vals)
     live = vals != 0.0
-    contrib[live] = np.abs(quad.nodes[live]) ** (a * p) * vals[live] ** p
-    return float(np.sum(quad.weights * contrib)) ** (1.0 / p)
+    contrib[live] = (np.abs(quad.nodes) ** (a * p) * vals ** p)[live]
+    return (quad.weights * contrib).sum(axis=-1)
 
 
-def _reduced_abs_values(f, quad: WeightedQuadrature, power: float) -> np.ndarray:
-    x = quad.nodes
-    if hasattr(f, "value_reduced") and power != 0.0:
-        return np.abs(np.asarray(f.value_reduced(x, power)))
-    g = f if callable(f) else f.value
-    vals = np.abs(np.asarray(g(x)))
-    if power != 0.0:
-        rad = np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)
-        vals = vals * rad ** (-power)
-    return vals
+def _abs_rows(fs: list, x: np.ndarray, power: float) -> np.ndarray:
+    """|f(x)| / |x|^power for each function, shape (m, n)."""
+    if all(isinstance(g, TestFunction) for g in fs):
+        return np.abs(corpus_values(fs, x, power))
+    # bare callables: regular at the origin, so power is 0
+    return np.abs(np.array([np.broadcast_to(g(x), x.shape[:1]) for g in fs]))

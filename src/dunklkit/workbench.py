@@ -12,7 +12,11 @@ Two modes:
 * rank1   — the full line with multiplicity k (N = 1, γ = k); exact Dunkl
   operator hooks via PolyGauss1D.
 
-Norm router:
+Norm router.  Every norm takes one function (and returns a float) or a
+corpus, a list or tuple of functions (and returns one value per member, an
+(m,) array): the members' values are one matrix and each norm one weighted
+reduction over it, with the spectral fields of a corpus stacked as one
+batch.
 
 * ‖|x|^a f‖_p            → weighted quadrature with exact power folding
 * ‖|x|^a ∇_k f‖_p        → exact derivative / Dunkl hooks
@@ -33,11 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import TestFunction
+from .functions import as_members, corpus_values
 from .measure import (WeightedQuadrature, radial_quadrature, rank1_quadrature,
                       weighted_lp_norm)
-from .spectral import (DunklTransformRank1, RadialDunklTransform, SpectralField,
-                       homogeneous_norm)
+from .spectral import DunklTransformRank1, RadialDunklTransform, SpectralField
 
 __all__ = ["Workbench", "radial_workbench", "rank1_workbench"]
 
@@ -76,65 +79,78 @@ class Workbench:
 
     # -- spectral cache ---------------------------------------------------
 
-    def spectral(self, f: TestFunction) -> SpectralField:
-        fld = self._fields.get(f)
-        return fld if fld is not None else self.spectral_many([f])[0]
-
-    def has_spectral(self, f: TestFunction) -> bool:
-        return f in self._fields
-
-    def spectral_many(self, fs) -> list:
-        """Fields of several functions: the uncached ones go through one
-        batched forward, each column cached as its function's field.  A
-        one-column batch is the 1-D apply bit for bit; a wider one is a
-        matmul, whose sums may round differently (about 1e-15 relative)."""
-        todo = [f for f in fs if f not in self._fields]
+    def spectral(self, f):
+        """The field of one function, or the fields of a corpus as one batch
+        (n_ξ, m).  Uncached members go through one batched forward, each
+        column cached as its member's field for as long as the member lives
+        (a matmul: a wider batch may round differently, about 1e-15)."""
+        fs, one = as_members(f)
+        todo = [g for g in fs if g not in self._fields]
         if todo:
-            batch = self.transform.forward(np.stack(
-                [np.asarray(f.value(self.quad.nodes), dtype=float) for f in todo], axis=1))
-            for j, f in enumerate(todo):
-                self._fields[f] = SpectralField(batch.quad, batch.values[:, j].copy())
-        return [self._fields[f] for f in fs]
+            todo = list(dict.fromkeys(todo))
+            vals = corpus_values(todo, self.quad.nodes)
+            batch = self.transform.forward(np.ascontiguousarray(vals.T))
+            for j, g in enumerate(todo):
+                self._fields[g] = SpectralField(batch.quad, batch.values[:, j].copy())
+        if one:
+            return self._fields[f]
+        return SpectralField(self.xi_quad, np.array([self._fields[g].values for g in fs]).T)
 
     # -- norms --------------------------------------------------------------
 
-    def norm(self, f, p: float, a: float = 0.0) -> float:
+    def norm(self, f, p: float, a: float = 0.0):
         return weighted_lp_norm(f, p, a, self.quad)
 
-    def grad_norm(self, f: TestFunction, p: float, a: float = 0.0) -> float:
+    def grad_norm(self, f, p: float, a: float = 0.0):
         """‖|x|^a |∇_k f|‖_p via the exact derivative/Dunkl hook."""
         if self.mode == "radial":
-            g = f.derivative()
+            g = _each(f, lambda h: h.derivative())
         else:
-            g = f.apply_dunkl(self.k)
+            g = _each(f, lambda h: h.apply_dunkl(self.k))
         return weighted_lp_norm(g, p, a, self.quad)
 
-    def lap_norm(self, f: TestFunction, j: int, p: float, a: float = 0.0) -> float:
+    def lap_norm(self, f, j: int, p: float, a: float = 0.0):
         """‖|x|^a Δ_k^j f‖_p; Δ_k applied exactly j times."""
+        c = self.lam if self.mode == "radial" else self.k
         g = f
         for _ in range(j):
-            g = g.laplacian(self.lam if self.mode == "radial" else self.k)
+            g = _each(g, lambda h: h.laplacian(c))
         return weighted_lp_norm(g, p, a, self.quad)
 
-    def frac_norm(self, f: TestFunction, s: float, p: float = 2.0, a: float = 0.0) -> float:
+    def frac_norm(self, f, s: float, p: float = 2.0, a: float = 0.0):
         """‖|x|^a (-Δ_k)^{s/2} f‖_p."""
         if s == 0.0:
             return self.norm(f, p, a)
-        if p == 2.0 and a == 0.0:
-            if f.heavy_tails and s == 1.0:
-                return self.grad_norm(f, 2.0)       # L² gradient identity
-            return homogeneous_norm(self.spectral(f), s)
         if a != 0.0:
             raise NotImplementedError("power weights on fractional norms are not needed "
                                       "by any encoded theorem")
-        vals = self.frac_values(f, s)
-        return weighted_lp_norm(lambda x: vals, p, 0.0, self.quad)
+        fs, one = as_members(f)
+        if p != 2.0:
+            out = weighted_lp_norm([(lambda x, v=v: v) for v in self.frac_values(fs, s)],
+                                   p, 0.0, self.quad)
+            return float(out[0]) if one else out
+        heavy = [s == 1.0 and g.heavy_tails for g in fs]
+        grad = [i for i, h in enumerate(heavy) if h]
+        plancherel = [i for i, h in enumerate(heavy) if not h]
+        out = np.empty(len(fs))
+        if grad:                                     # L² gradient identity
+            out[grad] = self.grad_norm([fs[i] for i in grad], 2.0)
+        if plancherel:
+            fld = self.spectral([fs[i] for i in plancherel])
+            w = self.xi_quad.weights * fld.abs_xi ** (2.0 * s)
+            out[plancherel] = np.sqrt((w * np.abs(fld.values.T) ** 2).sum(axis=-1))
+        return float(out[0]) if one else out
 
-    def frac_values(self, f: TestFunction, s: float) -> np.ndarray:
-        """(-Δ_k)^{s/2} f synthesized on the physical grid (real part)."""
+    def frac_values(self, f, s: float) -> np.ndarray:
+        """(-Δ_k)^{s/2} f synthesized on the physical grid (real part): shape
+        (n,) for one function, (m, n) for a corpus."""
         fld = self.spectral(f)
-        g = fld.scaled(fld.abs_xi ** s)
-        return np.real(self.transform.inverse(g))
+        return np.real(self.transform.inverse(fld.scaled(fld.abs_xi ** s))).T
+
+
+def _each(f, op):
+    """op applied to one function, or to each member of a corpus."""
+    return [op(g) for g in f] if isinstance(f, (list, tuple)) else op(f)
 
 
 def radial_workbench(N: int, gamma: float, rmax: float = 16.0, resolution: int = 640,

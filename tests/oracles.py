@@ -154,3 +154,20 @@ def normalized_bessel_j_jv(nu, z):
     zl = az[~small]
     out[~small] = sps.gamma(nu + 1.0) * (2.0 / zl) ** nu * sps.jv(nu, zl)
     return out
+
+
+def carrier_values_loop(carrier, x, power):
+    """A carrier's f(x)/|x|^power one carrier at a time, by the scalar Horner
+    loop for the polynomial × Gaussian carriers (profiles use their own
+    value_reduced), so the padded-matrix evaluation can be checked against it."""
+    x = np.asarray(x, dtype=float)
+    if not hasattr(carrier, "coeffs"):
+        return carrier.value_reduced(x, power)
+    m0 = carrier.lead
+    t = x * x if hasattr(carrier, "beta") else x
+    q = np.zeros_like(x)
+    for c in reversed(carrier.coeffs[m0:]):
+        q = q * t + c
+    if hasattr(carrier, "beta"):
+        return x ** (carrier.beta + 2 * m0 - power) * q * np.exp(-0.5 * carrier.s * t)
+    return q * x ** (m0 - int(round(power))) * np.exp(-0.5 * carrier.s * x * x)

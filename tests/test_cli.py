@@ -90,6 +90,8 @@ def test_sharp_command(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["best_ratio"] >= 1.9
     assert summary["ceiling"] == 2.0
+    # the optimizer settings it ran with, defaults filled in
+    assert summary["optimizer"] == {"seed": 7, "max_iters": 120, "tolerance": 1e-4}
     assert (out / "trace.csv").exists()
 
 
@@ -301,10 +303,12 @@ _NAN, _INF = float("nan"), float("inf")
                                        "params": {"N": 3, "gamma": 0.0, "p": _INF, "a": 0.0}}}),
     ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": [0.5, _INF]}}}),
     ("sharp", {**_SHARP_BASE, "optimizer": {"tolerance": _NAN}}),
+    ("wave", {"wave": {"b": 1, "m": 1, "grid": {"x_max": 10 ** 400}}}),
 ], ids=["wave.time.dt", "wave.b", "mode.rmax", "mode.xi_max", "spec.params.s",
-        "spec.params.p", "family.box", "optimizer.tolerance"])
+        "spec.params.p", "family.box", "optimizer.tolerance", "wave.grid.x_max"])
 def test_nonfinite_config_number_exit2(tmp_path, capsys, command, cfg):
-    # json.load reads NaN and Infinity; neither is a value any field can take
+    # json.load reads NaN and Infinity, and integers past the float range;
+    # none is a value any field can take
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -349,6 +353,8 @@ def test_seed_flag_overrides_optimizer_seed(tmp_path):
         out = tmp_path / seed
         assert main(["sharp", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
         traces.append((out / "trace.csv").read_bytes())
+        ran = json.loads((out / "summary.json").read_text())["optimizer"]
+        assert ran == {"seed": int(seed), "max_iters": 10, "tolerance": 1e-4}
     assert traces[0] != traces[1]
 
 

@@ -336,9 +336,9 @@ def test_corpus_is_transformed_in_one_batch(mode, monkeypatch):
                                      "SeededSuperposition"], mode=mode)
     n = wb.quad.npoints
     first = verify_corpus(specs[0], corpus, wb)
-    assert shapes == [(n, 1), (n, 11)]   # corpus[0] alone, then the other eleven
+    assert shapes == [(n, 12)]           # the whole corpus in one forward
     verify_corpus(specs[1], corpus, wb)
-    assert len(shapes) == 2              # every field is cached already
+    assert len(shapes) == 1              # every field is cached already
     # a one-column batch is the 1-D apply bit for bit; a wider one is a
     # matmul, which may round differently
     fresh = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad, tr)
@@ -347,3 +347,47 @@ def test_corpus_is_transformed_in_one_batch(mode, monkeypatch):
     for f, rec in zip(corpus, first.records):
         want = evaluate_sides(specs[0], f, fresh)
         assert rec.ratio == pytest.approx(want.ratio, rel=1e-13, abs=0.0)
+
+
+def _raised(evaluate):
+    with pytest.raises(Exception) as info:
+        evaluate()
+    return info.type, str(info.value)
+
+
+def _member(fid, beta, coeffs, s=1.0):
+    comp = dk.RadialPG(beta, coeffs, s)
+    return dk.TestFunction(fid, "HermiteGaussian", "radial", {}, (comp,))
+
+
+@pytest.mark.parametrize("spec, bad", [
+    # r^{-1.3}: |x|^{-1.5} |f|^{1.5} r² is not integrable at the origin
+    (dk.make_spec("Hardy_Lp", N=3, gamma=0.0, p=1.5), {"nonintegrable": 1, "zero": 4}),
+    (dk.make_spec("Hardy_Lp", N=3, gamma=0.0, p=1.5), {"zero": 1, "nonintegrable": 4}),
+    (dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0), {"zero": 0, "nonintegrable": 3}),
+    (dk.make_spec("Trudinger", N=3, gamma=0.0, p=2.0, a=0.3), {"zero": 5}),
+    # a member outside the Rellich class after a degenerate one, and before one
+    (dk.make_spec("ClassicalRellich", N=5, gamma=0.0), {"zero": 2, "nonvanishing": 3}),
+    (dk.make_spec("ClassicalRellich", N=5, gamma=0.0), {"nonvanishing": 1, "zero": 3}),
+], ids=["nonintegrable-first", "degenerate-first", "fractional", "trudinger",
+        "class-after-degenerate", "class-first"])
+def test_corpus_raises_what_its_first_failing_member_raises(spec, bad):
+    # the corpus is evaluated as arrays, so its norms see every member at
+    # once; the error must still be the one, with the message, that the
+    # first failing member raises when the members are evaluated one by one
+    wb = dk.radial_workbench(int(spec.params["N"]), 0.0, resolution=160, xi_resolution=160)
+    corpus = [_member(f"ok-{j}", 0.0, (0.0, 1.0, 0.3 * j), 1.0 + 0.1 * j) for j in range(6)]
+    for kind, j in bad.items():
+        corpus[j] = {"zero": _member(f"zero-{j}", 2.0, (0.0,)),        # r² · 0
+                     "nonintegrable": _member(f"rpow-{j}", -1.3, (1.0,)),
+                     "nonvanishing": _member(f"gauss-{j}", 0.0, (1.0,))}[kind]
+    want = None
+    for f in corpus:
+        try:
+            evaluate_sides(spec, f, wb)
+        except Exception as exc:             # noqa: BLE001 - compared below
+            want = (type(exc), str(exc))
+            break
+    assert want is not None and want[0] is not AssertionError
+    assert _raised(lambda: verify_corpus(spec, corpus, wb)) == want
+    assert _raised(lambda: evaluate_sides(spec, corpus, wb)) == want

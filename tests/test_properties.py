@@ -6,7 +6,8 @@ agreement with the serial sweep, the two-level linear modes against the
 full-grid closed forms, the mode propagator against mpmath, dilation of
 every test-function carrier, of weighted norms and of the benchmark's
 verify-sweep ratios, batched `verify_corpus` against per-member
-evaluation, and the equality conditions of the `*_spec`
+evaluation, the cached rule layout against the panel-by-panel rule, and
+the equality conditions of the `*_spec`
 constructors' output."""
 
 import importlib.util
@@ -23,11 +24,12 @@ from hypothesis import assume, given, settings, strategies as st
 import dunklkit as dk
 from dunklkit import inequalities
 from dunklkit.extremal import bump_scale_family
-from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
-from dunklkit.measure import radial_quadrature, rank1_quadrature, weighted_lp_norm
+from dunklkit.functions import CORPUS_FAMILIES, corpus_values, generate_corpus
+from dunklkit.measure import (_half_axis_layout, _half_axis_rule, radial_quadrature,
+                              rank1_quadrature, weighted_lp_norm)
 from dunklkit.waveeq import (_block_size, _duhamel, _linear_modes, _propagator,
                              linear_mode_solution)
-from oracles import duhamel_serial
+from oracles import carrier_values_loop, duhamel_serial, half_axis_rule_loop
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 EXACT_FAMILIES = ["Gaussian", "DilatedGaussian", "HermiteGaussian"]
@@ -61,6 +63,24 @@ def test_rank1_norms_match_closed_forms(k, a, seed):
     quad = rank1_quadrature(k, 16.0, 640)
     _check_exact_norms(generate_corpus(seed, 3, EXACT_FAMILIES, mode="rank1"), quad, a,
                        lambda c: c.weighted_l2_exact(a, k))
+
+
+# the README and benchmark grids: default, sharp-probe's wide rule, selftest, tiny
+RULE_GRIDS = [(16.0, 640), (1e30, 3000), (14.0, 420), (16.0, 200)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sigma=st.floats(-0.999, 8.0), grid=st.sampled_from(RULE_GRIDS))
+def test_cached_rule_layout_is_the_panel_rule_bit_for_bit(sigma, grid):
+    # a rule built on the cached sigma-free layout, cold or warm, is the
+    # panel-by-panel rule; the shared layout cannot be written into
+    want = half_axis_rule_loop(sigma, *grid)
+    _half_axis_layout.cache_clear()
+    for _ in ("cold", "warm"):
+        for got, ref in zip(_half_axis_rule(sigma, *grid), want):
+            assert np.array_equal(got, ref), (sigma, grid)
+    _, _, x, base = _half_axis_layout(*grid)
+    assert not (x.flags.writeable or base.flags.writeable)
 
 
 @lru_cache(maxsize=None)
@@ -323,12 +343,49 @@ def test_verify_sweep_ratio_dilation_invariance(index, seed, lam):
 
 
 @PROPERTY
+@given(seed=SEEDS, count=st.integers(1, 12), vanishing=st.booleans(),
+       mode=st.sampled_from(["radial", "rank1"]), derived=st.integers(0, 1))
+def test_corpus_values_match_carrier_loop(seed, count, vanishing, mode, derived):
+    # the padded coefficient matrix gives each member the sum of its carriers'
+    # values from the scalar Horner loop, at the member's own origin power
+    # and at the corpus's smallest one
+    corpus = generate_corpus(seed, count, list(CORPUS_FAMILIES),
+                             {"vanish_at_origin": vanishing}, mode=mode)
+    corpus = [f for f in corpus if mode == "radial" or not f.family.endswith("Bump")]
+    assume(corpus)
+    for _ in range(derived):            # raise the degree and move the origin power
+        corpus = [f.derivative() for f in corpus]
+    x = np.linspace(-3.0, 3.0, 41) if mode == "rank1" else np.geomspace(1e-3, 9.0, 41)
+    low = min(f.origin_factor_power for f in corpus)
+    for power in ({f.origin_factor_power for f in corpus} | {low}):
+        members = [f for f in corpus if f.origin_factor_power >= power]
+        got = corpus_values(members, x, power)
+        for f, row in zip(members, got):
+            want = 0.0
+            for c in f.components:
+                want = want + carrier_values_loop(c, x, power)
+            np.testing.assert_allclose(row, want, rtol=1e-15, atol=0.0, err_msg=f.fid)
+
+
+def _first_error(evaluate):
+    """(type, message) of what evaluate() raises, or None."""
+    try:
+        evaluate()
+    except Exception as exc:               # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@PROPERTY
 @given(seed=SEEDS, count=st.integers(1, 12))
 def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
-    # verify_corpus transforms a corpus in one batched forward; each record
-    # must match evaluate_sides on a workbench with an empty field cache
-    # (same kernel), where every member is transformed alone
-    corpora = {(mode, vanishing): generate_corpus(seed, count, VERIFY_FAMILIES,
+    # verify_corpus evaluates a corpus as arrays: one value matrix and one
+    # reduction per norm, its fields from one batched forward.  Each record
+    # must match evaluate_sides on that member alone, on a workbench with an
+    # empty field cache (same kernel); where a member fails alone (a bump
+    # has no rank-1 Dunkl hook), the corpus raises what the first failing
+    # member raises.  All corpus families, bumps and annuli included.
+    corpora = {(mode, vanishing): generate_corpus(seed, count, list(CORPUS_FAMILIES),
                                                   {"vanish_at_origin": vanishing}, mode=mode)
                for mode, vanishing in (("radial", False), ("radial", True), ("rank1", False))}
     fresh = {}
@@ -339,6 +396,12 @@ def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
             fresh[setting] = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad,
                                           wb.transform)
         corpus = corpora[setting[0], vanishing]
+        alone = [_first_error(lambda f=f: dk.evaluate_sides(spec, f, fresh[setting]))
+                 for f in corpus]
+        failed = [e for e in alone if e is not None]
+        if failed:
+            assert _first_error(lambda: dk.verify_corpus(spec, corpus, wb)) == failed[0]
+            continue
         for f, rec in zip(corpus, dk.verify_corpus(spec, corpus, wb).records):
             want = dk.evaluate_sides(spec, f, fresh[setting])
             for got, ref in ((rec.lhs, want.lhs), (rec.rhs, want.rhs), (rec.ratio, want.ratio)):
