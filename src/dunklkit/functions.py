@@ -23,7 +23,6 @@ its carriers.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -63,9 +62,9 @@ def _padded(rows: list, ndim: int) -> np.ndarray:
 def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Σ_d C[:, d] t^d for each row of a padded coefficient matrix (ascending):
     one Horner pass, broadcasting to shape (K,) + t.shape."""
-    q = np.zeros(t.shape) + C[:, -1]
+    q = C[:, -1]
     for d in range(C.shape[1] - 2, -1, -1):
-        q *= t
+        q = q * t
         q += C[:, d]
     return q
 
@@ -79,16 +78,12 @@ class _PolyGauss:
     heavy_tails = False
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        # `lead`: the index of the first nonzero coefficient (0 for a zero polynomial)
+        object.__setattr__(self, "lead", next((m for m, c in enumerate(coeffs) if c != 0.0), 0))
         if self.s <= 0:
             raise ValueError("Gaussian scale s must be positive")
-
-    @functools.cached_property
-    def lead(self) -> int:
-        for m, c in enumerate(self.coeffs):
-            if c != 0.0:
-                return m
-        return 0
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.value_reduced(x, 0.0)
@@ -494,12 +489,12 @@ def corpus_values(fs: Sequence[TestFunction], x, power: float = 0.0) -> np.ndarr
         vals = np.empty((len(comps),) + x.shape)
         for cls, js in by_class.items():
             vals[js] = cls.rows([comps[j] for j in js], x, power)
-    if len(comps) == len(fs):
+    if all(len(f.components) == 1 for f in fs):
         return vals
     counts = np.array([len(f.components) for f in fs])
     starts = np.cumsum(counts) - counts
-    out = vals[starts]
-    for k in range(1, counts.max()):          # carrier k of every member that has one
+    out = np.zeros((len(fs),) + x.shape)
+    for k in range(counts.max(initial=0)):    # carrier k of every member that has one
         has = np.flatnonzero(counts > k)
         out[has] += vals[starts[has] + k]
     return out

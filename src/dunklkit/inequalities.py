@@ -716,8 +716,8 @@ def _sides(thm: TheoremDef, P: dict, fs: list, wb: Workbench) -> tuple:
             for f in fs:
                 _sides(thm, P, [f], wb)
         raise
-    records, m = [], len(fs)
-    for f, left, right in zip(fs, np.full(m, lhs).tolist(), np.full(m, rhs).tolist()):
+    records = []
+    for f, left, right in zip(fs, _per_member(lhs, len(fs)), _per_member(rhs, len(fs))):
         if right == 0.0 or not math.isfinite(right):
             raise DegenerateFunctionError(f"{f.fid}: degenerate rhs = {right}")
         ratio = left / right
@@ -725,6 +725,11 @@ def _sides(thm: TheoremDef, P: dict, fs: list, wb: Workbench) -> tuple:
             raise DegenerateFunctionError(f"{f.fid}: non-finite lhs = {left} or ratio = {ratio}")
         records.append(VerificationRecord(f.fid, left, right, ratio))
     return tuple(records)
+
+
+def _per_member(side, m: int) -> list:
+    """An evaluated side as m floats; a scalar side holds for every member."""
+    return side.tolist() if isinstance(side, np.ndarray) else [side] * m
 
 
 def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Workbench,

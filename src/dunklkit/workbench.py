@@ -125,21 +125,23 @@ class Workbench:
             raise NotImplementedError("power weights on fractional norms are not needed "
                                       "by any encoded theorem")
         fs, one = as_members(f)
-        if p != 2.0:
+        if p != 2.0:                                 # each member's samples as a callable
             out = weighted_lp_norm([(lambda x, v=v: v) for v in self.frac_values(fs, s)],
                                    p, 0.0, self.quad)
             return float(out[0]) if one else out
         heavy = [s == 1.0 and g.heavy_tails for g in fs]
-        grad = [i for i, h in enumerate(heavy) if h]
-        plancherel = [i for i, h in enumerate(heavy) if not h]
-        out = np.empty(len(fs))
-        if grad:                                     # L² gradient identity
-            out[grad] = self.grad_norm([fs[i] for i in grad], 2.0)
-        if plancherel:
-            fld = self.spectral([fs[i] for i in plancherel])
-            w = self.xi_quad.weights * fld.abs_xi ** (2.0 * s)
-            out[plancherel] = np.sqrt((w * np.abs(fld.values.T) ** 2).sum(axis=-1))
-        return float(out[0]) if one else out
+        if any(heavy) and not all(heavy):            # one call per kind of member
+            out = np.empty(len(fs))
+            for kind in (True, False):
+                idx = [i for i, h in enumerate(heavy) if h is kind]
+                out[idx] = self.frac_norm([fs[i] for i in idx], s)
+            return out
+        if all(heavy):                               # L² gradient identity
+            return self.grad_norm(f, 2.0)
+        fld = self.spectral(f)                       # Plancherel
+        w = self.xi_quad.weights * fld.abs_xi ** (2.0 * s)
+        out = np.sqrt((w * np.abs(fld.values.T) ** 2).sum(axis=-1))
+        return float(out) if one else out
 
     def frac_values(self, f, s: float) -> np.ndarray:
         """(-Δ_k)^{s/2} f synthesized on the physical grid (real part): shape

@@ -62,7 +62,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    return {"returncode": proc.returncode, "result": result,
+    # the metric lines run.py prints before its result carry each metric's note
+    notes = [line for line in lines[:-1] if " n=" in line]
+    return {"returncode": proc.returncode, "result": result, "notes": notes,
             "stderr_tail": proc.stderr.strip().splitlines()[-3:] if result is None else []}
 
 
