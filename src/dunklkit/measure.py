@@ -14,7 +14,9 @@ Three quadrature kinds:
 |x|^extra exactly (the origin panel's Jacobi exponent shifts), which is how
 weighted norms ‖|x|^a f‖_p stay accurate down to the integrability edge.
 A rank1/radial rule is built once per parameter tuple and kept in a bounded
-cache (256 rules), so repeated norms reuse it; every rule is read-only.
+cache (256 rules), so repeated norms reuse it; every rule is read-only.  The
+σ-free panel layout has its own cache, so a new origin exponent builds only
+its core.
 """
 
 from __future__ import annotations
