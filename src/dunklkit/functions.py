@@ -465,9 +465,12 @@ class TestFunction:
 
 
 def as_members(f) -> tuple[list, bool]:
-    """(members, single): a list or tuple of functions as a list, one
-    function as a one-member corpus."""
-    return (list(f), False) if isinstance(f, (list, tuple)) else ([f], True)
+    """(members, single): a list or tuple of functions, or a matrix of
+    sample rows, as a list; one function (or one row) as a one-member
+    corpus."""
+    if isinstance(f, (list, tuple)) or (isinstance(f, np.ndarray) and f.ndim == 2):
+        return list(f), False
+    return [f], True
 
 
 def corpus_values(fs: Sequence[TestFunction], x, power: float = 0.0) -> np.ndarray:
@@ -483,21 +486,21 @@ def corpus_values(fs: Sequence[TestFunction], x, power: float = 0.0) -> np.ndarr
     by_class: dict = {}
     for j, c in enumerate(comps):
         by_class.setdefault(type(c), []).append(j)
-    if len(by_class) == 1:
-        vals = type(comps[0]).rows(comps, x, power)
-    else:
-        vals = np.empty((len(comps),) + x.shape)
-        for cls, js in by_class.items():
-            vals[js] = cls.rows([comps[j] for j in js], x, power)
-    if all(len(f.components) == 1 for f in fs):
-        return vals
-    counts = np.array([len(f.components) for f in fs])
-    starts = np.cumsum(counts) - counts
-    out = np.zeros((len(fs),) + x.shape)
-    for k in range(counts.max(initial=0)):    # carrier k of every member that has one
-        has = np.flatnonzero(counts > k)
-        out[has] += vals[starts[has] + k]
-    return out
+    if len(by_class) == 1 and len(comps) == len(fs):    # one carrier each, of one class
+        return type(comps[0]).rows(comps, x, power)
+    rows = [None] * len(comps)
+    for cls, js in by_class.items():
+        for j, row in zip(js, cls.rows([comps[j] for j in js], x, power)):
+            rows[j] = row
+    out, j = [], 0
+    for f in fs:                  # a member's carriers are consecutive rows, summed in order
+        k = len(f.components)
+        v = rows[j]
+        for row in rows[j + 1:j + k]:
+            v = v + row
+        out.append(v)
+        j += k
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

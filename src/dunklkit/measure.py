@@ -339,24 +339,25 @@ def weighted_lp_norm(f, p: float, a: float, quad: WeightedQuadrature):
     (one norm per member, an (m,) array).  A function is a TestFunction,
     whose factorable origin power is folded into the rule exactly and whose
     inner support hole, if any, licenses a pointwise power, or a bare
-    callable (assumed regular at the origin).  Members that share an origin
-    power share one rule and one weighted reduction over their stacked
-    values.  Raises NonIntegrableWeightError when |x|^{ap}|f|^p is not
-    integrable at 0.
+    callable (assumed regular at the origin).  With a = 0, `f` may also be
+    samples on quad.nodes: one row (n,) or a matrix (m, n), one member per
+    row.  Members that share an origin power share one rule and one
+    weighted reduction over their stacked values.  Raises
+    NonIntegrableWeightError when |x|^{ap}|f|^p is not integrable at 0.
     """
     if p <= 0:
         raise QuadratureError("p must be positive")
     fs, one = as_members(f)
+    if a != 0.0 and any(isinstance(g, np.ndarray) for g in fs):
+        raise QuadratureError("samples on quad.nodes take no power weight (a must be 0)")
     groups: dict = {}
     for i, g in enumerate(fs):
         groups.setdefault(float(getattr(g, "origin_factor_power", 0.0)), []).append(i)
-    if len(groups) == 1:
-        out = _power_sums(fs, next(iter(groups)), p, a, quad)
-    else:
-        out = np.empty(len(fs))
-        for power, idx in groups.items():
-            out[idx] = _power_sums([fs[i] for i in idx], power, p, a, quad)
-    roots = [v ** (1.0 / p) for v in out.tolist()]    # Python's pow, as for a single float
+    roots = [0.0] * len(fs)
+    for power, idx in groups.items():
+        sums = _power_sums([fs[i] for i in idx], power, p, a, quad).tolist()
+        for i, v in zip(idx, sums):
+            roots[i] = v ** (1.0 / p)               # Python's pow, as for a single float
     return roots[0] if one else np.array(roots)
 
 
@@ -384,5 +385,6 @@ def _abs_rows(fs: list, x: np.ndarray, power: float) -> np.ndarray:
     """|f(x)| / |x|^power for each function, shape (m, n)."""
     if all(isinstance(g, TestFunction) for g in fs):
         return np.abs(corpus_values(fs, x, power))
-    # bare callables: regular at the origin, so power is 0
-    return np.abs(np.array([np.broadcast_to(g(x), x.shape[:1]) for g in fs]))
+    # bare callables and samples: regular at the origin, so power is 0
+    return np.abs(np.array([np.broadcast_to(g(x) if callable(g) else g, x.shape[:1])
+                            for g in fs]))

@@ -292,10 +292,13 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(field.quad.weights * w * field._abs2())))
 
 
-def homogeneous_norm(field: SpectralField, s: float) -> float:
-    """‖(-Δ_k)^{s/2} f‖₂ computed in the transform domain (Plancherel)."""
-    w = field.abs_xi ** (2.0 * s)
-    return float(np.sqrt(np.sum(field.quad.weights * w * field._abs2())))
+def homogeneous_norm(field: SpectralField, s: float):
+    """‖(-Δ_k)^{s/2} f‖₂ computed in the transform domain (Plancherel): a
+    float for one field (n,), one norm per column, an (m,) array, for a
+    batch (n, m)."""
+    w = field.quad.weights * field.abs_xi ** (2.0 * s)
+    out = np.sqrt((w * np.abs(field.values.T) ** 2).sum(axis=-1))
+    return float(out) if field.values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

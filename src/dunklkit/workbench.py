@@ -40,7 +40,8 @@ import numpy as np
 from .functions import as_members, corpus_values
 from .measure import (WeightedQuadrature, radial_quadrature, rank1_quadrature,
                       weighted_lp_norm)
-from .spectral import DunklTransformRank1, RadialDunklTransform, SpectralField
+from .spectral import (DunklTransformRank1, RadialDunklTransform, SpectralField,
+                       homogeneous_norm)
 
 __all__ = ["Workbench", "radial_workbench", "rank1_workbench"]
 
@@ -124,24 +125,20 @@ class Workbench:
         if a != 0.0:
             raise NotImplementedError("power weights on fractional norms are not needed "
                                       "by any encoded theorem")
+        if p != 2.0:                                 # synthesized on the physical grid
+            return weighted_lp_norm(self.frac_values(f, s), p, 0.0, self.quad)
         fs, one = as_members(f)
-        if p != 2.0:                                 # each member's samples as a callable
-            out = weighted_lp_norm([(lambda x, v=v: v) for v in self.frac_values(fs, s)],
-                                   p, 0.0, self.quad)
-            return float(out[0]) if one else out
-        heavy = [s == 1.0 and g.heavy_tails for g in fs]
-        if any(heavy) and not all(heavy):            # one call per kind of member
-            out = np.empty(len(fs))
-            for kind in (True, False):
-                idx = [i for i, h in enumerate(heavy) if h is kind]
-                out[idx] = self.frac_norm([fs[i] for i in idx], s)
-            return out
-        if all(heavy):                               # L² gradient identity
-            return self.grad_norm(f, 2.0)
-        fld = self.spectral(f)                       # Plancherel
-        w = self.xi_quad.weights * fld.abs_xi ** (2.0 * s)
-        out = np.sqrt((w * np.abs(fld.values.T) ** 2).sum(axis=-1))
-        return float(out) if one else out
+        groups: dict = {}
+        for i, g in enumerate(fs):
+            groups.setdefault(s == 1.0 and g.heavy_tails, []).append(i)
+        out = [0.0] * len(fs)
+        for heavy, idx in groups.items():
+            gs = [fs[i] for i in idx]
+            vals = (self.grad_norm(gs, 2.0) if heavy                # L² gradient identity
+                    else homogeneous_norm(self.spectral(gs), s))    # Plancherel
+            for i, v in zip(idx, vals.tolist()):
+                out[i] = v
+        return out[0] if one else np.array(out)
 
     def frac_values(self, f, s: float) -> np.ndarray:
         """(-Δ_k)^{s/2} f synthesized on the physical grid (real part): shape

@@ -52,6 +52,19 @@ def test_gaussian_l2_norm():
     assert val == pytest.approx(np.pi ** 0.25, rel=1e-10)
 
 
+def test_norm_of_samples_is_the_norm_of_their_callable():
+    # samples on the rule's nodes: one row is one norm, a matrix one per row;
+    # they take no power weight, since a weighted rule has other nodes
+    q = radial_quadrature(3, 0.0, 10.0, 200)
+    rows = np.array([np.exp(-0.5 * c * q.nodes ** 2) for c in (0.5, 1.0, 2.0)])
+    want = [weighted_lp_norm(lambda x, c=c: np.exp(-0.5 * c * x * x), 3.0, 0.0, q)
+            for c in (0.5, 1.0, 2.0)]
+    assert weighted_lp_norm(rows[1], 3.0, 0.0, q) == want[1]
+    assert weighted_lp_norm(rows, 3.0, 0.0, q).tolist() == want
+    with pytest.raises(QuadratureError, match="no power weight"):
+        weighted_lp_norm(rows, 3.0, 1.0, q)
+
+
 def test_zero_function():
     q = radial_quadrature(3, 0.0, 10.0, 200)
     assert weighted_lp_norm(lambda r: 0.0 * r, 2.0, 1.7, q) == 0.0

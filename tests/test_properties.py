@@ -382,11 +382,15 @@ def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
     # verify_corpus evaluates a corpus as arrays: one value matrix and one
     # reduction per norm, its fields from one batched forward.  Each record
     # must match evaluate_sides on that member alone, on a workbench with an
-    # empty field cache (same kernel); where a member fails alone (a bump
-    # has no rank-1 Dunkl hook), the corpus raises what the first failing
-    # member raises.  All corpus families, bumps and annuli included.
-    corpora = {(mode, vanishing): generate_corpus(seed, count, list(CORPUS_FAMILIES),
-                                                  {"vanish_at_origin": vanishing}, mode=mode)
+    # empty field cache (same kernel), for every spec at every width: over
+    # the verify families, and over all corpus families (bumps and annuli
+    # included) the members that pass alone.  Where a member fails alone (a
+    # profile carrier has no Laplacian or rank-1 Dunkl hook), the whole
+    # corpus raises what the first failing member raises.
+    corpora = {(families, mode, vanishing):
+               generate_corpus(seed, count, list(families), {"vanish_at_origin": vanishing},
+                               mode=mode)
+               for families in (tuple(VERIFY_FAMILIES), CORPUS_FAMILIES)
                for mode, vanishing in (("radial", False), ("radial", True), ("rank1", False))}
     fresh = {}
     for spec, key, vanishing in VERIFY_SPECS:
@@ -395,17 +399,23 @@ def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
         if setting not in fresh:
             fresh[setting] = dk.Workbench(wb.mode, wb.N, wb.gamma, wb.quad, wb.xi_quad,
                                           wb.transform)
-        corpus = corpora[setting[0], vanishing]
-        alone = [_first_error(lambda f=f: dk.evaluate_sides(spec, f, fresh[setting]))
-                 for f in corpus]
-        failed = [e for e in alone if e is not None]
-        if failed:
-            assert _first_error(lambda: dk.verify_corpus(spec, corpus, wb)) == failed[0]
-            continue
-        for f, rec in zip(corpus, dk.verify_corpus(spec, corpus, wb).records):
-            want = dk.evaluate_sides(spec, f, fresh[setting])
-            for got, ref in ((rec.lhs, want.lhs), (rec.rhs, want.rhs), (rec.ratio, want.ratio)):
-                assert abs(got - ref) <= 1e-13 * abs(ref), (spec.theorem, f.fid, got, ref)
+        for families in (tuple(VERIFY_FAMILIES), CORPUS_FAMILIES):
+            corpus = corpora[families, setting[0], vanishing]
+            alone = [_first_error(lambda f=f: dk.evaluate_sides(spec, f, fresh[setting]))
+                     for f in corpus]
+            failed = [e for e in alone if e is not None]
+            if families == tuple(VERIFY_FAMILIES):
+                assert not failed, (spec.theorem, failed)
+            if failed:
+                assert _first_error(lambda: dk.verify_corpus(spec, corpus, wb)) == failed[0]
+            passing = [f for f, e in zip(corpus, alone) if e is None]
+            if not passing:
+                continue
+            for f, rec in zip(passing, dk.verify_corpus(spec, passing, wb).records):
+                want = dk.evaluate_sides(spec, f, fresh[setting])
+                for got, ref in ((rec.lhs, want.lhs), (rec.rhs, want.rhs),
+                                 (rec.ratio, want.ratio)):
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (spec.theorem, f.fid, got, ref)
 
 
 # ---------------------------------------------------------------------------

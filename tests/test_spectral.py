@@ -296,10 +296,15 @@ def test_batched_multipliers_act_per_column(square):
         for j in range(m):
             assert np.array_equal(got[:, j], op(SpectralField(wb.xi_quad, vals[:, j])).values)
     for norm in (SpectralField.l2, lambda f: sobolev_norm(f, 1.0),
-                 lambda f: homogeneous_norm(f, 1.0),
                  lambda f: square_function_l2_ratio(f, 1.0, part)):
         with pytest.raises(ValueError, match="batch"):
             norm(batch)
+    # the Plancherel norm of a batch is one norm per column
+    got = homogeneous_norm(batch, 1.0)
+    assert got.shape == (m,)
+    for j in range(m):
+        assert got[j] == pytest.approx(homogeneous_norm(SpectralField(wb.xi_quad, vals[:, j]), 1.0),
+                                       rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.3])

@@ -10,7 +10,8 @@ checkout (src/, perfbench/ and BENCHMARK.json).  Pair i runs the parent
 first when i is odd and the change first when i is even, so a drift of the
 host does not favour one side.  Each run is
 `python3 perfbench/run.py --workload <w> --seed <seed> --seconds <s> --trace 0`
-in its checkout; its last line of output is the result.  --trace W adds one
+in its checkout, where <s> is BENCHMARK.json's `run_seconds`, the same on
+both sides; its last line of output is the result.  --trace W adds one
 `--trace 1` run of workload W per side.
 
 BENCH_<name>.json (written after every run, so an interrupted session keeps
@@ -129,7 +130,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS",
                     help="a workload and its number of pairs; repeat for more")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--trace", metavar="WORKLOAD", help="one --trace 1 run per side")
     ap.add_argument("--claim", metavar="WORKLOAD.METRIC")
     ap.add_argument("--what", default="", help="what the change does, for the file")
@@ -140,13 +140,14 @@ def main(argv=None) -> int:
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: checkout(ref, workdir, side)
              for side, ref in (("parent", args.parent), ("change", args.change))}
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.workload)]
     path = args.out / f"BENCH_{args.name}.json"
     doc = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "order": "pairs run one after another, parent first in odd pairs and change first "
                  "in even pairs; " + ", ".join(f"{w} {n} pairs" for w, n in plan)
                  + (f"; then one --trace 1 {args.trace} run per side" if args.trace else ""),
@@ -172,11 +173,11 @@ def main(argv=None) -> int:
         for pair in range(1, n + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                run = run_once(trees[side], workload, args.seed, args.seconds, 0)
+                run = run_once(trees[side], workload, args.seed, seconds, 0)
                 record({"workload": workload, "side": side, "pair": pair, "trace": 0, **run})
     if args.trace:
         for side in ("parent", "change"):
-            run = run_once(trees[side], args.trace, args.seed, args.seconds, 1)
+            run = run_once(trees[side], args.trace, args.seed, seconds, 1)
             record({"workload": args.trace, "side": side, "pair": 0, "trace": 1, **run})
     return 0
 
