@@ -147,30 +147,27 @@ def dunkl_laplacian_num(rs: RootSystem, f, x: np.ndarray, h: float = 2e-3) -> np
 # integration by parts
 
 
-def integration_by_parts_residual(rs: RootSystem, f, g, quad, i: int,
-                                  h: float | None = None,
-                                  boundary_tol: float = 1e-8) -> float:
-    """|∫ T_i(f) g dμ_k + ∫ f T_i(g) dμ_k| against the quadrature `quad`.
+def integration_by_parts_residual(rs: RootSystem, f, g, quad, i: int) -> float:
+    """|∫ T_i(f) g dμ_k + ∫ f T_i(g) dμ_k| against a rank-1 quadrature `quad`.
 
     For smooth rapidly decaying pairs this is a quadrature-level zero.  A
     warning is emitted when the integrand at the outermost nodes exceeds
-    boundary_tol times the integral scale (truncation suspect).
+    1e-8 times the integral scale (truncation suspect).
     """
-    nodes = quad.nodes if quad.kind != "rank1" else quad.nodes.reshape(-1, 1)
-    if quad.kind == "radial":
-        raise ValueError("integration by parts needs a full (non-radial) quadrature")
-    tif = np.atleast_1d(dunkl_derivative_num(rs, f, i, nodes, h))
-    tig = np.atleast_1d(dunkl_derivative_num(rs, g, i, nodes, h))
+    if quad.kind != "rank1":
+        raise ValueError("integration by parts needs a rank-1 (full-line) quadrature")
+    nodes = quad.nodes.reshape(-1, 1)
+    tif = np.atleast_1d(dunkl_derivative_num(rs, f, i, nodes))
+    tig = np.atleast_1d(dunkl_derivative_num(rs, g, i, nodes))
     fv = _eval(f, nodes, rs.dim)
     gv = _eval(g, nodes, rs.dim)
     term = tif * gv + fv * tig
     total = float(np.sum(quad.weights * term))
     scale = float(np.sum(quad.weights * (np.abs(tif * gv) + np.abs(fv * tig)))) + 1e-300
-    r = np.linalg.norm(nodes, axis=1)
-    edge = r >= 0.98 * quad.rmax
+    edge = np.abs(quad.nodes) >= 0.98 * quad.rmax
     if np.any(edge):
         boundary = float(np.max(np.abs(term[edge]) * quad.weights[edge]))
-        if boundary > boundary_tol * scale:
+        if boundary > 1e-8 * scale:
             warnings.warn("integration-by-parts integrand not negligible at the "
                           "truncation boundary; increase rmax", RuntimeWarning)
     return abs(total)

@@ -12,10 +12,10 @@ The workhorse carriers:
   reflection invariant.
 
 Bump and inverse-power carriers cover compact support, annuli (needed under
-negative power weights) and heavy tails (extremal trial families); d/dr and
-dilation act on their values, and they have no exact Dunkl hook.  A
-TestFunction is the sum of its `components` (carriers of either kind, all
-with the same calculus interface).  Every carrier states its behaviour at
+negative power weights) and heavy tails (extremal trial families); d/dr
+(once) and dilation act on their values, and they have no exact Dunkl hook
+(FunctionClassError).  A TestFunction is the sum of its `components`
+(carriers of either kind, all with the same calculus interface).  Every carrier states its behaviour at
 the origin and its tails (`min_power`, `support_inner`, `heavy_tails`), and
 the TestFunction reads what the norm and inequality machinery consumes off
 its carriers.
@@ -41,10 +41,16 @@ __all__ = [
     "generate_corpus",
     "band_profile",
     "CORPUS_FAMILIES",
+    "FunctionClassError",
 ]
 
 CORPUS_FAMILIES = ("Gaussian", "DilatedGaussian", "HermiteGaussian",
                    "RadialBump", "AnnularBump", "SeededSuperposition")
+
+
+class FunctionClassError(ValueError):
+    """A function outside the class an operation needs: a carrier with no
+    exact hook for it, or a member a theorem or workbench does not take."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +292,8 @@ class _Profile:
         return _ProfileDilate(self, lam)
 
     def dunkl_apply(self, k: float):
-        raise ValueError(f"{type(self).__name__}: no exact Dunkl-operator hook for this carrier")
+        raise FunctionClassError(
+            f"{type(self).__name__}: no exact Dunkl-operator hook for this carrier")
 
     laplacian = dunkl_apply
 
@@ -302,6 +309,10 @@ class _ProfileDerivative(_Profile):
 
     def value(self, r):
         return self.base.derivative_values(r)
+
+    def derivative_values(self, r):
+        raise FunctionClassError(
+            f"{type(self.base).__name__}: a profile carrier has no second derivative")
 
 
 @dataclass(frozen=True)

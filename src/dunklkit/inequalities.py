@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 from scipy import special as sps
 
-from .functions import TestFunction, as_members, corpus_values
+from .functions import FunctionClassError, TestFunction, as_members, corpus_values
 from .measure import WeightedQuadrature
 from .workbench import Workbench
 
@@ -62,10 +62,6 @@ class AdmissibilityError(ValueError):
     pass
 
 
-class FunctionClassError(ValueError):
-    pass
-
-
 class DegenerateFunctionError(ValueError):
     pass
 
@@ -80,6 +76,9 @@ class WorkbenchMismatchError(ValueError):
 
 EQ_TOL = 1e-9          # equality-condition tolerance
 NONSTRICT_SLACK = -1e-12
+VIOLATION_RTOL = 1e-4  # a record violates a known ceiling when ratio > bound (1 + this)
+SERIES_CAP = 200       # Trudinger series terms summed past the subtracted partial sum
+A_HI, A_ITERS = 8.0, 40  # largest_admissible_a: bisection on [0, A_HI], A_ITERS halvings
 
 
 @dataclass(frozen=True)
@@ -732,12 +731,12 @@ def _per_member(side, m: int) -> list:
     return side.tolist() if isinstance(side, np.ndarray) else [side] * m
 
 
-def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Workbench,
-                  violation_rtol: float = 1e-4) -> CorpusVerification:
+def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction],
+                  wb: Workbench) -> CorpusVerification:
     """Evaluate a spec across a corpus; flag known-bound violations.
 
     With a closed-form sharp constant the bound acts as a ceiling (upper
-    direction): a record violates when ratio > bound (1 + violation_rtol).
+    direction): a record violates when ratio > bound (1 + VIOLATION_RTOL).
     Without one, the sup (or inf) ratio is reported as the empirical
     constant estimate.
 
@@ -753,28 +752,27 @@ def verify_corpus(spec: InequalitySpec, corpus: Sequence[TestFunction], wb: Work
     bound = thm.known_bound(spec.params)
     violations = ()
     if bound is not None and thm.direction == "upper":
-        violations = tuple(r for r in records if r.ratio > bound * (1.0 + violation_rtol))
+        violations = tuple(r for r in records if r.ratio > bound * (1.0 + VIOLATION_RTOL))
     ratios = [r.ratio for r in records]
     empirical = max(ratios) if thm.direction == "upper" else min(ratios)
     return CorpusVerification(records, thm.direction, bound, violations, float(empirical))
 
 
-def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature,
-                  series_cap: int = 200):
+def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature):
     """∫ (exp(a|f|^{p'}) - Σ_{0≤j<p-1} (a|f|^{p'})^j / j!) dμ_k.
 
-    `f` is a callable or its samples on quad.nodes, shape (n,) (the
+    `f` is the samples of one function on quad.nodes, shape (n,) (the
     integral is a float), or the samples of m functions as rows (m, n) (one
     integral per row).  The caller normalizes f so the critical-derivative
     norm is ≤ 1.  The subtracted partial sum removes the integrable low
     powers; the remaining series Σ_{j≥⌈p-1⌉} z^j/j! is accumulated to
     machine accuracy in every row, switching to exp(z) minus the partial sum
     once z is large enough for that to be cancellation-free.  A row that
-    exceeds series_cap with a non-negligible tail raises SeriesCapError.
+    exceeds SERIES_CAP terms with a non-negligible tail raises SeriesCapError.
     """
     if a <= 0 or p <= 1:
         raise ValueError("need a > 0 and p > 1")
-    vals = np.abs(np.asarray(f(quad.nodes) if callable(f) else f, dtype=float))
+    vals = np.abs(np.asarray(f, dtype=float))
     pp = p / (p - 1.0)
     z = a * np.atleast_2d(vals) ** pp
     j0 = int(math.ceil(p - 1.0 - 1e-12))
@@ -800,7 +798,7 @@ def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature,
     j = j0
     while True:
         j += 1
-        if j - j0 > series_cap:
+        if j - j0 > SERIES_CAP:
             if np.any(term.max(axis=-1) > 1e-15 * (total.max(axis=-1) + 1e-300)):
                 raise SeriesCapError("Trudinger series cap reached with a "
                                      "non-negligible tail")
@@ -816,8 +814,7 @@ def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature,
 
 
 def largest_admissible_a(corpus: Sequence[TestFunction], p: float, wb: Workbench,
-                         ratio_bound: float, a_hi: float = 8.0,
-                         iters: int = 40) -> float:
+                         ratio_bound: float) -> float:
     """Bisection for the largest a with max_f lhs(a)/‖f‖_p^p ≤ ratio_bound."""
     corpus = list(corpus)
     c = wb.frac_norm(corpus, wb.lam / p, p)
@@ -831,10 +828,10 @@ def largest_admissible_a(corpus: Sequence[TestFunction], p: float, wb: Workbench
             return False
         return worst <= ratio_bound
 
-    lo, hi = 0.0, a_hi
-    if admissible_at(a_hi):
-        return a_hi
-    for _ in range(iters):
+    lo, hi = 0.0, A_HI
+    if admissible_at(A_HI):
+        return A_HI
+    for _ in range(A_ITERS):
         mid = 0.5 * (lo + hi)
         if admissible_at(mid):
             lo = mid

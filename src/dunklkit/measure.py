@@ -1,19 +1,17 @@
 """Quadrature against dμ_k = w_k dx, weighted L^p norms, Macdonald-Mehta.
 
-Three quadrature kinds:
+Two quadrature kinds, both one half-axis rule:
 
 * "rank1"  — signed nodes on [-R, R] for N=1 with the |√2 x|^{2k} weight
   folded in.  A Gauss-Jacobi panel at the origin integrates the |x|^{2k}
   factor exactly; geometric Gauss-Legendre panels cover the rest.
 * "radial" — radii on (0, R] carrying d · r^{Λ-1} with Λ = N + 2γ and d the
   μ_k surface constant; the rule for radial integrands in any dimension.
-* "tensor2" — tensor product of two plain panel rules in the plane with
-  w_k(x) applied pointwise (used for N=2 sanity checks only).
 
 `with_power(extra)` gives the rule whose weights absorb an additional
 |x|^extra exactly (the origin panel's Jacobi exponent shifts), which is how
 weighted norms ‖|x|^a f‖_p stay accurate down to the integrability edge.
-A rank1/radial rule is built once per parameter tuple and kept in a bounded
+A rule is built once per parameter tuple and kept in a bounded
 cache (256 rules), so repeated norms reuse it; every rule is read-only.  The
 σ-free panel layout has its own cache, so a new origin exponent builds only
 its core.
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -119,7 +117,7 @@ def _half_axis_layout(rmax: float, resolution: int) -> tuple:
 class WeightedQuadrature:
     """Nodes and weights approximating ∫ · dμ_k (weights include w_k)."""
 
-    kind: str                 # "rank1" | "radial" | "tensor2"
+    kind: str                 # "rank1" | "radial"
     nodes: np.ndarray
     weights: np.ndarray
     rmax: float
@@ -143,22 +141,14 @@ class WeightedQuadrature:
         if extra == 0.0:
             return self
         r = self.recipe
-        if self.kind in ("rank1", "radial"):
-            sigma = r["sigma"] + extra
-            if sigma <= -1.0:
-                raise NonIntegrableWeightError(
-                    f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
-            return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"])
-        # tensor2: pointwise (no origin singularity support)
-        if extra < 0:
-            raise NonIntegrableWeightError("tensor2 rules do not support negative power weights")
-        rad = np.linalg.norm(self.nodes, axis=1)
-        return replace(self, weights=self.weights * rad ** extra)
+        sigma = r["sigma"] + extra
+        if sigma <= -1.0:
+            raise NonIntegrableWeightError(
+                f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
+        return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"])
 
     def refined(self, factor: int = 2) -> "WeightedQuadrature":
         """Same rule at `factor`× the resolution (convergence studies)."""
-        if self.kind not in ("rank1", "radial"):
-            raise QuadratureError("refined() supports rank1/radial rules")
         r = self.recipe
         return _axis_quadrature(self.kind, r["sigma"], r["const"], self.rmax,
                                 int(r["resolution"] * factor))
@@ -203,9 +193,9 @@ def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
                      surface_const: float | None = None) -> WeightedQuadrature:
     """Quadrature for a concrete root system.
 
-    TensorGaussLike: exact-weight composite rule for N=1; tensor panels with
-    pointwise w_k for N=2.  PolarProduct: radial rule against r^{Λ-1} dr
-    times the μ_k surface constant (radial integrands, any N).
+    TensorGaussLike: exact-weight composite rule for N=1.  PolarProduct:
+    radial rule against r^{Λ-1} dr times the μ_k surface constant (radial
+    integrands, any N).
     """
     if scheme == "PolarProduct":
         d = surface_const if surface_const is not None else surface_constant_for(rs)
@@ -215,20 +205,7 @@ def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
     if rs.dim == 1:
         k = float(rs.multiplicities[0]) if rs.num_positive else 0.0
         return rank1_quadrature(k, rmax, resolution)
-    if rs.dim == 2:
-        # separable weight (ProductZ2N): fold |√2 x_i|^{2k_i} exactly per axis;
-        # otherwise plain axes, with w_k applied pointwise
-        product = rs.family == "ProductZ2N"
-        axes = [rank1_quadrature(float(k), rmax, resolution)
-                for k in (rs.multiplicities if product else (0.0, 0.0))]
-        X, Y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        weights = np.outer(axes[0].weights, axes[1].weights).ravel()
-        if not product:
-            weights = weights * rs_weight(rs, nodes)
-        return WeightedQuadrature("tensor2", nodes, weights, rmax,
-                                  {"resolution": resolution})
-    raise QuadratureError("TensorGaussLike is implemented for N ≤ 2; "
+    raise QuadratureError("TensorGaussLike is implemented for N = 1; "
                           "use PolarProduct for radial integrands in higher N")
 
 
@@ -317,14 +294,12 @@ def exact_macdonald_mehta(rs: RootSystem) -> float | None:
     return None
 
 
-def macdonald_mehta(rs: RootSystem | None, quad: WeightedQuadrature) -> float:
+def macdonald_mehta(quad: WeightedQuadrature) -> float:
     """∫ e^{-|x|²/2} dμ_k by quadrature (rmax should cover the Gaussian mass)."""
     if quad.rmax < 8.0:
         import warnings
         warnings.warn("Macdonald-Mehta truncation: rmax < 8 may clip Gaussian mass",
                       RuntimeWarning)
-    if quad.kind == "tensor2":
-        return float(quad.integrate(lambda x: np.exp(-0.5 * np.sum(x * x, axis=1))))
     return float(quad.integrate(lambda r: np.exp(-0.5 * r * r)))
 
 
@@ -365,7 +340,7 @@ def _power_sums(fs: list, power: float, p: float, a: float,
                 quad: WeightedQuadrature) -> np.ndarray:
     """∫ |x|^{ap} |f|^p dμ_k for functions of one origin power, one per row."""
     extra = p * (a + power)
-    if quad.recipe.get("sigma", 0.0) + extra > -1.0 or quad.kind == "tensor2":
+    if quad.recipe["sigma"] + extra > -1.0:
         q = quad.with_power(extra)
         return (q.weights * _abs_rows(fs, q.nodes, power) ** p).sum(axis=-1)
     # origin exponent invalid but the function vanishes identically near 0:

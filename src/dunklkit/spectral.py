@@ -66,6 +66,9 @@ class LowFrequencyError(ValueError):
     """Riesz potential applied to a field with non-negligible low-frequency mass."""
 
 
+XI_FLOOR, LOW_FREQ_TOL = 0.125, 1e-10   # riesz_potential's low-frequency gate
+
+
 @dataclass
 class SpectralField:
     """Samples of a Dunkl transform on its ξ-quadrature grid."""
@@ -267,9 +270,8 @@ def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
     return field.scaled(field.abs_xi ** s)
 
 
-def riesz_potential(field: SpectralField, s: float, xi_floor: float = 0.125,
-                    low_freq_tol: float = 1e-10) -> SpectralField:
-    """I_s = multiplier |ξ|^{-s}; requires negligible mass below xi_floor.
+def riesz_potential(field: SpectralField, s: float) -> SpectralField:
+    """I_s = multiplier |ξ|^{-s}; requires negligible mass below |ξ| = XI_FLOOR.
 
     The generalized-translation definition is out of scope; this multiplier
     realization is exact on band-limited (Lizorkin-type) fields, which is
@@ -278,10 +280,10 @@ def riesz_potential(field: SpectralField, s: float, xi_floor: float = 0.125,
     if s <= 0:
         raise ValueError("s must be positive")
     scale = float(np.max(np.abs(field.values))) + 1e-300
-    low = field.abs_xi < xi_floor
-    if np.any(np.abs(field.values[low]) > low_freq_tol * scale):
+    low = field.abs_xi < XI_FLOOR
+    if np.any(np.abs(field.values[low]) > LOW_FREQ_TOL * scale):
         raise LowFrequencyError(
-            f"spectral mass above {low_freq_tol:g} (relative) below |ξ| = {xi_floor:g}; "
+            f"spectral mass above {LOW_FREQ_TOL:g} (relative) below |ξ| = {XI_FLOOR:g}; "
             "Riesz potential rejected")
     return field.scaled(field.abs_xi ** (-s))
 

@@ -316,6 +316,25 @@ def test_nonfinite_config_number_exit2(tmp_path, capsys, command, cfg):
     assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
+@pytest.mark.parametrize("cfg", [
+    {"mode": {**_RADIAL, "N": 5},
+     "spec": {"theorem": "ClassicalRellich", "params": {"N": 5, "gamma": 0.0}},
+     "corpus": {"seed": 1, "count": 3, "families": ["AnnularBump"],
+                "constraints": {"vanish_at_origin": True}}},
+    {"mode": {"type": "rank1", "k": 0.5},
+     "spec": {"theorem": "Sobolev", "params": {"N": 1, "gamma": 0.5, "p": 1.5, "q": 6.0}},
+     "corpus": {"seed": 1, "count": 3, "families": ["RadialBump"]}},
+], ids=["ClassicalRellich-AnnularBump", "rank1-Sobolev-RadialBump"])
+def test_carrier_without_exact_hook_exit3(tmp_path, capsys, cfg):
+    # a valid config whose members have no exact Laplacian or Dunkl-operator
+    # hook: a numerical failure of the run, not an internal error
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 3
+    assert "no exact" in capsys.readouterr().err
+    assert json.loads((out / "metadata.json").read_text())["error"]["class"] == "FunctionClassError"
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
 def test_null_optional_field_takes_default(tmp_path):
     cfg = write(tmp_path / "cfg.json", {"corpus": {"seed": None, "count": 2}, "norms": None})
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dunklkit.dunkl import (dunkl_apply_poly, dunkl_gradient_num, dunkl_gradient_poly,
                             dunkl_laplacian_num, dunkl_laplacian_poly,
@@ -149,15 +150,9 @@ def test_integration_by_parts(rs_rank1_k05):
     assert integration_by_parts_residual(rs0, odd.value, gauss.value, quad0, 0) < 1e-8
 
 
-def test_integration_by_parts_2d():
-    rs = build_root_system("ProductZ2N", 2, [0.5, 0.25])
-    quad = build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=120)
-
-    def f(X):
-        X = np.atleast_2d(X)
-        return X[:, 0] * np.exp(-0.5 * np.sum(X ** 2, axis=1))
-
-    def g(X):
-        X = np.atleast_2d(X)
-        return np.exp(-0.6 * np.sum(X ** 2, axis=1))
-    assert integration_by_parts_residual(rs, f, g, quad, 0, h=1e-6) < 1e-6
+def test_integration_by_parts_needs_a_rank1_rule(rs_rank1_k05):
+    # a radial rule holds radii only, so T_i's reflection differences are lost
+    gauss = PolyGauss1D((1.0,), 1.0)
+    quad = build_quadrature(rs_rank1_k05, "PolarProduct", rmax=14.0, resolution=420)
+    with pytest.raises(ValueError, match="rank-1"):
+        integration_by_parts_residual(rs_rank1_k05, gauss.value, gauss.value, quad, 0)

@@ -3,8 +3,8 @@ import gc
 import numpy as np
 import pytest
 
-from dunklkit.functions import (AnnularBump, PolyGauss1D, RadialBump, RadialPG, TestFunction,
-                                band_profile, generate_corpus)
+from dunklkit.functions import (AnnularBump, FunctionClassError, PolyGauss1D, RadialBump,
+                                RadialPG, TestFunction, band_profile, generate_corpus)
 
 
 def test_radial_pg_value_and_derivative():
@@ -81,6 +81,16 @@ def test_bumps():
     h = 1e-6
     fd = (a.value(r + h) - a.value(r - h)) / (2 * h)
     np.testing.assert_allclose(a.derivative_values(r), fd, rtol=1e-6, atol=1e-9)
+
+
+def test_profile_carrier_has_no_second_derivative():
+    # d/dr acts on a bump's values once; a second d/dr is outside its class
+    r = np.linspace(0.0, 2.5, 7)
+    first = RadialBump(2.0).derivative()
+    for second in (lambda: first.derivative().value(r),
+                   lambda: first.dilate(2.0).derivative_values(r)):
+        with pytest.raises(FunctionClassError, match="no second derivative"):
+            second()
 
 
 def test_testfunction_reduced_values():

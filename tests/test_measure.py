@@ -22,7 +22,7 @@ def test_macdonald_mehta_rank1_closed_form():
         rs = build_root_system("Rank1Z2", 1, [k])
         q = build_quadrature(rs, "TensorGaussLike", rmax=14.0, resolution=420)
         exact = 2.0 ** (2 * k + 0.5) * sps.gamma(k + 0.5)
-        assert macdonald_mehta(rs, q) == pytest.approx(exact, rel=1e-8)
+        assert macdonald_mehta(q) == pytest.approx(exact, rel=1e-8)
         assert exact_macdonald_mehta(rs) == pytest.approx(exact)
 
 
@@ -33,8 +33,16 @@ def test_macdonald_mehta_k0_and_product():
     # separability: product of rank-1 values
     expect = np.prod([2.0 ** (2 * k + 0.5) * sps.gamma(k + 0.5) for k in (0.3, 0.8)])
     assert exact_macdonald_mehta(rs) == pytest.approx(expect)
-    q = build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=140)
-    assert macdonald_mehta(rs, q) == pytest.approx(expect, rel=1e-6)
+
+
+def test_tensor_gauss_like_is_rank1_only():
+    # a 2-D root system has no TensorGaussLike rule; its radial rule still builds
+    rs = build_root_system("ProductZ2N", 2, [0.3, 0.8])
+    with pytest.raises(QuadratureError, match="PolarProduct"):
+        build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=140)
+    q = build_quadrature(rs, "PolarProduct", rmax=10.0, resolution=140)
+    assert q.kind == "radial"
+    assert macdonald_mehta(q) == pytest.approx(exact_macdonald_mehta(rs), rel=1e-10)
 
 
 def test_radial_rule_matches_closed_form():
@@ -43,7 +51,7 @@ def test_radial_rule_matches_closed_form():
         lam = N + 2 * g
         q = radial_quadrature(N, g, 14.0, 420)
         expect = surface_constant(N, g) * 2.0 ** (lam / 2 - 1) * sps.gamma(lam / 2)
-        assert macdonald_mehta(None, q) == pytest.approx(expect, rel=1e-10)
+        assert macdonald_mehta(q) == pytest.approx(expect, rel=1e-10)
 
 
 def test_gaussian_l2_norm():
@@ -150,10 +158,7 @@ def test_rules_are_built_once_and_read_only():
     # the power weight survives refinement, and both routes share one rule
     assert q.with_power(1.5).refined(2) is q.refined(2).with_power(1.5)
     assert not np.array_equal(q.with_power(1.5).refined(2).weights, q.refined(2).weights)
-    rs = build_root_system("DihedralI2m", 2, [0.5], m=3)
-    t2 = build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=64)
-    for rule in (q, q.with_power(-0.8), rank1_quadrature(0.5, 12.0, 160), t2,
-                 t2.with_power(1.0)):
+    for rule in (q, q.with_power(-0.8), rank1_quadrature(0.5, 12.0, 160)):
         for arr in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -248,9 +253,3 @@ def test_surface_constant_dihedral():
     t = np.linspace(0.0, 2 * np.pi, 400001)
     ref = simpson(rs_weight(rs2, np.column_stack([np.cos(t), np.sin(t)])), x=t)
     assert surface_constant_for(rs2) == pytest.approx(ref, rel=1e-7)
-    # Gaussian-mass cross-check on the (kinky) tensor rule, loose tol
-    q = build_quadrature(rs, "TensorGaussLike", rmax=10.0, resolution=300)
-    mm = macdonald_mehta(rs, q)
-    lam = 2 + 2 * rs.gamma
-    assert surface_constant_for(rs) == pytest.approx(
-        mm / (2.0 ** (lam / 2 - 1) * sps.gamma(lam / 2)), rel=1e-3)
