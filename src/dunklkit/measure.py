@@ -1,6 +1,6 @@
 """Quadrature against dμ_k = w_k dx, weighted L^p norms, Macdonald-Mehta.
 
-Two quadrature kinds, both one half-axis rule:
+Two quadrature kinds, both built from one half-axis rule:
 
 * "rank1"  — signed nodes on [-R, R] for N=1 with the |√2 x|^{2k} weight
   folded in.  A Gauss-Jacobi panel at the origin integrates the |x|^{2k}
@@ -11,10 +11,10 @@ Two quadrature kinds, both one half-axis rule:
 `with_power(extra)` gives the rule whose weights absorb an additional
 |x|^extra exactly (the origin panel's Jacobi exponent shifts), which is how
 weighted norms ‖|x|^a f‖_p stay accurate down to the integrability edge.
-A rule is built once per parameter tuple and kept in a bounded
-cache (256 rules), so repeated norms reuse it; every rule is read-only.  The
-σ-free panel layout has its own cache, so a new origin exponent builds only
-its core.
+A rule is built once per parameter tuple and kept in a bounded cache (256
+rules), so repeated norms reuse it; every rule is read-only.  The σ-free
+panel layout has its own cache, so a new origin exponent builds only its
+core.
 """
 
 from __future__ import annotations
