@@ -27,6 +27,17 @@ trapezoid sums are an exact O(nt·n_ξ) linear scan by A(dt), run blockwise
 and report U, ∂_t U in them: a Picard step is a real inverse, a real
 forward and one scan.
 
+Memory: solve_nonlinear allocates one float64 workspace block per solve,
+five (nt, n_ξ) arrays: the source G = w dt F and two (U, ∂_t U) pairs.  A
+step reads one pair and the scan writes the other in place.  The inverse,
+f, forward, the update U = Φ + dU (Φ carried from the block starts) and the
+norm traces run per chunk of rows, so a step allocates nothing of size
+(nt, n_ξ).  It is one block because whole-array temporaries, about a dozen
+per step, freed and allocated anew, kept glibc trimming the heap and
+faulting its pages back in on every solve (about 40 MB on the README grid);
+one block of the same size each solve is recycled instead.  Other
+allocators keep the saved allocations but need not see that saving.
+
 In rank 1 the Dunkl transform of an even function is the transform's
 `even` block, the Hankel transform of order k - ½, and its odd coordinates
 are 0.  When both data have exactly zero odd coordinates, the linear stage
@@ -195,6 +206,11 @@ class WaveConfig:
                                   f"grid times (dt={self.dt:g})")
         if self.mode not in ("rank1", "radial"):
             raise WaveConfigError("mode must be rank1 or radial")
+        if self.max_picard < 1 or self.n_snapshots < 1:
+            raise WaveConfigError("max_picard and n_snapshots must be at least 1")
+        for name in ("picard_tol", "delta_factor"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise WaveConfigError(f"{name} must be positive and finite")
         if self.p is not None:
             if self.p <= 1:
                 raise WaveConfigError("nonlinearity exponent p must be > 1")
@@ -252,49 +268,68 @@ def _block_size(nt: int) -> int:
     return math.isqrt(nt - 1) + 1
 
 
+def _chunks(nt: int) -> list:
+    """The row ranges a Picard step works on: whole blocks of the time grid,
+    the fewest that hold 256 rows (the last range may be shorter).  A range
+    of that size keeps each transform apply one BLAS product of 256 columns
+    or more and its temporaries a fraction of one (nt, n_ξ) array."""
+    B = _block_size(nt)
+    size = B * -(-256 // B)
+    return [slice(r, min(r + size, nt)) for r in range(0, nt, size)]
+
+
 def _linear_modes(b: float, m: float, xi, dt: float, nt: int, U0, U1):
     """The propagator A on the in-block offsets dt·(0..B) and the mode
-    solution (U, ∂_t U) on the grid dt·(0..nt-1), (nt, n_ξ).
-
-    The closed forms run at the block starts and the offsets only; row
-    t_b + τ_j is A(τ_j)·(U, ∂_t U)(t_b), two products and one sum."""
+    solution (U, ∂_t U) at the block starts dt·(0, B, 2B, ..), (nb, n_ξ)
+    each: the closed forms run there only (_carry fills in the rows)."""
     B = _block_size(nt)
-    U_b, V_b = _modes(_propagator(b, m, xi, dt * np.arange(0, nt, B)), U0, U1)
-    A = _propagator(b, m, xi, dt * np.arange(B + 1))
+    starts = _modes(_propagator(b, m, xi, dt * np.arange(0, nt, B)), U0, U1)
+    return _propagator(b, m, xi, dt * np.arange(B + 1)), starts
 
-    def carry(row0, row1):
-        rows = row0[None, :B] * U_b[:, None] + row1[None, :B] * V_b[:, None]
-        return rows.reshape(-1, U_b.shape[1])[:nt]
-    return A, carry(A[0], A[1]), carry(A[2], A[3])
+
+def _carry(A, starts, rows: slice):
+    """The mode solution (U, ∂_t U) on the grid rows `rows`, a range that
+    begins at a block start: row t_b + τ_j is A(τ_j)·(U, ∂_t U)(t_b), two
+    products and one sum."""
+    B = A[0].shape[0] - 1
+    U_b, V_b = (s[rows.start // B:-(-rows.stop // B), None] for s in starts)
+    return tuple((r0[:B] * U_b + r1[:B] * V_b).reshape(-1, U_b.shape[-1])[:rows.stop - rows.start]
+                 for r0, r1 in (A[:2], A[2:]))
 
 
 def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
     """Transform, the block to solve on (tr.even for rank-1 data with zero
-    odd coordinates, else tr), time grid, the propagator on the in-block
-    offsets and the linear solution (U, ∂_t U) in the block's real
-    coordinates (nt, n_ξ) for the data scaled by `scale`."""
+    odd coordinates, else tr), time grid, and the _linear_modes of the data
+    scaled by `scale`, in the block's real coordinates."""
     tr = config.build_transform()
     times = config.times
     c0, c1 = _spectral_data(tr, u0), _spectral_data(tr, u1)
     h = c0.size // 2
     even = config.mode == "rank1" and not (np.any(c0[h:]) or np.any(c1[h:]))
     block, c0, c1 = (tr.even, c0[:h], c1[:h]) if even else (tr, c0, c1)
-    A, U, dtU = _linear_modes(config.b, config.m, block.coord_xi, config.dt, times.size,
+    A, starts = _linear_modes(config.b, config.m, block.coord_xi, config.dt, times.size,
                               scale * c0, scale * c1)
-    return tr, block, times, A, U, dtU
+    return tr, block, times, A, starts
 
 
 def _fit_window(config: WaveConfig) -> tuple:
     return config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
 
 
+def _coords_out(tr, U):
+    """U (nt, n) on the coordinates of `tr`: U itself, or U on the rank-1 even
+    block with the odd coordinates back, as exact zeros, in a new array."""
+    if U.shape[1] == tr.coord_xi.size:
+        return U
+    out = np.zeros((U.shape[0], tr.coord_xi.size))
+    out[:, :U.shape[1]] = U
+    return out
+
+
 def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSolution:
-    """Physical snapshots and the decay fit of (U, ∂_t U), whose norm traces
-    _traces(U, ∂_t U) are `traces`.  U and ∂_t U in the coordinates of the
-    rank-1 even block get the odd coordinates back, as exact zeros."""
-    if U.shape[1] < tr.coord_xi.size:
-        zeros = np.zeros_like(U)
-        U, dtU = np.hstack([U, zeros]), np.hstack([dtU, zeros])
+    """Physical snapshots and the decay fit of (U, ∂_t U) (_coords_out
+    arrays), whose norm traces _traces(U, ∂_t U) on the block solved on are
+    `traces`."""
     h1, dt2 = traces
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
     snaps = tr.from_coords(U[idx].T).T
@@ -310,8 +345,10 @@ def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     or None (zero data).
     """
     config.validate()
-    tr, block, times, _, U, dtU = _linear_stage(config, u0, u1)
-    return _solution(config, tr, times, U, dtU, _traces(U, dtU, block))
+    tr, block, times, A, starts = _linear_stage(config, u0, u1)
+    U, dtU = _carry(A, starts, slice(0, times.size))
+    return _solution(config, tr, times, _coords_out(tr, U), _coords_out(tr, dtU),
+                     _traces(U, dtU, block))
 
 
 def _safe_fit(times, trace, window):
@@ -347,43 +384,36 @@ def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
     return float(np.max(w * (h1_trace + dt_trace)))
 
 
-def _duhamel(A, dt: float):
-    """F ↦ (U, ∂_t U) Duhamel parts dt Σ'_{j≤i} K(t_i - t_j) F(t_j), with Σ'
-    halving the j = 0 and j = i terms, for the kernel K = e^{-bt/2} S and its
-    t-derivative; F is real (nt, n_ξ), A the propagator on dt·(0..B).
+def _duhamel(A, G, U, V) -> None:
+    """The Duhamel sums dt Σ'_{j≤i} K(t_i - t_j) F(t_j), with Σ' halving the
+    j = 0 and j = i terms, for the kernel K = e^{-bt/2} S (into U) and its
+    t-derivative (into V, plus (dt/2) F(t_i)), written in place; G holds
+    w_j dt F(t_j), w_0 = ½ and w_j = 1 after, and A is the propagator on
+    dt·(0..B).  G, U and V are (nb·B, n_ξ), whole blocks of rows; the rows of
+    G past the time grid are 0.
 
     (K, ∂_t K) = (a12, a22) is the second column of A, so
-    x_i = Σ_{j≤i} A(t_i - t_j)(0, w_j dt F_j), w_0 = ½ and w_j = 1 after, is
-    (U part, ∂_t U part + (dt/2) F_i) and obeys x_i = A(dt) x_{i-1} + (0, w_i dt F_i).
+    x_i = Σ_{j≤i} A(t_i - t_j)(0, w_j dt F_j) is (U part, ∂_t U part +
+    (dt/2) F_i) and obeys x_i = A(dt) x_{i-1} + (0, w_i dt F_i).
     The scan runs in blocks of B steps:
     the block-end sums Σ_j A((B-1-j)dt)(0, w_j dt F_j), a carry of the state
     before each block by A(B·dt), then B steps that advance all blocks at
     once.  Every power of A(dt) is a closed form, so rounding grows over B
     steps, not nt; A's eigenvalues are the damped mode factors e^{λ± dt}, so
-    the scan is stable.  Row i reads F[:i+1] only."""
+    the scan is stable.  Row i reads G[:i+1] only."""
     a11, a12, a21, a22 = A
     B = a11.shape[0] - 1
-
-    def apply(F):
-        nt, n = F.shape
-        nb = -(-nt // B)
-        G = np.zeros((nb, B, n))
-        np.multiply(dt, F, out=G.reshape(-1, n)[:nt])
-        G[0, 0] *= 0.5
-        end_u = np.einsum("kjn,jn->kn", G, a12[B - 1::-1])
-        end_v = np.einsum("kjn,jn->kn", G, a22[B - 1::-1])
-        u, v = np.zeros((nb, n)), np.zeros((nb, n))
-        for k in range(1, nb):
-            u[k] = a11[B] * u[k - 1] + a12[B] * v[k - 1] + end_u[k - 1]
-            v[k] = a21[B] * u[k - 1] + a22[B] * v[k - 1] + end_v[k - 1]
-        U, V = np.empty_like(G), np.empty_like(G)
-        for j in range(B):
-            u, v = a11[1] * u + a12[1] * v, a21[1] * u + a22[1] * v + G[:, j]
-            U[:, j], V[:, j] = u, v
-        U, V = U.reshape(-1, n)[:nt], V.reshape(-1, n)[:nt]
-        V -= (0.5 * dt) * F
-        return U, V
-    return apply
+    G, U, V = (x.reshape(-1, B, x.shape[1]) for x in (G, U, V))
+    nb, _, n = G.shape
+    end_u = np.einsum("kjn,jn->kn", G, a12[B - 1::-1])
+    end_v = np.einsum("kjn,jn->kn", G, a22[B - 1::-1])
+    u, v = np.zeros((nb, n)), np.zeros((nb, n))
+    for k in range(1, nb):
+        u[k] = a11[B] * u[k - 1] + a12[B] * v[k - 1] + end_u[k - 1]
+        v[k] = a21[B] * u[k - 1] + a22[B] * v[k - 1] + end_v[k - 1]
+    for j in range(B):
+        u, v = a11[1] * u + a12[1] * v, a21[1] * u + a22[1] * v + G[:, j]
+        U[:, j], V[:, j] = u, v
 
 
 def solve_nonlinear(config: WaveConfig, u0, u1,
@@ -408,34 +438,64 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     elif check_nonlinearity:
         _check_nonlinearity(nonlinearity, p)
 
-    eps = config.epsilon
-    tr, block, times, A, Phi, dtPhi = _linear_stage(config, u0, u1, eps)
-    duhamel = _duhamel(A, config.dt)
+    eps, dt = config.epsilon, config.dt
+    tr, block, times, A, starts = _linear_stage(config, u0, u1, eps)
+    nt, n, B = times.size, block.coord_xi.size, A[0].shape[0] - 1
+    # the workspace: the Duhamel source G and two (U, ∂_t U) pairs, whole
+    # blocks of rows each; every step reads one pair and writes the other
+    work = np.empty((5, B * starts[0].shape[0], n))
+    G, pairs = work[0], [work[1:3], work[3:5]]
+    G[nt:] = 0.0
+    chunks = _chunks(nt)
 
-    h1_lin, dt_lin = _traces(Phi, dtPhi, block)
+    U, dtU = pairs[0]
+    h1_lin, dt_lin = np.empty(nt), np.empty(nt)
+    for r in chunks:
+        U[r], dtU[r] = _carry(A, starts, r)
+        h1_lin[r], dt_lin[r] = _traces(U[r], dtU[r], block)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
     delta_used = config.delta_factor * max(delta_lin, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
 
-    U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
+    h1_now, dt_now = h1_lin, dt_lin
     diffs: List[float] = []
     converged = False
     for _ in range(config.max_picard):
-        dU, ddtU = duhamel(block.to_coords(nonlinearity(block.from_coords(U.T))).T)
-        U_new, dtU_new = Phi + dU, dtPhi + ddtU
-        dH, dV = _traces(U_new - U, dtU_new - dtU, block)
-        diffs.append(float(np.max(xw * (dH + dV))))
-        U, dtU = U_new, dtU_new
+        (U, dtU), (U_new, dtU_new) = pairs
+        for r in chunks:
+            F = block.to_coords(nonlinearity(block.from_coords(U[r].T)))
+            np.multiply(dt, F.T, out=G[r])
+        G[0] *= 0.5
+        _duhamel(A, G, U_new, dtU_new)
+        diff, h1_now, dt_now = np.empty(nt), np.empty(nt), np.empty(nt)
+        for r in chunks:
+            # (dt/2) F: half of G, and G itself in row 0, where G holds it
+            half = 0.5 * G[r]
+            if r.start == 0:
+                half[0] = G[0]
+            dtU_new[r] -= half
+            Phi, dtPhi = _carry(A, starts, r)
+            U_new[r] += Phi
+            dtU_new[r] += dtPhi
+            dH, dV = _traces(U_new[r] - U[r], dtU_new[r] - dtU[r], block)
+            diff[r] = dH + dV
+            h1_now[r], dt_now[r] = _traces(U_new[r], dtU_new[r], block)
+        pairs.reverse()
+        diffs.append(float(np.max(xw * diff)))
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
             raise PicardDivergenceError(eps, diffs)
-        h1_now, dt_now = _traces(U, dtU, block)
         floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
         if diffs[-1] <= floor:
             converged = True
             break
 
+    # the final iterate leaves the workspace, and the workspace goes, before
+    # the outputs take its place
+    final = [x[:nt].copy() for x in pairs[0]]
+    del work, G, pairs, U, dtU, U_new, dtU_new
+    U, dtU = (_coords_out(tr, x) for x in final)
     # a difference at or below the stopping floor is rounding residue, and so is
     # its ratio to the one before
     factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]

@@ -60,29 +60,48 @@ def duhamel_serial(b, a_dt, dt, F):
     return dt * Q, dt * (P - 0.5 * b * Q - 0.5 * F)
 
 
+def duhamel(A, dt, F):
+    """The (U, ∂_t U) Duhamel parts of F (nt, n_ξ) by the in-place scan
+    `waveeq._duhamel`, on fresh arrays: G = w dt F padded with zero rows to
+    whole blocks, and the ∂_t U part less the (dt/2) F the scan leaves in it."""
+    nt, n = F.shape
+    B = A[0].shape[0] - 1
+    G, U, V = np.zeros((3, B * -(-nt // B), n))
+    np.multiply(dt, F, out=G[:nt])
+    G[0] *= 0.5
+    waveeq._duhamel(A, G, U, V)
+    return U[:nt], V[:nt] - (0.5 * dt) * F
+
+
 def picard_full(config, u0, u1, nonlinearity=None):
     """`waveeq.solve_nonlinear` with both parity blocks in every Picard step:
     the loop on the transform's full real coordinates, whatever the parity
     of the data, built from the transform's public maps and the solver's
-    helpers.  With `config.p` None, `waveeq.solve_linear` the same way."""
+    helpers, on whole (nt, n_ξ) arrays.  Only the transform applies run per
+    `waveeq._chunks` range of rows, as in the solver: a BLAS product over
+    fewer columns may round its last columns differently (OpenBLAS's
+    SkylakeX kernels do).  With `config.p` None, `waveeq.solve_linear` the
+    same way."""
     tr, times = config.build_transform(), config.times
     scale = 1.0 if config.p is None else config.epsilon
-    A, Phi, dtPhi = waveeq._linear_modes(
+    A, starts = waveeq._linear_modes(
         config.b, config.m, tr.coord_xi, config.dt, times.size,
         scale * waveeq._spectral_data(tr, u0), scale * waveeq._spectral_data(tr, u1))
+    Phi, dtPhi = waveeq._carry(A, starts, slice(0, times.size))
     traces = waveeq._traces(Phi, dtPhi, tr)
     if config.p is None:
         return waveeq._solution(config, tr, times, Phi, dtPhi, traces)
     if nonlinearity is None:
         def nonlinearity(u):
             return np.abs(u) ** (config.p - 1.0) * u
-    duhamel = waveeq._duhamel(A, config.dt)
     delta_lin, _ = waveeq._safe_fit(times, traces[0] + traces[1], waveeq._fit_window(config))
     delta_used = config.delta_factor * max(delta_lin if math.isfinite(delta_lin) else 0.0, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
     U, dtU, diffs = Phi, dtPhi, []
     for _ in range(config.max_picard):
-        dU, ddtU = duhamel(tr.to_coords(nonlinearity(tr.from_coords(U.T))).T)
+        F = np.concatenate([tr.to_coords(nonlinearity(tr.from_coords(U[r].T))).T
+                            for r in waveeq._chunks(times.size)])
+        dU, ddtU = duhamel(A, config.dt, F)
         U_new, dtU_new = Phi + dU, dtPhi + ddtU
         dH, dV = waveeq._traces(U_new - U, dtU_new - dtU, tr)
         diffs.append(float(np.max(xw * (dH + dV))))

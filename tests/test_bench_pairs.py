@@ -3,6 +3,7 @@ quartiles and pairs won, in the direction each metric of BENCHMARK.json
 names."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -43,3 +44,22 @@ def test_a_failed_run_counts_in_no_pair():
     out = bench_pairs.summarize(runs, METRICS)
     assert out["change_wins"]["verify-sweep"]["throughput_per_s"] == "0/0"
     assert out["medians"]["verify-sweep"]["change"] == {}
+
+
+def test_a_missing_out_directory_is_made_before_the_first_run(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"                     # a checkout directory serves both sides
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS, "run_seconds": 1}))
+    out = tmp_path / "new" / "bench"
+    made = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        made.append(out.is_dir())
+        return {"returncode": 0, "result": _run("parent", 1, 100.0, 2.0)["result"],
+                "notes": [], "stderr_tail": []}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--name", "t",
+                             "--workload", "wave-picard=1", "--seed", "1",
+                             "--out", str(out)]) == 0
+    assert made == [True, True]
+    assert len(json.loads((out / "BENCH_t.json").read_text())["runs"]) == 2

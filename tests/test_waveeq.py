@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,12 @@ import pytest
 
 import dunklkit
 from dunklkit import waveeq
-from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _duhamel, _propagator,
-                             _traces, decay_rate_fit, linear_mode_solution,
-                             mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
+from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _propagator, _traces,
+                             decay_rate_fit, linear_mode_solution, mode_time_derivative,
+                             solve_linear, solve_nonlinear, x_norm)
 
 
-from oracles import picard_full, rk4_modes
+from oracles import duhamel, picard_full, rk4_modes
 
 
 def test_initial_conditions():
@@ -75,7 +77,15 @@ def test_config_validation():
     with pytest.raises(WaveConfigError):
         # Λ = 5: p must stay ≤ 5/3
         WaveConfig(b=1.0, m=1.0, p=3.0, mode="radial", N=5).validate()
+    # no Picard step, a stopping floor or X-norm weight that is not a positive
+    # finite number, no snapshot
+    for bad in (dict(max_picard=0), dict(max_picard=-2), dict(picard_tol=0.0),
+                dict(picard_tol=-1e-13), dict(picard_tol=math.nan), dict(delta_factor=-1.0),
+                dict(delta_factor=0.0), dict(delta_factor=math.inf), dict(n_snapshots=0)):
+        with pytest.raises(WaveConfigError):
+            WaveConfig(b=1.0, m=1.0, p=3.0, k=0.5, **bad).validate()
     WaveConfig(b=1.0, m=1.0, p=3.0, k=0.5).validate()   # Λ = 2: any p > 1
+    WaveConfig(b=1.0, m=1.0, p=3.0, k=0.5, max_picard=1, n_snapshots=1).validate()
 
 
 def test_zero_data_zero_solution():
@@ -217,7 +227,7 @@ def test_duhamel_matches_direct_trapezoid():
         xi = xi[xi >= 0.0]
         kernels = _propagator(b, m, xi, dt * np.arange(nt))[1::2]
         F = rng.standard_normal(kernels[0].shape)   # real: the solver's spectral coordinates
-        got = _duhamel(_propagator(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt)(F)
+        got = duhamel(_propagator(b, m, xi, dt * np.arange(_block_size(nt) + 1)), dt, F)
         for K, G in zip(kernels, got):
             direct, scale = np.zeros_like(F), np.zeros_like(F)
             for i in range(1, nt):
@@ -327,13 +337,20 @@ def _close(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=0.0)
 
 
+# T = 2 (nt = 101) is one chunk of Picard rows; T = 10.24 (nt = 513, blocks of
+# 23 rows) is a chunk of 276 rows and a partial one of 237
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("case", list(PARITY_CASES))
+@pytest.mark.parametrize("case, t_final",
+                         [(case, 2.0) for case in PARITY_CASES]
+                         + [(case, 10.24) for case in PARITY_CASES],
+                         ids=list(PARITY_CASES) + [f"{case}, nt=513" for case in PARITY_CASES])
 @pytest.mark.parametrize("p", [3.0, None])
-def test_solvers_match_the_full_coordinate_loop(k, case, p):
+def test_solvers_match_the_full_coordinate_loop(k, case, t_final, p):
     u0, u1, f = PARITY_CASES[case]
     cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=p, mode="rank1", k=k, x_max=12.0,
-                     nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.02)
+                     nx=80, xi_max=14.0, nxi=80, t_final=t_final, dt=0.02)
+    assert [(r.start, r.stop) for r in waveeq._chunks(cfg.times.size)] == (
+        [(0, 101)] if t_final == 2.0 else [(0, 276), (276, 513)])
     sol = (solve_linear(cfg, u0, u1) if p is None
            else solve_nonlinear(cfg, u0, u1, nonlinearity=f, check_nonlinearity=False))
     want = picard_full(cfg, u0, u1, f)
@@ -367,6 +384,27 @@ def test_even_data_picard_loop_runs_on_the_even_block(monkeypatch):
     assert sorted(calls) == [("from_coords", (tr.coord_xi.size, sol.snapshot_indices.size)),
                              ("to_coords", (n_x,)), ("to_coords", (n_x,))]
     assert not np.any(sol.U[:, tr.coord_xi.size // 2:])
+
+
+def test_picard_loop_memory_is_one_workspace_block():
+    # the README solve (rank-1 k = ½, even data: 1001 × 268 coordinates).  The
+    # loop holds one workspace of five (nt, n) arrays and otherwise arrays of
+    # a chunk of rows; with whole (nt, n) temporaries in every Picard step the
+    # peak was 12.6 such arrays, with the workspace 9.4
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=1e-2, p=3.0, mode="rank1", k=0.5, x_max=16.0,
+                     nx=280, xi_max=20.0, nxi=280, t_final=10.0, dt=0.01)
+    tracemalloc.start()
+    try:
+        sol = solve_nonlinear(cfg, _gauss, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = sol.times.size * (sol.xi.size // 2) * 8
+    assert (sol.times.size, sol.xi.size // 2) == (1001, 268)
+    assert peak < 10.0 * one
+    # the outputs own their memory: no workspace outlives the solve
+    for U in (sol.U, sol.dtU):
+        assert (U if U.base is None else U.base).nbytes == U.nbytes
 
 
 @pytest.mark.parametrize("mode", ["rank1", "radial"])

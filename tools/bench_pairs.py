@@ -136,6 +136,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workdir", type=Path, help="where revisions are exported")
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)   # before a run whose result it keeps
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: checkout(ref, workdir, side)
