@@ -28,11 +28,11 @@ and report U, ∂_t U in them: a Picard step is a real inverse, a real
 forward and one scan.
 
 Memory: solve_nonlinear allocates one float64 workspace block per solve,
-five (nt, n_ξ) arrays: the source G = w dt F and two (U, ∂_t U) pairs.  A
-step reads one pair and the scan writes the other in place.  The inverse,
-f, forward, the update U = Φ + dU (Φ carried from the block starts) and the
-norm traces run per chunk of rows, so a step allocates nothing of size
-(nt, n_ξ).  It is one block because whole-array temporaries, about a dozen
+seven (nt, n_ξ) arrays: the source G = w dt F, the linear solution
+(Φ, ∂_t Φ) and two (U, ∂_t U) pairs.  A step reads the current iterate and
+the scan writes the other pair in place.  The inverse, f, forward, the
+update U = Φ + dU and the norm traces run per chunk of rows, so a step
+allocates nothing of size (nt, n_ξ).  It is one block because whole-array temporaries, about a dozen
 per step, freed and allocated anew, kept glibc trimming the heap and
 faulting its pages back in on every solve (about 40 MB on the README grid);
 one block of the same size each solve is recycled instead.  Other
@@ -441,29 +441,29 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     eps, dt = config.epsilon, config.dt
     tr, block, times, A, starts = _linear_stage(config, u0, u1, eps)
     nt, n, B = times.size, block.coord_xi.size, A[0].shape[0] - 1
-    # the workspace: the Duhamel source G and two (U, ∂_t U) pairs, whole
-    # blocks of rows each; every step reads one pair and writes the other
-    work = np.empty((5, B * starts[0].shape[0], n))
-    G, pairs = work[0], [work[1:3], work[3:5]]
+    # the workspace: the Duhamel source G, the linear solution (Φ, ∂_t Φ) and
+    # two (U, ∂_t U) pairs, whole blocks of rows each; a step reads the
+    # current iterate (Φ first) and writes the other pair
+    work = np.empty((7, B * starts[0].shape[0], n))
+    G, Phi, dtPhi, pairs = work[0], work[1], work[2], [work[3:5], work[5:7]]
     G[nt:] = 0.0
     chunks = _chunks(nt)
 
-    U, dtU = pairs[0]
     h1_lin, dt_lin = np.empty(nt), np.empty(nt)
     for r in chunks:
-        U[r], dtU[r] = _carry(A, starts, r)
-        h1_lin[r], dt_lin[r] = _traces(U[r], dtU[r], block)
+        Phi[r], dtPhi[r] = _carry(A, starts, r)
+        h1_lin[r], dt_lin[r] = _traces(Phi[r], dtPhi[r], block)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
     delta_used = config.delta_factor * max(delta_lin, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
 
-    h1_now, dt_now = h1_lin, dt_lin
+    U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
     diffs: List[float] = []
     converged = False
     for _ in range(config.max_picard):
-        (U, dtU), (U_new, dtU_new) = pairs
+        U_new, dtU_new = pairs[0]
         for r in chunks:
             F = block.to_coords(nonlinearity(block.from_coords(U[r].T)))
             np.multiply(dt, F.T, out=G[r])
@@ -476,12 +476,12 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
             if r.start == 0:
                 half[0] = G[0]
             dtU_new[r] -= half
-            Phi, dtPhi = _carry(A, starts, r)
-            U_new[r] += Phi
-            dtU_new[r] += dtPhi
+            U_new[r] += Phi[r]
+            dtU_new[r] += dtPhi[r]
             dH, dV = _traces(U_new[r] - U[r], dtU_new[r] - dtU[r], block)
             diff[r] = dH + dV
             h1_now[r], dt_now[r] = _traces(U_new[r], dtU_new[r], block)
+        U, dtU = U_new, dtU_new
         pairs.reverse()
         diffs.append(float(np.max(xw * diff)))
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
@@ -493,8 +493,8 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
 
     # the final iterate leaves the workspace, and the workspace goes, before
     # the outputs take its place
-    final = [x[:nt].copy() for x in pairs[0]]
-    del work, G, pairs, U, dtU, U_new, dtU_new
+    final = [U[:nt].copy(), dtU[:nt].copy()]
+    del work, G, Phi, dtPhi, pairs, U, dtU, U_new, dtU_new
     U, dtU = (_coords_out(tr, x) for x in final)
     # a difference at or below the stopping floor is rounding residue, and so is
     # its ratio to the one before

@@ -388,9 +388,9 @@ def test_even_data_picard_loop_runs_on_the_even_block(monkeypatch):
 
 def test_picard_loop_memory_is_one_workspace_block():
     # the README solve (rank-1 k = ½, even data: 1001 × 268 coordinates).  The
-    # loop holds one workspace of five (nt, n) arrays and otherwise arrays of
+    # loop holds one workspace of seven (nt, n) arrays and otherwise arrays of
     # a chunk of rows; with whole (nt, n) temporaries in every Picard step the
-    # peak was 12.6 such arrays, with the workspace 9.4
+    # peak was 12.6 such arrays, with the workspace 10.9
     cfg = WaveConfig(b=1.0, m=1.0, epsilon=1e-2, p=3.0, mode="rank1", k=0.5, x_max=16.0,
                      nx=280, xi_max=20.0, nxi=280, t_final=10.0, dt=0.01)
     tracemalloc.start()
@@ -401,7 +401,7 @@ def test_picard_loop_memory_is_one_workspace_block():
         tracemalloc.stop()
     one = sol.times.size * (sol.xi.size // 2) * 8
     assert (sol.times.size, sol.xi.size // 2) == (1001, 268)
-    assert peak < 10.0 * one
+    assert peak < 11.5 * one
     # the outputs own their memory: no workspace outlives the solve
     for U in (sol.U, sol.dtU):
         assert (U if U.base is None else U.base).nbytes == U.nbytes
