@@ -32,11 +32,12 @@ seven (nt, n_ξ) arrays: the source G = w dt F, the linear solution
 (Φ, ∂_t Φ) and two (U, ∂_t U) pairs.  A step reads the current iterate and
 the scan writes the other pair in place.  The inverse, f, forward, the
 update U = Φ + dU and the norm traces run per chunk of rows, so a step
-allocates nothing of size (nt, n_ξ).  It is one block because whole-array temporaries, about a dozen
-per step, freed and allocated anew, kept glibc trimming the heap and
-faulting its pages back in on every solve (about 40 MB on the README grid);
-one block of the same size each solve is recycled instead.  Other
-allocators keep the saved allocations but need not see that saving.
+allocates nothing of size (nt, n_ξ).  It is one block because whole-array
+temporaries, about a dozen per step, freed and allocated anew, kept glibc
+trimming the heap and faulting its pages back in on every solve (about
+40 MB on the README grid); one block of the same size each solve is
+recycled instead.  Other allocators keep the saved allocations but need
+not see that saving.
 
 In rank 1 the Dunkl transform of an even function is the transform's
 `even` block, the Hankel transform of order k - ½, and its odd coordinates
@@ -270,9 +271,9 @@ def _block_size(nt: int) -> int:
 
 def _chunks(nt: int) -> list:
     """The row ranges a Picard step works on: whole blocks of the time grid,
-    the fewest that hold 256 rows (the last range may be shorter).  A range
-    of that size keeps each transform apply one BLAS product of 256 columns
-    or more and its temporaries a fraction of one (nt, n_ξ) array."""
+    the fewest that hold 256 rows (the last range may be shorter).  The
+    transform applies stay BLAS products of 256 columns or more, and the
+    step's temporaries a fraction of one (nt, n_ξ) array."""
     B = _block_size(nt)
     size = B * -(-256 // B)
     return [slice(r, min(r + size, nt)) for r in range(0, nt, size)]
