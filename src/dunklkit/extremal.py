@@ -113,37 +113,55 @@ def bump_scale_family(scale_box: Tuple[float, float] = (1.0, 6.0)) -> TrialFamil
 # simplex search
 
 
+def _argsort(v: list) -> list:
+    """np.argsort(v) as a list: a stable sort, NaN last, for up to three
+    values; beyond, np.argsort itself, whose small-array sort is not stable
+    on every host."""
+    if len(v) > 3:
+        return np.argsort(v).tolist()
+    return sorted(range(len(v)), key=lambda i: (v[i] != v[i], v[i]))
+
+
 def nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, step: np.ndarray,
                 tol: float = 1e-4, max_iter: int = 200):
     """Minimize `fun` with the reflect(1)/expand(2)/contract(1/2)/shrink(1/2)
     simplex; converged when the simplex diameter drops below `tol`.
 
     Returns (x_best, f_best, n_eval, converged).  No gradients anywhere.
+    The bookkeeping runs on Python floats, each step the IEEE operation
+    numpy runs on vertex arrays (its mean sums the vertices in order), and
+    vertices order as np.argsort orders their values, so the iterates are
+    those of the array form; `fun` gets each vertex as an array.
     """
     n = len(x0)
-    pts = [np.asarray(x0, dtype=float)]
+    pts = [[float(v) for v in x0]]
     for i in range(n):
         p = pts[0].copy()
-        p[i] += step[i]
+        p[i] += float(step[i])
         pts.append(p)
-    vals = [fun(p) for p in pts]
+    vals = [fun(np.array(p)) for p in pts]
     n_eval = n + 1
     converged = False
 
     for _ in range(max_iter):
-        order = np.argsort(vals)
+        order = _argsort(vals)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
+        best = pts[0]
+        diam = max(abs(a - b) for p in pts[1:] for a, b in zip(p, best))
         if diam < tol:
             converged = True
             break
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = centroid + (centroid - pts[-1])
-        fr = fun(xr); n_eval += 1
+        centroid = best
+        for p in pts[1:-1]:
+            centroid = [c + a for c, a in zip(centroid, p)]
+        centroid = [c / n for c in centroid]
+        worst = pts[-1]
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = fun(np.array(xr)); n_eval += 1
         if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = fun(xe); n_eval += 1
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            fe = fun(np.array(xe)); n_eval += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
@@ -151,17 +169,17 @@ def nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, step: np.nda
         elif fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         else:
-            xc = centroid + 0.5 * (pts[-1] - centroid)
-            fc = fun(xc); n_eval += 1
+            xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            fc = fun(np.array(xc)); n_eval += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = fun(pts[i])
+                    pts[i] = [b + 0.5 * (a - b) for a, b in zip(pts[i], best)]
+                    vals[i] = fun(np.array(pts[i]))
                 n_eval += n
-    order = np.argsort(vals)
-    return pts[order[0]], vals[order[0]], n_eval, converged
+    i = _argsort(vals)[0]
+    return np.array(pts[i]), vals[i], n_eval, converged
 
 
 @dataclass

@@ -14,18 +14,21 @@ weighted norms ‖|x|^a f‖_p stay accurate down to the integrability edge.
 A rule is built once per parameter tuple and kept in a bounded cache (256
 rules), so repeated norms reuse it; every rule is read-only.  The σ-free
 panel layout has its own cache, so a new origin exponent builds only its
-core.
+core, the Gauss-Jacobi rule for (1 + t)^σ: scipy's Golub-Welsch steps for
+`roots_jacobi(n, 0, σ)`, run directly (`_jacobi_core`), give its bits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 from scipy import special as sps
+from scipy.linalg import lapack
 
 from .functions import TestFunction, as_members, corpus_values
 from .rootsys import RootSystem, weight as rs_weight
@@ -50,8 +53,9 @@ class QuadratureError(ValueError):
 
 
 class QuadratureInputError(QuadratureError):
-    """A rule parameter outside its domain (resolution < 16, rmax ≤ 0, k < 0,
-    N + 2γ ≤ 0): bad input, not a numerical failure."""
+    """A rule parameter outside its domain (resolution < 16, rmax ≤ 0 or not
+    finite, k < 0, N + 2γ ≤ 0, a non-finite origin exponent): bad input, not
+    a numerical failure."""
 
 
 class NonIntegrableWeightError(QuadratureError):
@@ -76,14 +80,49 @@ def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndar
     """
     if resolution < 16:
         raise QuadratureInputError("resolution must be ≥ 16")
-    if rmax <= 0:
-        raise QuadratureInputError("rmax must be positive")
+    if not 0.0 < rmax < math.inf:
+        raise QuadratureInputError(f"rmax must be positive and finite, got {rmax!r}")
     if sigma <= -1.0:
         raise NonIntegrableWeightError(f"r^{sigma:g} is not integrable at 0")
+    if not math.isfinite(sigma):
+        raise QuadratureInputError(f"the origin exponent must be finite, got {sigma!r}")
     r0, n_jac, x, base = _half_axis_layout(rmax, resolution)
-    tj, wj = sps.roots_jacobi(n_jac, 0.0, sigma)
+    tj, wj = _jacobi_core(n_jac, sigma)
     return (np.concatenate([r0 * (1.0 + tj) / 2.0, x.ravel()]),
             np.concatenate([wj * (r0 / 2.0) ** (sigma + 1.0), (base * x ** sigma).ravel()]))
+
+
+def _jacobi_core(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """`sps.roots_jacobi(n, 0.0, sigma)`, bit for bit, for finite sigma > -1.
+
+    scipy's steps without its dispatch: the Jacobi matrix of (α, β) = (0, σ)
+    with α = 0 folded in (adding a zero is exact), its eigenvalues by
+    `dsterf` (what `eigvals_banded` runs on one band), one Newton step, and
+    log-normalized weights scaled to sum to μ₀ = 2^{σ+1} B(1, σ+1).  σ = 0
+    (Legendre) and σ > 1000 (log-space μ₀) take other branches there.
+    """
+    if sigma == 0.0 or sigma > 1000.0:
+        return sps.roots_jacobi(n, 0.0, sigma)
+    b = sigma
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + b
+    diag = b * b / (s * (s + 2.0))
+    diag[0] = b / (2.0 + b)
+    k1, s1 = k[1:], s[1:]
+    off = 2.0 / s1 * np.sqrt(k1 * (k1 + b) / (s1 + 1.0))
+    off[1:] *= np.sqrt(k1[1:] * (k1[1:] + b) / (s1[1:] - 1.0))
+    x, info = lapack.dsterf(diag, off, overwrite_d=1, overwrite_e=1)
+    if info:
+        raise QuadratureError(f"Gauss-Jacobi eigenvalues did not converge (σ = {sigma!r})")
+    dy = 0.5 * (n + b + 1) * sps.eval_jacobi(n - 1, 1.0, b + 1, x)
+    x -= sps.eval_jacobi(n, 0.0, b, x) / dy
+    fm = sps.eval_jacobi(n - 1, 0.0, b, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 ** (b + 1.0) * sps.beta(1.0, b + 1.0) / w.sum()
+    return x, w
 
 
 @functools.lru_cache(maxsize=64)

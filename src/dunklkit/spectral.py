@@ -159,12 +159,23 @@ def _calibration_report(self) -> dict:
 
 class _HankelBlock:
     """A real half-line Hankel block: samples on r > 0 ↔ real coordinates at
-    coord_xi, by forward and inverse kernels with the weights folded in."""
+    coord_xi, by forward and inverse kernels with the weights folded in.
+
+    Zero tail: samples run outward in r, so a compactly supported batch ends
+    in zero rows.  When its last row is zero, the forward multiplies only the
+    kernel columns up to its last nonzero row (an all-zero batch keeps one);
+    the shorter sums may round differently, below 1e-15 relative.  Every
+    other batch pays one `.any()` on its last row.
+    """
 
     def __init__(self, fwd, inv, coord_xi, coord_weights):
         self._fwd, self._inv, self.coord_xi, self.coord_weights = fwd, inv, coord_xi, coord_weights
 
     def to_coords(self, vals: np.ndarray) -> np.ndarray:
+        if len(vals) and not vals[-1].any():
+            live = np.flatnonzero(vals.any(axis=tuple(range(1, vals.ndim))))
+            cut = live[-1] + 1 if live.size else 1
+            return _real_apply(self._fwd[:, :cut], vals[:cut])
         return _real_apply(self._fwd, vals)
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:

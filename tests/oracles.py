@@ -190,3 +190,56 @@ def carrier_values_loop(carrier, x, power):
     if hasattr(carrier, "beta"):
         return x ** (carrier.beta + 2 * m0 - power) * q * np.exp(-0.5 * carrier.s * t)
     return q * x ** (m0 - int(round(power))) * np.exp(-0.5 * carrier.s * x * x)
+
+
+def nelder_mead_numpy(fun, x0, step, tol=1e-4, max_iter=200):
+    """Minimize `fun` with the reflect(1)/expand(2)/contract(1/2)/shrink(1/2)
+    simplex; converged when the simplex diameter drops below `tol`.
+
+    Returns (x_best, f_best, n_eval, converged).  The array form of
+    `extremal.nelder_mead` (vertices as numpy arrays, `np.argsort`,
+    `np.mean`), so the float bookkeeping can be checked against it bit for
+    bit.
+    """
+    n = len(x0)
+    pts = [np.asarray(x0, dtype=float)]
+    for i in range(n):
+        p = pts[0].copy()
+        p[i] += step[i]
+        pts.append(p)
+    vals = [fun(p) for p in pts]
+    n_eval = n + 1
+    converged = False
+
+    for _ in range(max_iter):
+        order = np.argsort(vals)
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
+        if diam < tol:
+            converged = True
+            break
+        centroid = np.mean(pts[:-1], axis=0)
+        xr = centroid + (centroid - pts[-1])
+        fr = fun(xr); n_eval += 1
+        if fr < vals[0]:
+            xe = centroid + 2.0 * (centroid - pts[-1])
+            fe = fun(xe); n_eval += 1
+            if fe < fr:
+                pts[-1], vals[-1] = xe, fe
+            else:
+                pts[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+        else:
+            xc = centroid + 0.5 * (pts[-1] - centroid)
+            fc = fun(xc); n_eval += 1
+            if fc < vals[-1]:
+                pts[-1], vals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                    vals[i] = fun(pts[i])
+                n_eval += n
+    order = np.argsort(vals)
+    return pts[order[0]], vals[order[0]], n_eval, converged

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dunklkit as dk
 from dunklkit import extremal
@@ -9,6 +11,7 @@ from dunklkit.extremal import (bump_scale_family, inverse_power_family, nelder_m
                                power_gaussian_family, rayleigh_maximize,
                                rellich_sharp_constant)
 from dunklkit.inequalities import fractional_hardy_constant
+from oracles import nelder_mead_numpy
 
 
 def test_sharp_constant_values():
@@ -37,6 +40,68 @@ def test_nelder_mead_quadratic():
                                       tol=1e-8, max_iter=500)
     assert conv and fx < 1e-12
     np.testing.assert_allclose(x, [1.0, -2.0], atol=1e-5)
+
+
+def _simplex_objective(seed: int, d: int, shape: str):
+    """A quadratic bowl in d parameters, +inf outside a box (as rayleigh_maximize
+    rejects proposals), optionally with plateaus ("rounded") or constant
+    ("flat") so that vertices tie exactly, or NaN on a half-space ("nan")."""
+    rng = np.random.default_rng(seed)
+    centre, scale, box = rng.uniform(-1.0, 1.0, d), rng.uniform(0.2, 3.0, d), rng.uniform(0.3, 2.0)
+
+    def f(x):
+        if np.any(np.abs(x) > box):
+            return math.inf
+        v = float(np.sum(scale * (x - centre) ** 2))
+        if shape == "nan" and x[0] > centre[0]:
+            return math.nan
+        return {"smooth": v, "rounded": round(v, 1), "flat": 1.0, "nan": v}[shape]
+    return f, rng.uniform(-1.0, 1.0, d), rng.uniform(0.05, 0.6, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 16), d=st.integers(1, 3),
+       shape=st.sampled_from(["smooth", "rounded", "flat", "nan"]),
+       tol=st.sampled_from([1e-2, 1e-4, 1e-9]), max_iter=st.integers(1, 200))
+def test_nelder_mead_is_the_array_simplex_bit_for_bit(seed, d, shape, tol, max_iter):
+    f, x0, step = _simplex_objective(seed, d, shape)
+    got = nelder_mead(f, x0, step, tol=tol, max_iter=max_iter)
+    want = nelder_mead_numpy(f, x0, step, tol=tol, max_iter=max_iter)
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1]))
+    assert got[2:] == want[2:]                    # n_eval, converged
+
+
+def test_nelder_mead_orders_tied_vertices_as_argsort():
+    # four vertices with two tied pairs, values [1, 1, 0, 0]: np.argsort need
+    # not sort them stably (it does not with numpy's AVX-512 sort), and the
+    # worst vertex it picks decides every later step
+    def f(x):
+        return 0.0 if x[1] + x[2] > 0.5 else 1.0
+    for max_iter in (1, 5, 50):
+        got = nelder_mead(f, np.zeros(3), np.ones(3), max_iter=max_iter)
+        want = nelder_mead_numpy(f, np.zeros(3), np.ones(3), max_iter=max_iter)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("case", ["InversePower", "PowerGaussian", "BumpScale"])
+def test_rayleigh_maximize_is_unchanged_by_the_float_simplex(case, wb_radial3, wb_radial5,
+                                                              monkeypatch):
+    # the benchmark's three sharp probes: the whole result, trace included
+    hardy = dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
+    spec, family, wb = {
+        "InversePower": (hardy, inverse_power_family(),
+                         dk.radial_workbench(3, 0.0, rmax=1e30, resolution=3000)),
+        "PowerGaussian": (dk.make_spec("ClassicalRellich", N=5, gamma=0.0),
+                          power_gaussian_family(), wb_radial5),
+        "BumpScale": (hardy, bump_scale_family(), wb_radial3),
+    }[case]
+    for seed in range(4):
+        got = rayleigh_maximize(spec, family, wb, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(extremal, "nelder_mead", nelder_mead_numpy)
+            want = rayleigh_maximize(spec, family, wb, seed=seed)
+        assert got == want, (case, seed)
 
 
 def test_inverse_power_matches_beta_integral_formula():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special as sps
@@ -194,6 +196,21 @@ def test_rule_input_errors_are_their_own_type():
     with pytest.raises(NonIntegrableWeightError) as info:
         radial_quadrature(3, 0.0, 14.0, 420).with_power(-4.5)
     assert not isinstance(info.value, QuadratureInputError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: radial_quadrature(3, 0.0, math.nan, 640),
+    lambda: radial_quadrature(3, 0.0, math.inf, 640),
+    lambda: rank1_quadrature(0.5, math.nan, 640),
+    lambda: radial_quadrature(3, 0.0, 16.0, 640).with_power(math.nan),
+    lambda: radial_quadrature(3, 0.0, 16.0, 640).with_power(math.inf),
+], ids=["rmax=nan", "rmax=inf", "rank1-rmax=nan", "sigma=nan", "sigma=inf"])
+def test_non_finite_rule_inputs_are_input_errors(build):
+    # a NaN or infinite rmax used to give a rule with NaN and inf nodes; the
+    # origin exponent reaches the rule builder through with_power
+    for _ in range(2):                                      # refusals are not cached
+        with pytest.raises(QuadratureInputError):
+            build()
 
 
 def test_quasi_norm_small_p():

@@ -6,11 +6,12 @@ agreement with the serial sweep, the two-level linear modes against the
 full-grid closed forms, the mode propagator against mpmath, dilation of
 every test-function carrier, of weighted norms and of the benchmark's
 verify-sweep ratios, batched `verify_corpus` against per-member
-evaluation, the cached rule layout against the panel-by-panel rule, and
-the equality conditions of the `*_spec`
-constructors' output."""
+evaluation, the cached rule layout against the panel-by-panel rule, the
+direct Gauss-Jacobi core against `scipy.special.roots_jacobi` bit for bit,
+and the equality conditions of the `*_spec` constructors' output."""
 
 import importlib.util
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -19,14 +20,15 @@ from unittest import mock
 import pytest
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import special as sps
 
 import dunklkit as dk
 from dunklkit import inequalities
 from dunklkit.extremal import bump_scale_family
 from dunklkit.functions import CORPUS_FAMILIES, corpus_values, generate_corpus
-from dunklkit.measure import (_half_axis_layout, _half_axis_rule, radial_quadrature,
-                              rank1_quadrature, weighted_lp_norm)
+from dunklkit.measure import (_half_axis_layout, _half_axis_rule, _jacobi_core,
+                              radial_quadrature, rank1_quadrature, weighted_lp_norm)
 from dunklkit.waveeq import (_block_size, _carry, _linear_modes, _propagator,
                              linear_mode_solution)
 from oracles import carrier_values_loop, duhamel, duhamel_serial, half_axis_rule_loop
@@ -81,6 +83,22 @@ def test_cached_rule_layout_is_the_panel_rule_bit_for_bit(sigma, grid):
             assert np.array_equal(got, ref), (sigma, grid)
     _, _, x, base = _half_axis_layout(*grid)
     assert not (x.flags.writeable or base.flags.writeable)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(12, 28),
+       sigma=st.one_of(st.floats(-1.0, 30.0, exclude_min=True),
+                       st.floats(-1.0, 1e3, exclude_min=True)))
+@example(n=28, sigma=0.0)                                   # Legendre: scipy's own branch
+@example(n=12, sigma=-0.0)
+@example(n=20, sigma=math.nextafter(-1.0, 0.0))             # the integrability edge
+@example(n=16, sigma=1e3)
+@example(n=16, sigma=1000.5)                                # log-space μ₀: scipy's own branch
+def test_jacobi_core_is_scipy_roots_jacobi_bit_for_bit(n, sigma):
+    with np.errstate(divide="ignore"):      # scipy's discarded k = 1 branch, at the edge
+        want = sps.roots_jacobi(n, 0.0, sigma)
+    for got, ref in zip(_jacobi_core(n, sigma), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (n, sigma)
 
 
 @lru_cache(maxsize=None)

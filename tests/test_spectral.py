@@ -338,6 +338,47 @@ def test_rank1_blocks_match_dense_kernel(k):
     np.testing.assert_allclose(tr.from_full(full), c, rtol=0, atol=1e-15)
 
 
+def _whole_kernel_coords(tr, vals):
+    """`to_coords` as one product with each whole forward kernel."""
+    if isinstance(tr, dk.RadialDunklTransform):
+        return tr._fwd @ vals
+    h = vals.shape[0] // 2
+    pos, neg = vals[h:], vals[h - 1::-1]
+    return np.concatenate([tr._fwd_even @ (0.5 * (pos + neg)), tr._fwd_odd @ (0.5 * (pos - neg))])
+
+
+@pytest.mark.parametrize("mode", ["radial", "rank1"])
+def test_zero_tail_forward_matches_the_whole_kernel(mode, wb_radial3, wb_rank1_k05):
+    # compactly supported batches end in zero rows and multiply fewer kernel
+    # columns: the same coordinates up to rounding; any other batch is the
+    # very product with the whole kernel
+    wb = wb_radial3 if mode == "radial" else wb_rank1_k05
+    tr, x = wb.transform, wb.quad.nodes
+
+    def batch(families, seed):
+        cols = [f(x) for f in generate_corpus(seed, 4, families, mode=mode)]
+        if mode == "rank1":
+            cols.append(x * cols[0])                        # an odd member
+        return np.column_stack(cols)
+
+    for families in (["RadialBump"], ["AnnularBump"], ["RadialBump", "AnnularBump"]):
+        for seed in range(3):
+            v = batch(families, seed)
+            assert not v[-1].any()
+            for vals in (v, v[:, 0], v + 1j * v[:, ::-1]):
+                got, want = tr.to_coords(vals), _whole_kernel_coords(tr, vals)
+                assert got.shape == want.shape
+                err = np.linalg.norm(got - want, axis=0)   # per column
+                assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=0)), (families, seed)
+    v = np.column_stack([batch(["RadialBump"], 0), batch(["Gaussian", "HermiteGaussian"], 1)])
+    assert v[-1].any()
+    for vals in (v, v[:, -1]):
+        assert np.array_equal(tr.to_coords(vals), _whole_kernel_coords(tr, vals))
+    for shape in ((x.size,), (x.size, 3), (x.size, 0)):
+        got = tr.to_coords(np.zeros(shape))
+        assert got.shape == (tr.coord_xi.size,) + shape[1:] and not got.any()
+
+
 def test_rank1_transform_rejects_unmirrored_rule():
     q = dk.rank1_quadrature(0.5, 10.0, 80)
     shifted = dk.WeightedQuadrature("rank1", q.nodes + 0.01, q.weights, q.rmax, q.recipe)
