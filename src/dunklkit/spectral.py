@@ -164,8 +164,8 @@ class _HankelBlock:
     Zero tail: samples run outward in r, so a compactly supported batch ends
     in zero rows.  When its last row is zero, the forward multiplies only the
     kernel columns up to its last nonzero row (an all-zero batch keeps one);
-    the shorter sums may round differently, below 1e-15 relative.  Every
-    other batch pays one `.any()` on its last row.
+    the shorter sums may round differently, within 1e-15 of a column's
+    norm.  Every other batch pays one `.any()` on its last row.
     """
 
     def __init__(self, fwd, inv, coord_xi, coord_weights):
