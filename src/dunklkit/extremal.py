@@ -114,11 +114,7 @@ def bump_scale_family(scale_box: Tuple[float, float] = (1.0, 6.0)) -> TrialFamil
 
 
 def _argsort(v: list) -> list:
-    """np.argsort(v) as a list: a stable sort, NaN last, for up to three
-    values; beyond, np.argsort itself, whose small-array sort is not stable
-    on every host."""
-    if len(v) > 3:
-        return np.argsort(v).tolist()
+    """The indices that sort `v`: stable on ties, NaN last."""
     return sorted(range(len(v)), key=lambda i: (v[i] != v[i], v[i]))
 
 
@@ -130,8 +126,8 @@ def nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, step: np.nda
     Returns (x_best, f_best, n_eval, converged).  No gradients anywhere.
     The bookkeeping runs on Python floats, each step the IEEE operation
     numpy runs on vertex arrays (its mean sums the vertices in order), and
-    vertices order as np.argsort orders their values, so the iterates are
-    those of the array form; `fun` gets each vertex as an array.
+    vertices order by a stable sort with NaN last, so tied vertices keep
+    their order on every host; `fun` gets each vertex as an array.
     """
     n = len(x0)
     pts = [[float(v) for v in x0]]

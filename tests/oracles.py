@@ -197,9 +197,11 @@ def nelder_mead_numpy(fun, x0, step, tol=1e-4, max_iter=200):
     simplex; converged when the simplex diameter drops below `tol`.
 
     Returns (x_best, f_best, n_eval, converged).  The array form of
-    `extremal.nelder_mead` (vertices as numpy arrays, `np.argsort`,
+    `extremal.nelder_mead` (vertices as numpy arrays, a stable `np.argsort`,
     `np.mean`), so the float bookkeeping can be checked against it bit for
-    bit.
+    bit.  numpy's default argsort orders ties as the stable one does for up
+    to three values, every trial family's vertex count, but not beyond on
+    every host.
     """
     n = len(x0)
     pts = [np.asarray(x0, dtype=float)]
@@ -212,7 +214,7 @@ def nelder_mead_numpy(fun, x0, step, tol=1e-4, max_iter=200):
     converged = False
 
     for _ in range(max_iter):
-        order = np.argsort(vals)
+        order = np.argsort(vals, kind="stable")
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
         diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
@@ -241,5 +243,5 @@ def nelder_mead_numpy(fun, x0, step, tol=1e-4, max_iter=200):
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
                     vals[i] = fun(pts[i])
                 n_eval += n
-    order = np.argsort(vals)
+    order = np.argsort(vals, kind="stable")
     return pts[order[0]], vals[order[0]], n_eval, converged

@@ -72,10 +72,15 @@ def test_nelder_mead_is_the_array_simplex_bit_for_bit(seed, d, shape, tol, max_i
     assert got[2:] == want[2:]                    # n_eval, converged
 
 
-def test_nelder_mead_orders_tied_vertices_as_argsort():
-    # four vertices with two tied pairs, values [1, 1, 0, 0]: np.argsort need
-    # not sort them stably (it does not with numpy's AVX-512 sort), and the
-    # worst vertex it picks decides every later step
+def test_nelder_mead_orders_tied_vertices_stably():
+    # ties keep their order and NaN goes last, so a search over three or more
+    # parameters takes one path on every host (numpy's default argsort need
+    # not be stable from four values on)
+    nan = math.nan
+    assert extremal._argsort([1.0, 1.0, 0.0, 0.0]) == [2, 3, 0, 1]
+    assert extremal._argsort([nan, 0.0, -0.0, math.inf, nan, -math.inf]) == [5, 1, 2, 3, 0, 4]
+
+    # four vertices valued [1, 1, 0, 0]: the worst vertex picked decides every later step
     def f(x):
         return 0.0 if x[1] + x[2] > 0.5 else 1.0
     for max_iter in (1, 5, 50):
