@@ -256,11 +256,11 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
     if tag not in _FAMILY_BUILDERS:
         raise ConfigError(f"$.family.tag: unknown family {tag!r}")
     box = _box(_require(cfg, "family.box", dict, default={}), tag)
-    wb = _build_workbench(cfg, wide=tag == "InversePower")
+    family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
+    wb = _build_workbench(cfg, wide=family.heavy_tails)
     if wb.mode != "radial":
         raise ConfigError(f"$.mode.type: the {tag} family is radial; got {wb.mode!r}")
     spec = _build_spec(cfg, wb)
-    family: TrialFamily = _FAMILY_BUILDERS[tag](**box)
     opt = _require(cfg, "optimizer", dict, default={})
     opt_seed = _require(opt, "seed", int, "$.optimizer", 0)
     restarts = _require(opt, "restarts", int, "$.optimizer", 3)
@@ -330,7 +330,8 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             "iterations": sol.iterations,
             "contraction_factors": sol.contraction_factors,
             "converged": sol.converged,
-            "x_norm": x_norm(sol.times, sol.h1_trace, sol.dt_trace, max(sol.delta_fit * 0.9, 1e-6)),
+            "x_norm": x_norm(sol.times, sol.h1_trace, sol.dt_trace,
+                             max(sol.delta_fit * config.delta_factor, 1e-6)),
         })
         _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
         rows = []

@@ -66,6 +66,11 @@ class TrialFamily:
     def inside(self, values: Sequence[float]) -> bool:
         return all(lo <= v <= hi for v, (lo, hi) in zip(values, self.box.values()))
 
+    @property
+    def heavy_tails(self) -> bool:
+        """Whether the box midpoint's member has heavy tails (it needs the wide rule)."""
+        return self.make([0.5 * (a + b) for a, b in self.box.values()]).heavy_tails
+
 
 def power_gaussian_family(beta_box: Tuple[float, float] = (-0.47, 1.5),
                           scale_box: Tuple[float, float] = (0.4, 2.5)) -> TrialFamily:
@@ -219,8 +224,7 @@ def rayleigh_maximize(spec: InequalitySpec, family: TrialFamily, wb: Workbench,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be ≥ 1, got {restarts}")
-    probe = family.make([0.5 * (a + b) for a, b in family.box.values()])
-    if probe.heavy_tails and wb.quad.rmax < 1e12:
+    if family.heavy_tails and wb.quad.rmax < 1e12:
         raise ValueError(
             "heavy-tailed trial families need a wide geometric quadrature "
             "(rmax ≥ 1e12, e.g. radial_workbench(..., rmax=1e30, resolution=3000)); "

@@ -189,13 +189,6 @@ class Polynomial:
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(e, 0.0) - other.terms.get(e, 0.0)) <= tol for e in keys)
 
-    def to_json_obj(self) -> list:
-        return [{"exponents": list(e), "coefficient": c} for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json_obj(cls, dim: int, obj: list) -> "Polynomial":
-        return cls(dim, {tuple(t["exponents"]): t["coefficient"] for t in obj})
-
     def __repr__(self) -> str:
         items = ", ".join(f"{e}:{c:g}" for e, c in sorted(self.terms.items()))
         return f"Polynomial(dim={self.dim}, {{{items}}})"

@@ -13,8 +13,7 @@ a homogeneous function of degree 2γ with γ = Σ_{α ∈ R₊} k_α.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -87,7 +86,6 @@ class RootSystem:
     positive_roots: np.ndarray   # (m, N)
     multiplicities: np.ndarray   # (m,)
     family: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pr = np.atleast_2d(np.asarray(self.positive_roots, dtype=float))
@@ -146,37 +144,6 @@ class RootSystem:
             if np.max(np.abs(v - a)) < 1e-9 or np.max(np.abs(v + a)) < 1e-9:
                 return float(k)
         return None
-
-    def to_dict(self) -> dict:
-        if self.family is not None:
-            d = {
-                "family": self.family,
-                "N": self.dim,
-                "multiplicities": list(self.meta.get("orbit_multiplicities", self.multiplicities)),
-            }
-            if self.family == "DihedralI2m":
-                d["m"] = self.meta["m"]
-            return d
-        return {
-            "roots": self.positive_roots.tolist(),
-            "multiplicities": self.multiplicities.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "RootSystem":
-        if "family" in d:
-            return build_root_system(d["family"], d["N"], d["multiplicities"], m=d.get("m"))
-        rs = RootSystem(dim=len(d["roots"][0]), positive_roots=np.asarray(d["roots"], float),
-                        multiplicities=np.asarray(d["multiplicities"], float))
-        rs.validate()
-        return rs
-
-    @staticmethod
-    def from_json(s: str) -> "RootSystem":
-        return RootSystem.from_dict(json.loads(s))
 
 
 def _in_rows(v: np.ndarray, rows: np.ndarray, tol: float) -> bool:
@@ -241,8 +208,7 @@ def build_root_system(family: str, dim: int, multiplicities: Iterable[float],
     else:
         raise RootSystemError(f"unsupported family {family!r}")
 
-    rs = RootSystem(dim=dim, positive_roots=pr, multiplicities=per_root, family=family,
-                    meta={"orbit_multiplicities": mult, **({"m": m} if m else {})})
+    rs = RootSystem(dim=dim, positive_roots=pr, multiplicities=per_root, family=family)
     rs.validate()
     return rs
 

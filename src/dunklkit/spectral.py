@@ -97,13 +97,6 @@ class SpectralField:
         """The field times a multiplier on the ξ grid (axis 0, also of a batch)."""
         return replace(self, values=(self.values.T * mult).T)
 
-    def to_csv(self, path) -> None:
-        """Dump as rows (ξ, Re, Im) with 17 significant digits."""
-        with open(path, "w") as fh:
-            fh.write("xi,re,im\n")
-            for x, v in zip(self.quad.nodes, self.values):
-                fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
 
 def _rank1_parts(k: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd real parts of E_k(-i, ·) at z = ξx: j_{k-1/2}(z) and

@@ -360,6 +360,22 @@ def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
     assert built == {"rmax": 1e30, "n": 3000}
 
 
+def test_sharp_bump_scale_keeps_the_default_rule(monkeypatch, tmp_path):
+    # a family without heavy tails gets the mode block's rule as it stands
+    import dunklkit.cli as cli
+    cfg = {"mode": VERIFY_CFG["mode"], "spec": VERIFY_CFG["spec"],
+           "family": {"tag": "BumpScale"}, "optimizer": {"restarts": 1, "max_iters": 2}}
+    built = {}
+
+    def fake_rayleigh(spec, family, wb, **kw):
+        built["rmax"], built["n"] = wb.quad.rmax, wb.quad.recipe["resolution"]
+        raise RuntimeError("stop after the workbench is built")
+    monkeypatch.setattr(cli, "rayleigh_maximize", fake_rayleigh)
+    with pytest.raises(RuntimeError):
+        cli.cmd_sharp(cfg, tmp_path, None)
+    assert built == {"rmax": 16.0, "n": 640}
+
+
 def test_seed_flag_overrides_optimizer_seed(tmp_path):
     cfg = write(tmp_path / "cfg.json", {
         "mode": {"type": "radial", "N": 5, "gamma": 0.0},

@@ -1,8 +1,13 @@
 import dataclasses
 import gc
+import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dunklkit as dk
 from dunklkit.functions import generate_corpus
@@ -228,6 +233,35 @@ def test_trudinger_basics(wb_radial3):
     z = a * (eps * np.abs(vals)) ** pp
     lead = float(np.sum(wb_radial3.quad.weights * z ** 2 / 2.0))
     assert trudinger_lhs(eps * vals, a, p, wb_radial3.quad) == pytest.approx(lead, rel=1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(p=st.floats(1.0, 8.0, exclude_min=True), a=st.floats(0.05, 5.0),
+       log_z=st.floats(-12.0, math.log10(700.0)))
+@example(p=2.5, a=1.0, log_z=math.log10(40.0))     # the old series/exp switch
+@example(p=7.3, a=0.4, log_z=0.5)
+def test_trudinger_lhs_is_the_series_tail(p, a, log_z):
+    # one node of unit weight: the integral is the integrand Σ_{j≥j0} z^j/j! at
+    # one z, against mpmath's z^{j0}/j0! ₁F₁(1; j0+1; z) at the z the function
+    # forms (an ulp of z moves e^z by z ulps near z = 700)
+    pp = p / (p - 1.0)
+    f = np.array([(10.0 ** log_z / a) ** (1.0 / pp)])
+    z = float((a * np.abs(f) ** pp)[0])
+    assume(0.0 < z <= 700.0)
+    j0 = max(1, math.ceil(p - 1.0 - 1e-12))
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        tail = float(zm ** j0 / mpmath.factorial(j0) * mpmath.hyp1f1(1, j0 + 1, zm))
+    lhs = trudinger_lhs(f, a, p, SimpleNamespace(weights=np.array([1.0])))
+    assert lhs == pytest.approx(tail, rel=1e-13, abs=0.0)
+
+
+def test_trudinger_lhs_just_above_p_one():
+    # p - 1 = 1e-13 < 1e-12: the sum Σ_{0≤j<p-1} still holds j = 0, so the tail
+    # starts at j0 = 1 (e^z - 1), and z = 0 gives 0, not gammainc(0, 0) = NaN
+    quad = SimpleNamespace(weights=np.array([1.0, 1.0]))
+    lhs = trudinger_lhs(np.array([0.0, 1.0]), 0.5, 1.0 + 1e-13, quad)
+    assert lhs == pytest.approx(math.expm1(0.5), rel=1e-13, abs=0.0)
 
 
 def test_trudinger_evaluate_monotone_in_a(wb_radial3):

@@ -45,9 +45,3 @@ def test_divide_linear_nonzero_remainder_raises():
     p = Polynomial(2, {(1, 0): 1.0})     # x is not divisible by (x+y)
     with pytest.raises(PolynomialDivisionError):
         p.divide_linear(alpha)
-
-
-def test_json_round_trip():
-    p = Polynomial(3, {(1, 0, 2): 1.25, (0, 0, 0): -2.0})
-    back = Polynomial.from_json_obj(3, p.to_json_obj())
-    assert back == p

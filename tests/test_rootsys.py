@@ -105,18 +105,6 @@ def test_arbitrary_norm_input_rescaled():
     assert rs.positive_roots[0, 0] == pytest.approx(np.sqrt(2.0))
 
 
-def test_json_round_trip():
-    for rs in [build_root_system("ProductZ2N", 2, [0.3, 0.7]),
-               build_root_system("DihedralI2m", 2, [0.4, 0.9], m=4)]:
-        back = RootSystem.from_json(rs.to_json())
-        np.testing.assert_allclose(back.positive_roots, rs.positive_roots)
-        np.testing.assert_allclose(back.multiplicities, rs.multiplicities)
-    raw = RootSystem(dim=2, positive_roots=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                     multiplicities=np.array([0.5, 0.5]))
-    back = RootSystem.from_json(raw.to_json())
-    np.testing.assert_allclose(back.positive_roots, raw.positive_roots)
-
-
 def test_reflection_matrix_orthogonal():
     alpha = np.array([1.0, 1.0]) / np.sqrt(2) * np.sqrt(2)
     M = reflection_matrix(alpha)
