@@ -763,8 +763,8 @@ def trudinger_lhs(f, a: float, p: float, quad: WeightedQuadrature):
     `f` is the samples of one function on quad.nodes, shape (n,) (the
     integral is a float), or the samples of m functions as rows (m, n) (one
     integral per row).  The caller normalizes f so the critical-derivative
-    norm is ≤ 1.  With z = a|f|^{p'} and j0 = ⌈p-1⌉ ≥ 1, the integrand is the
-    series tail Σ_{j≥j0} z^j/j! = e^z P(j0, z), P the regularized lower
+    norm is ≤ 1.  With z = a|f|^{p'} and j0 = max(1, ⌈p-1⌉), the integrand is
+    the series tail Σ_{j≥j0} z^j/j! = e^z P(j0, z), P the regularized lower
     incomplete gamma function (DLMF 8.4.10).  A z above 700, where exp
     overflows, raises SeriesCapError.
     """

@@ -343,11 +343,9 @@ def test_null_optional_field_takes_default(tmp_path):
     assert len((out / "norms.csv").read_text().splitlines()) == 3
 
 
-def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
+def _sharp_rule(monkeypatch, tmp_path, cfg):
+    """rmax and node count of the workbench cmd_sharp builds for `cfg`."""
     import dunklkit.cli as cli
-    cfg = {"spec": VERIFY_CFG["spec"], "family": {"tag": "InversePower"},
-           "optimizer": {"restarts": 1, "max_iters": 2}}
-    before = json.dumps(cfg, sort_keys=True)
     built = {}
 
     def fake_rayleigh(spec, family, wb, **kw):
@@ -356,24 +354,22 @@ def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "rayleigh_maximize", fake_rayleigh)
     with pytest.raises(RuntimeError):
         cli.cmd_sharp(cfg, tmp_path, None)
+    return built
+
+
+def test_sharp_leaves_config_unchanged(monkeypatch, tmp_path):
+    cfg = {"spec": VERIFY_CFG["spec"], "family": {"tag": "InversePower"},
+           "optimizer": {"restarts": 1, "max_iters": 2}}
+    before = json.dumps(cfg, sort_keys=True)
+    assert _sharp_rule(monkeypatch, tmp_path, cfg) == {"rmax": 1e30, "n": 3000}
     assert json.dumps(cfg, sort_keys=True) == before
-    assert built == {"rmax": 1e30, "n": 3000}
 
 
 def test_sharp_bump_scale_keeps_the_default_rule(monkeypatch, tmp_path):
     # a family without heavy tails gets the mode block's rule as it stands
-    import dunklkit.cli as cli
     cfg = {"mode": VERIFY_CFG["mode"], "spec": VERIFY_CFG["spec"],
            "family": {"tag": "BumpScale"}, "optimizer": {"restarts": 1, "max_iters": 2}}
-    built = {}
-
-    def fake_rayleigh(spec, family, wb, **kw):
-        built["rmax"], built["n"] = wb.quad.rmax, wb.quad.recipe["resolution"]
-        raise RuntimeError("stop after the workbench is built")
-    monkeypatch.setattr(cli, "rayleigh_maximize", fake_rayleigh)
-    with pytest.raises(RuntimeError):
-        cli.cmd_sharp(cfg, tmp_path, None)
-    assert built == {"rmax": 16.0, "n": 640}
+    assert _sharp_rule(monkeypatch, tmp_path, cfg) == {"rmax": 16.0, "n": 640}
 
 
 def test_seed_flag_overrides_optimizer_seed(tmp_path):
