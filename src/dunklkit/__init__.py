@@ -13,17 +13,14 @@ from .dunkl import (dunkl_apply_poly, dunkl_gradient_num,
                     dunkl_gradient_poly, dunkl_laplacian_num, dunkl_laplacian_poly,
                     integration_by_parts_residual)
 from .extremal import (OptimizationResult, TrialFamily, inverse_power_family,
-                       nelder_mead, power_gaussian_family, rayleigh_maximize,
-                       rellich_sharp_constant)
+                       nelder_mead, power_gaussian_family, rayleigh_maximize)
 from .functions import (PolyGauss1D, RadialPG, TestFunction, band_profile,
                         generate_corpus)
 from .inequalities import (AdmissibilityReport, InequalitySpec, VerificationRecord,
                            admissible, ckn1_spec, ckn2_spec, ckn_fractional_spec,
-                           evaluate_sides, gn1_spec, higher_rellich_spec,
-                           largest_admissible_a, make_spec, sobolev_spec,
-                           trudinger_lhs, uncertainty_spec, verify_corpus,
-                           weighted_hardy_spec, weighted_rellich_spec, wgn1_spec,
-                           wgn2_spec)
+                           evaluate_sides, gn1_spec, largest_admissible_a, make_spec,
+                           sobolev_spec, trudinger_lhs, uncertainty_spec, verify_corpus,
+                           weighted_rellich_spec)
 from .measure import (WeightedQuadrature, build_quadrature, macdonald_mehta,
                       radial_quadrature, rank1_quadrature, weighted_lp_norm)
 from .polynomial import Polynomial

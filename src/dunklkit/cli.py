@@ -181,11 +181,8 @@ def _build_spec(cfg: dict, wb: Workbench) -> InequalitySpec:
     return spec
 
 
-def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
+def _build_corpus(cfg: dict, seed: int, mode: str):
     c = _require(cfg, "corpus", dict, default={})
-    seed = _require(c, "seed", int, "$.corpus", 0)
-    if seed_override is not None:
-        seed = seed_override
     count = _require(c, "count", int, "$.corpus", 10)
     families = _require(c, "families", list, "$.corpus",
                         ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
@@ -196,18 +193,23 @@ def _build_corpus(cfg: dict, seed_override: int | None, mode: str):
         raise ConfigError(f"$.corpus.families: unknown families {unknown}; "
                           f"expected names from {list(CORPUS_FAMILIES)}")
     constraints = _require(c, "constraints", dict, "$.corpus", {})
-    return generate_corpus(seed, count, families, constraints, mode=mode), seed
+    return generate_corpus(seed, count, families, constraints, mode=mode)
+
+
+# a seeded command: where its config holds the seed, and the seed without one
+_SEEDS = {"verify": ("corpus.seed", 0), "corpus": ("corpus.seed", 0),
+          "sharp": ("optimizer.seed", 0), "selftest": (None, 1)}
 
 
 def cmd_verify(cfg: dict, out: Path, seed: int | None) -> int:
     wb = _build_workbench(cfg)
     spec = _build_spec(cfg, wb)
     rep = admissible(spec)
-    corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
+    corpus = _build_corpus(cfg, seed, wb.mode)
     summary = {
         "command": "verify",
         "spec": spec.to_dict(),
-        "seed": seed_used,
+        "seed": seed,
         "admissible": rep.admissible,
         "failed_conditions": [
             {"id": c.cid, "statement": c.statement, "residual": c.residual}
@@ -262,7 +264,6 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         raise ConfigError(f"$.mode.type: the {tag} family is radial; got {wb.mode!r}")
     spec = _build_spec(cfg, wb)
     opt = _require(cfg, "optimizer", dict, default={})
-    opt_seed = _require(opt, "seed", int, "$.optimizer", 0)
     restarts = _require(opt, "restarts", int, "$.optimizer", 3)
     if restarts < 1:
         raise ConfigError("$.optimizer.restarts: must be ≥ 1")
@@ -271,7 +272,7 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
         raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters "
                                  f"({', '.join(c.cid for c in rep.failed)})")
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
-    ran = {"seed": opt_seed if seed is None else seed,
+    ran = {"seed": seed,
            "max_iters": _require(opt, "max_iters", int, "$.optimizer", 120),
            "tolerance": _require(opt, "tolerance", float, "$.optimizer", 1e-4)}
     result = rayleigh_maximize(spec, family, wb, max_iter=ran["max_iters"], tol=ran["tolerance"],
@@ -361,8 +362,7 @@ def cmd_selftest(cfg: dict, out: Path, seed: int | None) -> int:
     def check(text: str, value: float, tol: float) -> None:
         lines.append(f"{text} [{'pass' if value < tol else 'FAIL'}]")
 
-    corpus = generate_corpus(seed if seed is not None else 1, 6,
-                             ["Gaussian", "DilatedGaussian", "HermiteGaussian"],
+    corpus = generate_corpus(seed, 6, ["Gaussian", "DilatedGaussian", "HermiteGaussian"],
                              mode="rank1")
     # one kernel alive at a time: the k = 0 and k = 1/2 checks run in the loop
     for k in (0.0, 0.3, 0.5, 1.0, 2.5):
@@ -394,8 +394,8 @@ def cmd_selftest(cfg: dict, out: Path, seed: int | None) -> int:
 
 def cmd_corpus(cfg: dict, out: Path, seed: int | None) -> int:
     wb = _build_workbench(cfg) if "mode" in cfg else radial_workbench(3, 0.0)
-    corpus, seed_used = _build_corpus(cfg, seed, wb.mode)
-    _write_json(out / "corpus.json", {"seed": seed_used,
+    corpus = _build_corpus(cfg, seed, wb.mode)
+    _write_json(out / "corpus.json", {"seed": seed,
                                       "members": [f.to_dict() for f in corpus]})
     norms = [(_require(nc, "p", float, f"$.norms[{i}]", 2.0),
               _require(nc, "a", float, f"$.norms[{i}]", 0.0))
@@ -449,10 +449,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=str, default="out", help="output directory")
     args = parser.parse_args(argv)
 
-    out, code, error = None, None, None
+    out, code, error, seed = None, None, None, args.seed
     try:
         out = _out_dir(args.out)
-        code = COMMANDS[args.command](_load_config(args), out, args.seed)
+        cfg = _load_config(args)
+        path, seed = _SEEDS.get(args.command, (None, None))   # wave draws nothing
+        if path is not None:
+            seed = _require(cfg, path, int, default=seed)
+        if seed is not None and args.seed is not None:
+            seed = args.seed
+        code = COMMANDS[args.command](cfg, out, seed)
     except _CONFIG_ERRORS as exc:
         code, error = EXIT_CONFIG, exc
         print(f"config error: {exc}", file=sys.stderr)
@@ -468,7 +474,7 @@ def main(argv=None) -> int:
                 "tool": "dunklkit",
                 "version": __version__,
                 "command": args.command,
-                "seed": args.seed,
+                "seed": seed,
                 "numpy": np.__version__,
                 "csv_schemas": CSV_SCHEMAS,
                 "exit_code": code,

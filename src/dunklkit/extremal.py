@@ -20,7 +20,6 @@ from .inequalities import InequalitySpec, evaluate_sides
 from .workbench import Workbench
 
 __all__ = [
-    "rellich_sharp_constant",
     "TrialFamily",
     "power_gaussian_family",
     "inverse_power_family",
@@ -34,14 +33,6 @@ __all__ = [
 
 class RecomputationError(RuntimeError):
     """The search's best ratio differs from a fresh evaluation at its point."""
-
-
-def rellich_sharp_constant(N: int, gamma: float) -> float:
-    """(N+2γ)²(N+2γ-4)²/16; degenerates to 0 at N+2γ = 4, invalid at N+2γ = 2."""
-    lam = N + 2.0 * gamma
-    if abs(lam - 2.0) < 1e-12:
-        raise ValueError("N + 2γ = 2 is excluded")
-    return lam ** 2 * (lam - 4.0) ** 2 / 16.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Throughout, Λ = N + 2γ and ‖|x|^a f‖_p denotes the weighted L^p(μ_k) norm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "DegenerateFunctionError",
     "SeriesCapError",
     "WorkbenchMismatchError",
-    "THEOREM_TAGS",
     "admissible",
     "evaluate_sides",
     "verify_corpus",
@@ -44,14 +43,10 @@ __all__ = [
     "largest_admissible_a",
     "fractional_hardy_constant",
     "make_spec",
-    "weighted_hardy_spec",
     "weighted_rellich_spec",
-    "higher_rellich_spec",
     "uncertainty_spec",
     "sobolev_spec",
     "gn1_spec",
-    "wgn1_spec",
-    "wgn2_spec",
     "ckn1_spec",
     "ckn2_spec",
     "ckn_fractional_spec",
@@ -153,6 +148,8 @@ class TheoremDef:
     evaluate: Callable[[dict, list, Workbench], tuple]
     known_bound: Callable[[dict], float | None] = lambda P: None
     requires_vanishing: bool = False
+    # name -> fn(P): a parameter that the others fix; make_spec fills it in
+    derived: Dict[str, Callable[[dict], float]] = field(default_factory=dict)
 
 
 def _lam(P: dict) -> float:
@@ -164,6 +161,43 @@ def _base_conditions(P: dict) -> List[Condition]:
         _strict("dimension", "N ≥ 1", P["N"] - 0.0),
         _nonstrict("gamma_nonneg", "γ ≥ 0", P["gamma"]),
     ]
+
+
+# The derived parameters: a `*_formula` condition and the table's `derived`
+# entry call one function, so a value that make_spec fills in has residual 0.
+
+
+def _sobolev_q(P):
+    lam = _lam(P)
+    return P["p"] * lam / (lam - P["p"])
+
+
+def _balanced_p(gap):
+    """P -> 2Λ/(Λ-2+2t), t = gap(P) the weight gap of a Hardy/Rellich display."""
+    def p(P):
+        lam = _lam(P)
+        return 2.0 * lam / (lam - 2.0 + 2.0 * gap(P))
+    return p
+
+
+def _higher_rellich_shift(P):
+    return P["a"] + 2.0 * (P["j"] - 1.0) + 1.0
+
+
+_weighted_hardy_p = _balanced_p(lambda P: P["b"] - P["a"])
+_weighted_rellich_p = _balanced_p(lambda P: P["b"] - P["a"] - 1.0)
+_higher_rellich_p = _balanced_p(lambda P: P["b"] - _higher_rellich_shift(P))
+_wgn2_p = _balanced_p(lambda P: P["a"] - 1.0)
+
+
+def _ckn_c(x):
+    """P -> δx + b(1-δ), x = x(P) the weight power of the CKN gradient side."""
+    return lambda P: P["delta"] * x(P) + P["b"] * (1.0 - P["delta"])
+
+
+_ckn1_c = _ckn_c(lambda P: -1.0)      # δ·(-1.0) is -δ exactly
+_ckn2_c = _ckn_c(lambda P: P["a"])
+_ckn3_c = _ckn_c(lambda P: P["a"] - 1.0)
 
 
 def _delta_interval(P: dict, hi: float) -> Condition:
@@ -178,7 +212,7 @@ def _c_sobolev(P):
     return _base_conditions(P) + [
         _nonstrict("p_low", "p ≥ 1", P["p"] - 1.0),
         _strict("p_high", "p < Λ", lam - P["p"]),
-        _eq("q_formula", "q = pΛ/(Λ-p)", P["q"] - P["p"] * lam / (lam - P["p"])),
+        _eq("q_formula", "q = pΛ/(Λ-p)", P["q"] - _sobolev_q(P)),
     ]
 
 
@@ -203,8 +237,7 @@ def _c_weighted_hardy(P):
     return _base_conditions(P) + [
         _nonstrict("weight_low", "a ≤ b", P["b"] - P["a"]),
         _nonstrict("weight_high", "b ≤ a+1", P["a"] + 1.0 - P["b"]),
-        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-a))",
-            P["p"] - 2.0 * lam / (lam - 2.0 + 2.0 * (P["b"] - P["a"]))),
+        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-a))", P["p"] - _weighted_hardy_p(P)),
         _strict("a_bound", "a < (Λ-2)/2", (lam - 2.0) / 2.0 - P["a"]),
     ]
 
@@ -236,8 +269,7 @@ def _c_weighted_rellich(P):
     return _base_conditions(P) + [
         _nonstrict("weight_low", "a+1 ≤ b", P["b"] - P["a"] - 1.0),
         _nonstrict("weight_high", "b ≤ a+2", P["a"] + 2.0 - P["b"]),
-        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-(a+1)))",
-            P["p"] - 2.0 * lam / (lam - 2.0 + 2.0 * (P["b"] - P["a"] - 1.0))),
+        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-(a+1)))", P["p"] - _weighted_rellich_p(P)),
         _strict("a_bound", "a+1 < (Λ-2)/2", (lam - 2.0) / 2.0 - P["a"] - 1.0),
     ]
 
@@ -249,14 +281,13 @@ def _e_weighted_rellich(P, f, wb):
 def _c_higher_rellich(P):
     lam = _lam(P)
     j = P["j"]
-    A = P["a"] + 2.0 * (j - 1.0) + 1.0
+    A = _higher_rellich_shift(P)
     return _base_conditions(P) + [
         _eq("j_integer", "j ∈ ℕ", j - round(j)),
         _nonstrict("j_low", "j ≥ 1", j - 1.0),
         _nonstrict("weight_low", "a+2(j-1)+1 ≤ b", P["b"] - A),
         _nonstrict("weight_high", "b ≤ a+2(j-1)+2", A + 1.0 - P["b"]),
-        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-(a+2(j-1)+1)))",
-            P["p"] - 2.0 * lam / (lam - 2.0 + 2.0 * (P["b"] - A))),
+        _eq("p_formula", "p = 2Λ/(Λ-2+2(b-(a+2(j-1)+1)))", P["p"] - _higher_rellich_p(P)),
         _strict("a_bound", "a+2(j-1)+1 < (Λ-2)/2", (lam - 2.0) / 2.0 - A),
     ]
 
@@ -322,7 +353,7 @@ def _c_wgn1(P):
         _strict("p_high", "p < Λ/(2+2γ)", lam / (2.0 + 2.0 * P["gamma"]) - P["p"]),
         _nonstrict("s_low", "s ≥ 2", P["s"] - 2.0),
         _nonstrict("s_high", "s ≤ Λ/p", lam / P["p"] - P["s"]),
-        _eq("q_formula", "q = pΛ/(Λ-p)", P["q"] - P["p"] * lam / (lam - P["p"])),
+        _eq("q_formula", "q = pΛ/(Λ-p)", P["q"] - _sobolev_q(P)),
     ]
 
 
@@ -342,8 +373,7 @@ def _c_wgn2(P):
         _nonstrict("a_high", "a ≤ 2", 2.0 - P["a"]),
         _nonstrict("s_low", "s ≥ 2", P["s"] - 2.0),
         _nonstrict("s_high", "s ≤ Λ/2", lam / 2.0 - P["s"]),
-        _eq("p_formula", "p = 2Λ/(Λ-2+2(a-1))",
-            P["p"] - 2.0 * lam / (lam - 2.0 + 2.0 * (P["a"] - 1.0))),
+        _eq("p_formula", "p = 2Λ/(Λ-2+2(a-1))", P["p"] - _wgn2_p(P)),
     ]
 
 
@@ -418,8 +448,7 @@ def _c_ckn1(P):
         _delta_interval(P, P["p"] / P["r"]),
         _eq("balance", "δr/p + (1-δ)r/q = 1",
             P["delta"] * P["r"] / P["p"] + (1.0 - P["delta"]) * P["r"] / P["q"] - 1.0),
-        _eq("c_formula", "c = -δ + b(1-δ)",
-            P["c"] - (-P["delta"] + P["b"] * (1.0 - P["delta"]))),
+        _eq("c_formula", "c = -δ + b(1-δ)", P["c"] - _ckn1_c(P)),
     ]
     return conds
 
@@ -444,8 +473,7 @@ def _c_ckn2(P):
         _eq("balance", "δr(Λ-2)/(2Λ) + (1-δ)r/q = 1",
             P["delta"] * P["r"] * (lam - 2.0) / (2.0 * lam)
             + (1.0 - P["delta"]) * P["r"] / P["q"] - 1.0),
-        _eq("c_formula", "c = δa + b(1-δ)",
-            P["c"] - (P["delta"] * P["a"] + P["b"] * (1.0 - P["delta"]))),
+        _eq("c_formula", "c = δa + b(1-δ)", P["c"] - _ckn2_c(P)),
     ]
 
 
@@ -465,8 +493,7 @@ def _c_ckn3(P):
         _delta_interval(P, 2.0 / P["r"]),
         _eq("balance", "δr/2 + (1-δ)r/q = 1",
             P["delta"] * P["r"] / 2.0 + (1.0 - P["delta"]) * P["r"] / P["q"] - 1.0),
-        _eq("c_formula", "c = δ(a-1) + b(1-δ)",
-            P["c"] - (P["delta"] * (P["a"] - 1.0) + P["b"] * (1.0 - P["delta"]))),
+        _eq("c_formula", "c = δ(a-1) + b(1-δ)", P["c"] - _ckn3_c(P)),
         _strict("a_low", "a > 1 - Λ/2", P["a"] - (1.0 - lam / 2.0)),
         _nonstrict("a_high", "a ≤ 1", 1.0 - P["a"]),
     ]
@@ -519,38 +546,47 @@ def _e_classical_ckn(P, f, wb):
 
 
 THEOREMS: Dict[str, TheoremDef] = {t.tag: t for t in [
-    TheoremDef("Sobolev", ("N", "gamma", "p", "q"), "upper", _c_sobolev, _e_sobolev),
+    TheoremDef("Sobolev", ("N", "gamma", "p", "q"), "upper", _c_sobolev, _e_sobolev,
+               derived={"q": _sobolev_q}),
     TheoremDef("Hardy_Lp", ("N", "gamma", "p"), "upper", _c_hardy_lp, _e_hardy_lp),
     TheoremDef("WeightedHardy", ("N", "gamma", "a", "b", "p"), "upper",
-               _c_weighted_hardy, _e_weighted_hardy),
+               _c_weighted_hardy, _e_weighted_hardy, derived={"p": _weighted_hardy_p}),
     TheoremDef("ClassicalRellich", ("N", "gamma"), "upper", _c_classical_rellich,
                _e_classical_rellich, _b_classical_rellich, requires_vanishing=True),
     TheoremDef("WeightedRellich", ("N", "gamma", "a", "b", "p"), "upper",
-               _c_weighted_rellich, _e_weighted_rellich),
+               _c_weighted_rellich, _e_weighted_rellich, derived={"p": _weighted_rellich_p}),
     TheoremDef("HigherRellich", ("N", "gamma", "a", "b", "p", "j"), "upper",
-               _c_higher_rellich, _e_higher_rellich),
+               _c_higher_rellich, _e_higher_rellich, derived={"p": _higher_rellich_p}),
     TheoremDef("Uncertainty", ("N", "gamma", "p", "q"), "lower", _c_uncertainty,
-               _e_uncertainty),
-    TheoremDef("GN_I", ("N", "gamma", "p", "q", "r", "theta"), "upper", _c_gn1, _e_gn1),
+               _e_uncertainty, derived={"q": lambda P: P["p"] / (P["p"] - 1.0)}),
+    TheoremDef("GN_I", ("N", "gamma", "p", "q", "r", "theta"), "upper", _c_gn1, _e_gn1,
+               derived={"theta": lambda P: (1.0 / P["p"] - 1.0 / P["q"])
+                        / (1.0 / _lam(P) + 1.0 / P["p"] - 1.0 / P["r"])}),
     TheoremDef("GN_II", ("N", "gamma", "p", "s", "theta"), "upper", _c_gn2, _e_gn2),
-    TheoremDef("WeightedGN_I", ("N", "gamma", "p", "q", "s"), "upper", _c_wgn1, _e_wgn1),
+    TheoremDef("WeightedGN_I", ("N", "gamma", "p", "q", "s"), "upper", _c_wgn1, _e_wgn1,
+               derived={"q": _sobolev_q}),
     TheoremDef("WeightedGN_II", ("N", "gamma", "a", "p", "s"), "upper", _c_wgn2, _e_wgn2,
-               requires_vanishing=True),
+               requires_vanishing=True, derived={"p": _wgn2_p}),
     TheoremDef("WeightedGN_III", ("N", "gamma", "a", "s"), "upper", _c_wgn3, _e_wgn3),
     TheoremDef("FractionalHardy", ("N", "gamma", "s"), "upper", _c_frac_hardy,
                _e_frac_hardy, _b_frac_hardy),
     TheoremDef("Trudinger", ("N", "gamma", "p", "a"), "upper", _c_trudinger, _e_trudinger),
     TheoremDef("CKN_I", ("N", "gamma", "p", "q", "r", "b", "c", "delta"), "upper",
-               _c_ckn1, _e_ckn1),
+               _c_ckn1, _e_ckn1, derived={
+                   "r": lambda P: 1.0 / (P["delta"] / P["p"] + (1.0 - P["delta"]) / P["q"]),
+                   "c": _ckn1_c}),
     TheoremDef("CKN_II", ("N", "gamma", "q", "r", "a", "b", "c", "delta"), "upper",
-               _c_ckn2, _e_ckn2),
+               _c_ckn2, _e_ckn2, derived={
+                   "r": lambda P: 1.0 / (P["delta"] * (_lam(P) - 2.0) / (2.0 * _lam(P))
+                                         + (1.0 - P["delta"]) / P["q"]),
+                   "c": _ckn2_c}),
     TheoremDef("CKN_fractional", ("N", "gamma", "q", "r", "a", "b", "c", "delta"), "upper",
-               _c_ckn3, _e_ckn3, _b_ckn3),
+               _c_ckn3, _e_ckn3, _b_ckn3, derived={
+                   "r": lambda P: 1.0 / (P["delta"] / 2.0 + (1.0 - P["delta"]) / P["q"]),
+                   "c": _ckn3_c}),
     TheoremDef("ClassicalCKN_1_1", ("N", "gamma", "p", "q", "r", "a", "b", "d", "delta"),
                "upper", _c_classical_ckn, _e_classical_ckn),
 ]}
-
-THEOREM_TAGS = tuple(THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -580,74 +616,47 @@ class InequalitySpec:
 
 
 def make_spec(theorem: str, **params) -> InequalitySpec:
+    """The spec of `theorem` at `params`.  A derived parameter left out (one
+    the theorem's balance fixes: Sobolev's q, GN_I's θ, the CKN r and c, ...)
+    is computed from the rest; a given one is kept, and admissible() reports
+    it when it is off."""
+    thm = THEOREMS.get(theorem)
+    missing = [name for name in thm.derived if name not in params] if thm else ()
+    if missing and set(thm.params) - set(thm.derived) <= set(params):
+        P = {k: float(v) for k, v in params.items()}
+        params.update({name: thm.derived[name](P) for name in missing})
     return InequalitySpec(theorem, params)
 
 
-# convenience constructors deriving the balanced parameters
+# the benchmark's constructors; they go once it calls make_spec
 
 
 def sobolev_spec(N, gamma, p):
-    lam = N + 2.0 * gamma
-    return make_spec("Sobolev", N=N, gamma=gamma, p=p, q=p * lam / (lam - p))
-
-
-def weighted_hardy_spec(N, gamma, a, b):
-    lam = N + 2.0 * gamma
-    return make_spec("WeightedHardy", N=N, gamma=gamma, a=a, b=b,
-                     p=2.0 * lam / (lam - 2.0 + 2.0 * (b - a)))
+    return make_spec("Sobolev", N=N, gamma=gamma, p=p)
 
 
 def weighted_rellich_spec(N, gamma, a, b):
-    lam = N + 2.0 * gamma
-    return make_spec("WeightedRellich", N=N, gamma=gamma, a=a, b=b,
-                     p=2.0 * lam / (lam - 2.0 + 2.0 * (b - a - 1.0)))
-
-
-def higher_rellich_spec(N, gamma, a, b, j):
-    lam = N + 2.0 * gamma
-    A = a + 2.0 * (j - 1.0) + 1.0
-    return make_spec("HigherRellich", N=N, gamma=gamma, a=a, b=b, j=j,
-                     p=2.0 * lam / (lam - 2.0 + 2.0 * (b - A)))
+    return make_spec("WeightedRellich", N=N, gamma=gamma, a=a, b=b)
 
 
 def uncertainty_spec(N, gamma, p):
-    return make_spec("Uncertainty", N=N, gamma=gamma, p=p, q=p / (p - 1.0))
+    return make_spec("Uncertainty", N=N, gamma=gamma, p=p)
 
 
 def gn1_spec(N, gamma, p, q, r):
-    lam = N + 2.0 * gamma
-    theta = (1.0 / p - 1.0 / q) / (1.0 / lam + 1.0 / p - 1.0 / r)
-    return make_spec("GN_I", N=N, gamma=gamma, p=p, q=q, r=r, theta=theta)
-
-
-def wgn1_spec(N, gamma, p, s):
-    lam = N + 2.0 * gamma
-    return make_spec("WeightedGN_I", N=N, gamma=gamma, p=p, s=s, q=p * lam / (lam - p))
-
-
-def wgn2_spec(N, gamma, a, s):
-    lam = N + 2.0 * gamma
-    return make_spec("WeightedGN_II", N=N, gamma=gamma, a=a, s=s,
-                     p=2.0 * lam / (lam - 2.0 + 2.0 * (a - 1.0)))
+    return make_spec("GN_I", N=N, gamma=gamma, p=p, q=q, r=r)
 
 
 def ckn1_spec(N, gamma, p, q, b, delta):
-    r = 1.0 / (delta / p + (1.0 - delta) / q)
-    return make_spec("CKN_I", N=N, gamma=gamma, p=p, q=q, r=r, b=b, delta=delta,
-                     c=-delta + b * (1.0 - delta))
+    return make_spec("CKN_I", N=N, gamma=gamma, p=p, q=q, b=b, delta=delta)
 
 
 def ckn2_spec(N, gamma, q, a, b, delta):
-    lam = N + 2.0 * gamma
-    r = 1.0 / (delta * (lam - 2.0) / (2.0 * lam) + (1.0 - delta) / q)
-    return make_spec("CKN_II", N=N, gamma=gamma, q=q, r=r, a=a, b=b, delta=delta,
-                     c=delta * a + b * (1.0 - delta))
+    return make_spec("CKN_II", N=N, gamma=gamma, q=q, a=a, b=b, delta=delta)
 
 
 def ckn_fractional_spec(N, gamma, q, a, b, delta):
-    r = 1.0 / (delta / 2.0 + (1.0 - delta) / q)
-    return make_spec("CKN_fractional", N=N, gamma=gamma, q=q, r=r, a=a, b=b, delta=delta,
-                     c=delta * (a - 1.0) + b * (1.0 - delta))
+    return make_spec("CKN_fractional", N=N, gamma=gamma, q=q, a=a, b=b, delta=delta)
 
 
 # ---------------------------------------------------------------------------

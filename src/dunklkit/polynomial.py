@@ -63,9 +63,6 @@ class Polynomial:
             out[e] = out.get(e, 0.0) - c
         return Polynomial(self.dim, out)
 
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1.0)
-
     def scale(self, c: float) -> "Polynomial":
         return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
 

@@ -340,10 +340,6 @@ class DyadicPartition:
             total += self.psi_j(t, j)
         return total
 
-    def covered(self, xi: np.ndarray) -> np.ndarray:
-        t = np.abs(np.asarray(xi, float))
-        return (t >= 2.0 ** self.j_lo) & (t <= 2.0 ** self.j_hi)
-
 
 def littlewood_paley_project(transform, field: SpectralField, j: int,
                              partition: DyadicPartition):

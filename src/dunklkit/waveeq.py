@@ -426,8 +426,8 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     is the canonical representative of the admissible class; a user-supplied
     f is accepted after a sampled zero-at-zero / Lipschitz-growth check.
     The iteration stops when the discrete X-norm of successive differences
-    falls below tolerance; three consecutive growing differences raise
-    PicardDivergenceError.
+    falls below tolerance; three consecutive growing differences, or a
+    difference or tolerance that is not finite, raise PicardDivergenceError.
     """
     config.validate()
     if config.p is None:
@@ -485,9 +485,11 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         U, dtU = U_new, dtU_new
         pairs.reverse()
         diffs.append(float(np.max(xw * diff)))
-        if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
-            raise PicardDivergenceError(eps, diffs)
         floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
+        # an iterate that overflowed leaves a difference or floor that is not finite
+        if not (math.isfinite(diffs[-1]) and math.isfinite(floor)) or (
+                len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]):
+            raise PicardDivergenceError(eps, diffs)
         if diffs[-1] <= floor:
             converged = True
             break

@@ -161,6 +161,50 @@ def test_wave_nonfinite_summary_exit3(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
+README_WAVE = {"b": 1.0, "m": 1.0, "epsilon": 0.01, "p": 3.0, "mode": "rank1", "k": 0.5,
+               "grid": {"x_max": 16, "nx": 280, "xi_max": 20, "nxi": 280},
+               "time": {"T": 10.0, "dt": 0.01}, "data": {"gaussian_scale": 1.0}}
+
+
+def test_wave_picard_divergence_exit1(tmp_path):
+    # ε = 5 on the README grid: four growing Picard differences
+    cfg = write(tmp_path / "cfg.json", {"wave": {**README_WAVE, "epsilon": 5.0}})
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["divergence"] is True and summary["epsilon"] == 5.0
+    diffs = summary["diff_xnorms"]
+    assert len(diffs) == 4 and diffs == sorted(diffs)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["exit_code"] == 1 and "error" not in meta
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "summary.json"]
+
+
+def test_wave_picard_overflow_exit3(tmp_path):
+    # ε = 1e8: the third iterate overflows.  That is divergence, whose
+    # summary would hold the infinite difference, which no JSON output holds
+    cfg = write(tmp_path / "cfg.json", {"wave": {**README_WAVE, "epsilon": 1e8}})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["wave", "--config", cfg, "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["exit_code"] == 3
+    assert meta["error"] == {"class": "NonFiniteResultError",
+                             "message": "summary.json.diff_xnorms[2] is inf"}
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
+@pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "3"], 3)],
+                         ids=["config", "override"])
+def test_metadata_records_the_seed_the_run_used(tmp_path, argv, seed):
+    # the README verify run draws its corpus from seed 7, or from --seed
+    cfg = write(tmp_path / "cfg.json", VERIFY_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), *argv]) == 0
+    assert json.loads((out / "summary.json").read_text())["seed"] == seed
+    assert json.loads((out / "metadata.json").read_text())["seed"] == seed
+
+
 @pytest.mark.parametrize("nonlinear", [{"p": None}, {"p": 3.0, "epsilon": 0.01}],
                          ids=["linear", "p3"])
 def test_wave_strong_damping_long_time_is_finite(tmp_path, nonlinear):

@@ -8,20 +8,26 @@ from hypothesis import given, settings, strategies as st
 import dunklkit as dk
 from dunklkit import extremal
 from dunklkit.extremal import (bump_scale_family, inverse_power_family, nelder_mead,
-                               power_gaussian_family, rayleigh_maximize,
-                               rellich_sharp_constant)
-from dunklkit.inequalities import fractional_hardy_constant
+                               power_gaussian_family, rayleigh_maximize)
+from dunklkit.inequalities import THEOREMS, admissible, fractional_hardy_constant
 from oracles import nelder_mead_numpy
+
+
+def _rellich_ceiling(N, gamma):
+    """The classical Rellich ratio's ceiling 1/√(Λ²(Λ-4)²/16)."""
+    return THEOREMS["ClassicalRellich"].known_bound({"N": float(N), "gamma": gamma})
 
 
 def test_sharp_constant_values():
     assert fractional_hardy_constant(3, 0.0, 0.0) == pytest.approx(1.0)
     # Γ(5/4) = Γ(1/4)/4 gives C(1) = 1/2 (classical (N-2)/2 at N = 3)
     assert fractional_hardy_constant(3, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert rellich_sharp_constant(5, 0.0) == pytest.approx(25.0 / 16.0)
-    assert rellich_sharp_constant(4, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        rellich_sharp_constant(2, 0.0)
+    # the Rellich constant Λ²(Λ-4)²/16 is 25/16 at Λ = 5 and degenerates to 0
+    # at Λ = 4, where the inequality is vacuous; Λ = 2 is excluded
+    assert _rellich_ceiling(5, 0.0) == pytest.approx(1.0 / math.sqrt(25.0 / 16.0))
+    assert _rellich_ceiling(4, 0.0) is None
+    rejected = admissible(dk.make_spec("ClassicalRellich", N=2, gamma=0.0)).failed
+    assert [c.cid for c in rejected] == ["lambda_ne_2"]
     with pytest.raises(ValueError):
         fractional_hardy_constant(3, 0.0, 2.0)
 
@@ -30,7 +36,7 @@ def test_gamma_recurrence_identity():
     # C(2)² equals the Rellich constant (two applications of Γ(u+1) = uΓ(u))
     for N, g in ((5, 0.0), (6, 0.3), (3, 1.2)):
         c2 = fractional_hardy_constant(N, g, 2.0)
-        assert c2 ** 2 == pytest.approx(rellich_sharp_constant(N, g), rel=1e-10)
+        assert 1.0 / c2 == pytest.approx(_rellich_ceiling(N, g), rel=1e-10)
 
 
 def test_nelder_mead_quadratic():

@@ -5,6 +5,7 @@ import pytest
 
 from dunklkit.functions import (AnnularBump, FunctionClassError, PolyGauss1D, RadialBump,
                                 RadialPG, TestFunction, band_profile, generate_corpus)
+from dunklkit.inequalities import THEOREMS, VIOLATION_RTOL
 
 
 def test_radial_pg_value_and_derivative():
@@ -142,7 +143,8 @@ def test_hand_built_vanishing_member_is_in_the_rellich_class():
     assert f.vanishes_at_origin and f.origin_factor_power == 2.0
     rec = dk.evaluate_sides(dk.make_spec("ClassicalRellich", N=5, gamma=0.0), f,
                             dk.radial_workbench(5, 0.0))
-    assert 0 < rec.ratio <= dk.rellich_sharp_constant(5, 0.0) * (1 + 1e-4)
+    ceiling = THEOREMS["ClassicalRellich"].known_bound({"N": 5.0, "gamma": 0.0})
+    assert ceiling == 0.8 and 0 < rec.ratio <= ceiling * (1 + VIOLATION_RTOL)
 
 
 def test_band_profile_support():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 from types import SimpleNamespace
@@ -10,12 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dunklkit as dk
-from dunklkit.functions import generate_corpus
-from dunklkit.inequalities import (AdmissibilityError, DegenerateFunctionError,
-                                   FunctionClassError, InequalitySpec, SeriesCapError,
-                                   THEOREM_TAGS, THEOREMS, WorkbenchMismatchError,
-                                   admissible, evaluate_sides, fractional_hardy_constant,
-                                   largest_admissible_a, trudinger_lhs, verify_corpus)
+from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
+from dunklkit.inequalities import (VIOLATION_RTOL, AdmissibilityError,
+                                   DegenerateFunctionError, FunctionClassError,
+                                   InequalitySpec, SeriesCapError, THEOREMS,
+                                   WorkbenchMismatchError, admissible, evaluate_sides,
+                                   fractional_hardy_constant, largest_admissible_a,
+                                   trudinger_lhs, verify_corpus)
 
 
 def test_theorem_tags_complete():
@@ -23,7 +25,7 @@ def test_theorem_tags_complete():
                 "WeightedHardy", "ClassicalRellich", "WeightedRellich", "HigherRellich",
                 "Uncertainty", "GN_I", "GN_II", "WeightedGN_I", "WeightedGN_II",
                 "WeightedGN_III", "FractionalHardy", "Trudinger", "Sobolev"}
-    assert set(THEOREM_TAGS) == expected
+    assert set(THEOREMS) == expected
 
 
 def test_spec_parameter_validation():
@@ -33,6 +35,60 @@ def test_spec_parameter_validation():
         dk.make_spec("FractionalHardy", N=3, gamma=0.0)                 # missing s
     with pytest.raises(AdmissibilityError):
         dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0, junk=2)  # extraneous
+    # a missing parameter that a derived one needs is named, not a KeyError
+    with pytest.raises(AdmissibilityError, match=r"missing \['c', 'delta', 'r'\]"):
+        dk.make_spec("CKN_I", N=3, gamma=0.0, p=2.0, q=2.0, b=0.0)
+    with pytest.raises(AdmissibilityError, match=r"missing \['b', 'c'\]"):
+        dk.make_spec("CKN_I", N=3, gamma=0.0, p=2.0, q=2.0, r=2.0, delta=0.5)
+
+
+def test_make_spec_keeps_a_given_derived_parameter():
+    # a derived parameter left out is filled in; one given is kept, and an
+    # inconsistent one is reported by admissible(), as for any other spec
+    filled = dk.make_spec("Sobolev", N=3, gamma=0.0, p=2.0)
+    assert filled.params["q"] == 6.0 and admissible(filled).admissible
+    given = dk.make_spec("Sobolev", N=3, gamma=0.0, p=2.0, q=5.0)
+    assert given.params["q"] == 5.0
+    assert [c.cid for c in admissible(given).failed] == ["q_formula"]
+    partial = dk.make_spec("CKN_I", N=3, gamma=0.5, p=1.5, q=2.5, b=0.3, delta=0.5, r=2.0)
+    assert partial.params["r"] == 2.0
+    assert partial.params["c"] == dk.ckn1_spec(3, 0.5, p=1.5, q=2.5, b=0.3, delta=0.5).params["c"]
+    assert {c.cid for c in admissible(partial).failed} == {"balance"}
+
+
+# The derived parameters of the benchmark's verify-sweep constructor specs and
+# of the tests' derived specs, as float.hex of the values the constructors
+# that computed them inline gave.
+DERIVED_HEX = [
+    (dk.sobolev_spec(3, 0.0, 2.0), {"q": "0x1.8000000000000p+2"}),
+    (dk.gn1_spec(3, 0.5, p=2.0, q=3.0, r=2.0), {"theta": "0x1.5555555555556p-1"}),
+    (dk.ckn1_spec(3, 0.5, p=1.5, q=2.5, b=0.3, delta=0.5),
+     {"r": "0x1.e000000000000p+0", "c": "-0x1.6666666666666p-2"}),
+    (dk.ckn2_spec(5, 0.0, q=2.0, a=0.5, b=0.4, delta=0.5),
+     {"r": "0x1.4000000000000p+1", "c": "0x1.ccccccccccccdp-2"}),
+    (dk.ckn_fractional_spec(3, 0.0, q=2.0, a=0.5, b=0.3, delta=0.5),
+     {"r": "0x1.0000000000000p+1", "c": "-0x1.999999999999ap-4"}),
+    (dk.uncertainty_spec(3, 0.0, 2.0), {"q": "0x1.0000000000000p+1"}),
+    (dk.weighted_rellich_spec(3, 1.0, a=0.2, b=1.7), {"p": "0x1.4000000000000p+1"}),
+    (dk.sobolev_spec(1, 0.5, 1.5), {"q": "0x1.8000000000000p+2"}),
+    (dk.make_spec("WeightedGN_I", N=9, gamma=0.0, p=1.5, s=2.0), {"q": "0x1.ccccccccccccdp+0"}),
+    (dk.make_spec("WeightedGN_II", N=9, gamma=0.0, a=1.5, s=2.5), {"p": "0x1.2000000000000p+1"}),
+    (dk.make_spec("HigherRellich", N=11, gamma=0.0, a=0.0, b=3.5, j=2),
+     {"p": "0x1.199999999999ap+1"}),
+    (dk.make_spec("WeightedHardy", N=3, gamma=0.5, a=0.25, b=0.75),
+     {"p": "0x1.5555555555555p+1"}),
+    (dk.gn1_spec(3, 0.0, p=2.0, q=5.0, r=2.0), {"theta": "0x1.ccccccccccccep-1"}),
+]
+
+
+@pytest.mark.parametrize("spec, want", DERIVED_HEX,
+                         ids=[f"{i:02d}.{s.theorem}" for i, (s, _) in enumerate(DERIVED_HEX)])
+def test_derived_parameters_are_pinned_bit_for_bit(spec, want):
+    assert {name: spec.params[name].hex() for name in want} == want
+    assert set(want) == set(THEOREMS[spec.theorem].derived)
+    # the formula residuals of the filled-in values are exactly zero
+    formulas = [c for c in admissible(spec).conditions if c.cid.endswith("_formula")]
+    assert all(c.residual == 0.0 for c in formulas)
 
 
 def test_classical_ckn_intro_point_rejected_with_zero_residual():
@@ -69,7 +125,7 @@ def test_admissibility_rejections():
     bad2 = dk.make_spec("WeightedRellich", N=5, gamma=0.0, a=0.0, b=2.0, p=2.3)
     assert not admissible(bad2).admissible
     # WeightedGN_II needs Λ > 4
-    bad3 = dk.wgn2_spec(3, 0.0, a=1.5, s=2.0)
+    bad3 = dk.make_spec("WeightedGN_II", N=3, gamma=0.0, a=1.5, s=2.0)
     assert not admissible(bad3).admissible
     # CKN_I balance violated
     bad4 = dk.make_spec("CKN_I", N=3, gamma=0.0, p=2, q=2, r=1.7, b=0.0,
@@ -164,7 +220,7 @@ def test_weighted_rellich_reduces_to_classical(wb_radial5):
 def test_higher_rellich_j2(wb_radial5=None):
     # j=2 at Λ=11 (richer admissible window), vanish-at-origin corpus
     wb = dk.radial_workbench(11, 0.0)
-    spec = dk.higher_rellich_spec(11, 0.0, a=0.0, b=3.5, j=2)
+    spec = dk.make_spec("HigherRellich", N=11, gamma=0.0, a=0.0, b=3.5, j=2)
     assert admissible(spec).admissible
     corpus = generate_corpus(3, 4, ["HermiteGaussian"], {"vanish_at_origin": True},
                              mode="radial")
@@ -201,12 +257,45 @@ def test_wgn1_wgn2(wb_radial5=None):
     wb = dk.radial_workbench(9, 0.0)
     corpus = generate_corpus(29, 3, ["HermiteGaussian"], {"vanish_at_origin": True},
                              mode="radial")
-    wgn1 = dk.wgn1_spec(9, 0.0, p=1.5, s=2.0)
+    wgn1 = dk.make_spec("WeightedGN_I", N=9, gamma=0.0, p=1.5, s=2.0)
     assert admissible(wgn1).admissible
     assert verify_corpus(wgn1, corpus, wb).empirical_constant > 0
-    wgn2 = dk.wgn2_spec(9, 0.0, a=1.5, s=2.5)
+    wgn2 = dk.make_spec("WeightedGN_II", N=9, gamma=0.0, a=1.5, s=2.5)
     assert admissible(wgn2).admissible
     assert verify_corpus(wgn2, corpus, wb).empirical_constant > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_workbench(N, gamma):
+    return dk.radial_workbench(N, gamma)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2 ** 16),
+       setting=st.sampled_from([(3, 0.0, 0.0), (3, 0.0, -0.5), (3, 0.5, 0.25), (5, 0.0, 0.5)]))
+def test_weighted_hardy_stays_below_its_sharp_constant(seed, setting):
+    # b = a+1 gives p = 2, and on radial f the display is the one-dimensional
+    # weighted Hardy inequality with sharp constant 2/(Λ-2-2a)
+    N, gamma, a = setting
+    spec = dk.make_spec("WeightedHardy", N=N, gamma=gamma, a=a, b=a + 1.0)
+    assert spec.params["p"] == 2.0 and admissible(spec).admissible
+    corpus = generate_corpus(seed, 6, list(CORPUS_FAMILIES), mode="radial")
+    res = verify_corpus(spec, corpus, _radial_workbench(N, gamma))
+    ceiling = 2.0 / (N + 2.0 * gamma - 2.0 - 2.0 * a) * (1.0 + VIOLATION_RTOL)
+    assert all(0.0 < r.ratio <= ceiling for r in res.records), (res.records, ceiling)
+
+
+@pytest.mark.parametrize("N, seed", [(3, 11), (5, 12)])
+def test_classical_ckn_at_the_hardy_point_is_hardy_bit_for_bit(N, seed):
+    # p = q = r = 2, a = b = 0, d = -1, δ = 1 gives c = -1: the classical CKN
+    # display is Hardy's at p = 2, and its gradient side has the power 1
+    ckn = dk.make_spec("ClassicalCKN_1_1", N=N, gamma=0.0, p=2.0, q=2.0, r=2.0,
+                       a=0.0, b=0.0, d=-1.0, delta=1.0)
+    hardy = dk.make_spec("Hardy_Lp", N=N, gamma=0.0, p=2.0)
+    assert admissible(ckn).admissible and admissible(hardy).admissible
+    corpus = generate_corpus(seed, 8, list(CORPUS_FAMILIES), mode="radial")
+    wb = _radial_workbench(N, 0.0)
+    assert verify_corpus(ckn, corpus, wb).records == verify_corpus(hardy, corpus, wb).records
 
 
 def test_ckn_fractional_known_bound(wb_radial3):

@@ -8,7 +8,7 @@ every test-function carrier, of weighted norms and of the benchmark's
 verify-sweep ratios, batched `verify_corpus` against per-member
 evaluation, the cached rule layout against the panel-by-panel rule, the
 direct Gauss-Jacobi core against `scipy.special.roots_jacobi` bit for bit,
-and the equality conditions of the `*_spec` constructors' output."""
+and the equality conditions of the derived parameters `make_spec` fills in."""
 
 import importlib.util
 import math
@@ -437,24 +437,31 @@ def test_verify_corpus_batch_matches_per_member_evaluation(seed, count):
 
 
 # ---------------------------------------------------------------------------
-# *_spec constructors: the derived parameter satisfies the theorem's equalities
+# derived parameters: make_spec's filled-in value satisfies the theorem's equalities
 
 DIM, GAMMA = st.integers(1, 6), st.floats(0.0, 2.0)
 EXPONENT, WEIGHT, DELTA = st.floats(1.0, 10.0), st.floats(-2.0, 3.0), st.floats(0.0, 1.0)
-SPEC_CONSTRUCTORS = {
-    "sobolev_spec": (dk.sobolev_spec, dict(p=EXPONENT)),
-    "weighted_hardy_spec": (dk.weighted_hardy_spec, dict(a=WEIGHT, b=WEIGHT)),
-    "weighted_rellich_spec": (dk.weighted_rellich_spec, dict(a=WEIGHT, b=WEIGHT)),
-    "higher_rellich_spec": (dk.higher_rellich_spec, dict(a=WEIGHT, b=WEIGHT, j=st.integers(1, 3))),
-    "uncertainty_spec": (dk.uncertainty_spec, dict(p=st.floats(1.05, 10.0))),
-    "gn1_spec": (dk.gn1_spec, dict(p=EXPONENT, q=EXPONENT, r=EXPONENT)),
-    "wgn1_spec": (dk.wgn1_spec, dict(p=EXPONENT, s=st.floats(2.0, 6.0))),
-    "wgn2_spec": (dk.wgn2_spec, dict(a=st.floats(1.0, 2.0), s=st.floats(2.0, 4.0))),
-    "ckn1_spec": (dk.ckn1_spec, dict(p=EXPONENT, q=EXPONENT, b=WEIGHT, delta=DELTA)),
-    "ckn2_spec": (dk.ckn2_spec, dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA)),
-    "ckn_fractional_spec": (dk.ckn_fractional_spec,
-                            dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA)),
+# each theorem with derived parameters: strategies for the others but N and γ
+GIVEN = {
+    "Sobolev": dict(p=EXPONENT),
+    "WeightedHardy": dict(a=WEIGHT, b=WEIGHT),
+    "WeightedRellich": dict(a=WEIGHT, b=WEIGHT),
+    "HigherRellich": dict(a=WEIGHT, b=WEIGHT, j=st.integers(1, 3)),
+    "Uncertainty": dict(p=st.floats(1.05, 10.0)),
+    "GN_I": dict(p=EXPONENT, q=EXPONENT, r=EXPONENT),
+    "WeightedGN_I": dict(p=EXPONENT, s=st.floats(2.0, 6.0)),
+    "WeightedGN_II": dict(a=st.floats(1.0, 2.0), s=st.floats(2.0, 4.0)),
+    "CKN_I": dict(p=EXPONENT, q=EXPONENT, b=WEIGHT, delta=DELTA),
+    "CKN_II": dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA),
+    "CKN_fractional": dict(q=EXPONENT, a=WEIGHT, b=WEIGHT, delta=DELTA),
 }
+
+
+def test_every_derived_table_has_strategies():
+    assert set(GIVEN) == {tag for tag, thm in inequalities.THEOREMS.items() if thm.derived}
+    for tag, given in GIVEN.items():
+        thm = inequalities.THEOREMS[tag]
+        assert set(thm.params) == {"N", "gamma"} | set(given) | set(thm.derived), tag
 
 
 def _equality_conditions(spec):
@@ -471,15 +478,19 @@ def _equality_conditions(spec):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(name=st.sampled_from(sorted(SPEC_CONSTRUCTORS)), N=DIM, gamma=GAMMA, data=st.data())
-def test_spec_constructors_satisfy_their_equalities(name, N, gamma, data):
-    make, params = SPEC_CONSTRUCTORS[name]
-    drawn = {k: data.draw(strategy, label=k) for k, strategy in params.items()}
+@given(tag=st.sampled_from(sorted(GIVEN)), N=DIM, gamma=GAMMA, data=st.data())
+def test_derived_parameters_satisfy_their_equalities(tag, N, gamma, data):
+    # a `*_formula` condition reads the function that filled the value in, so
+    # its residual is exactly 0; a balance or conjugate condition holds to EQ_TOL
+    drawn = {k: data.draw(strategy, label=k) for k, strategy in GIVEN[tag].items()}
     try:
-        spec = make(N, gamma, **drawn)
+        spec = dk.make_spec(tag, N=N, gamma=gamma, **drawn)
     except ZeroDivisionError:
         assume(False)                     # the derived parameter is undefined here
+    assert set(spec.params) == set(inequalities.THEOREMS[tag].params)
     conditions = _equality_conditions(spec)
-    assert conditions, name
+    assert conditions, tag
     for c in conditions:
-        assert c.ok, (name, spec.params, c)
+        if c.cid.endswith("_formula"):
+            assert c.residual == 0.0, (tag, spec.params, c)
+        assert c.ok, (tag, spec.params, c)

@@ -10,9 +10,9 @@ import pytest
 
 import dunklkit
 from dunklkit import waveeq
-from dunklkit.waveeq import (WaveConfig, WaveConfigError, _block_size, _propagator, _traces,
-                             decay_rate_fit, linear_mode_solution, mode_time_derivative,
-                             solve_linear, solve_nonlinear, x_norm)
+from dunklkit.waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, _block_size,
+                             _propagator, _traces, decay_rate_fit, linear_mode_solution,
+                             mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
 
 
 from oracles import duhamel, picard_full, rk4_modes
@@ -194,6 +194,19 @@ def test_nonlinear_contraction_small_epsilon():
     assert sol.converged
     assert all(f < 0.1 for f in sol.contraction_factors[:1])
     assert sol.delta_fit > 0
+
+
+def test_overflowing_picard_iteration_diverges():
+    # ε = 1e8 on the README grid: the third iterate overflows, and its
+    # infinite difference is divergence, not a difference below the floor
+    cfg = WaveConfig(b=1.0, m=1.0, k=0.5, p=3.0, epsilon=1e8, nx=280, nxi=280,
+                     x_max=16.0, xi_max=20.0, t_final=10.0, dt=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PicardDivergenceError) as info:
+            solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
+    diffs = info.value.diffs
+    assert len(diffs) == 3 and all(map(math.isfinite, diffs[:2])) and diffs[2] == math.inf
+    assert info.value.epsilon == 1e8
 
 
 def test_nonlinearity_checks():
