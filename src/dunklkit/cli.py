@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -321,11 +323,12 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
         except PicardDivergenceError as exc:
             divergence = exc
             sol = None
+    resolved = {k: v for k, v in vars(config).items() if not k.startswith("_")}
     if sol is not None:
         # the summary first: a non-finite number in it stops the run before any CSV
         _write_json(out / "summary.json", {
             "command": "wave",
-            "config": {k: v for k, v in vars(config).items() if not k.startswith("_")},
+            "config": resolved,
             "delta_fit": sol.delta_fit,
             "fit_residual": sol.fit_residual,
             "iterations": sol.iterations,
@@ -341,11 +344,15 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
                 rows.append((sol.times[ti], xval, uval))
         _write_csv(out, "snapshots.csv", rows)
         return EXIT_OK
+    # an overflowing iterate ends the differences with one that is not finite,
+    # which no JSON output holds: the summary lists those before it
     _write_json(out / "summary.json", {
         "command": "wave",
+        "config": resolved,
         "divergence": True,
+        "overflow": divergence.overflow,
         "epsilon": divergence.epsilon,
-        "diff_xnorms": divergence.diffs,
+        "diff_xnorms": list(itertools.takewhile(math.isfinite, divergence.diffs)),
     })
     return EXIT_VIOLATION
 
@@ -429,6 +436,20 @@ def _load_config(args) -> dict:
         raise ConfigError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
+def _blas() -> dict:
+    """The build string and thread count of numpy's bundled OpenBLAS (`wave`
+    bits depend on the thread count), read through its scipy_openblas
+    symbols: null where a numpy build has no such library or symbols."""
+    try:
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
+        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        return {"build": lib.scipy_openblas_get_config64_().decode(),
+                "threads": int(lib.scipy_openblas_get_num_threads64_())}
+    except (OSError, AttributeError, StopIteration, UnicodeDecodeError):
+        return {"build": None, "threads": None}
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     try:
@@ -476,6 +497,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "seed": seed,
                 "numpy": np.__version__,
+                "blas": _blas(),
                 "csv_schemas": CSV_SCHEMAS,
                 "exit_code": code,
             }

@@ -25,13 +25,15 @@ on ½(f(r) + f(-r))) and `odd` (order k+1/2, on ½(f(r) - f(-r))).  Both work in
 real spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
 radial: the samples) via `to_coords`/`from_coords`/`to_full`, `coord_xi` and
 `coord_weights`.  The blocks are dense (no fast transform algorithm exists
-for general k): built once, applied as real matmuls.  Their entries come from
-`normalized_bessel_j`, whose cost depends on the order: half-integer orders
-(integer k; odd integer Λ) use spherical Bessel functions, orders 0 and 1
-(k = ½; Λ = 2, 4) the Cephes J0/J1, and every other order the general `jv`,
-several times slower per entry.  Multipliers (fractional Laplacian
-|ξ|^s, Riesz potential |ξ|^{-s}, Sobolev weights, dyadic Littlewood-Paley
-projectors) are diagonal in this representation.
+for general k), applied as real matmuls.  A block builds its forward kernel
+at construction, in blocks of rows, and derives its inverse from it on the
+first inverse apply.  The entries come from `normalized_bessel_j`, whose cost
+depends on the order: half-integer orders (integer k; odd integer Λ) use
+spherical Bessel functions, orders 0 and 1 (k = ½; Λ = 2, 4) the Cephes
+J0/J1, and every other order the general `jv`, several times slower per entry.
+Multipliers (fractional Laplacian |ξ|^s, Riesz potential |ξ|^{-s}, Sobolev
+weights, dyadic Littlewood-Paley projectors) are diagonal in this
+representation.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class LowFrequencyError(ValueError):
 
 
 XI_FLOOR, LOW_FREQ_TOL = 0.125, 1e-10   # riesz_potential's low-frequency gate
+_BLOCK_ENTRIES = 1 << 16                 # kernel entries per row block of a build
 
 
 @dataclass
@@ -98,16 +101,16 @@ class SpectralField:
         return replace(self, values=(self.values.T * mult).T)
 
 
-def _rank1_parts(k: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd real parts of E_k(-i, ·) at z = ξx: j_{k-1/2}(z) and
-    z/(2k+1) j_{k+1/2}(z)."""
-    z = np.asarray(z, dtype=float)
-    return normalized_bessel_j(k - 0.5, z), z / (2.0 * k + 1.0) * normalized_bessel_j(k + 0.5, z)
+def _rank1_parts(k: float):
+    """Even and odd real parts of E_k(-i, ·) as functions of z = ξx:
+    j_{k-1/2}(z) and z/(2k+1) j_{k+1/2}(z)."""
+    return (lambda z: normalized_bessel_j(k - 0.5, z),
+            lambda z: z / (2.0 * k + 1.0) * normalized_bessel_j(k + 0.5, z))
 
 
 def rank1_kernel(k: float, z: np.ndarray) -> np.ndarray:
     """E_k(-i, ·) sampled at z = ξx: j_{k-1/2}(z) - i z/(2k+1) j_{k+1/2}(z)."""
-    even, odd = _rank1_parts(k, z)
+    even, odd = (part(np.asarray(z, dtype=float)) for part in _rank1_parts(k))
     return even - 1j * odd
 
 
@@ -152,7 +155,9 @@ def _calibration_report(self) -> dict:
 
 class _HankelBlock:
     """A real half-line Hankel block: samples on r > 0 ↔ real coordinates at
-    coord_xi, by forward and inverse kernels with the weights folded in.
+    coord_xi, by a forward kernel with the r weights w_in folded in, and an
+    inverse, the same kernel with the ρ weights w_out, derived from it on the
+    first `from_coords` and kept (each entry within a few ulp of a direct build).
 
     Zero tail: samples run outward in r, so a compactly supported batch ends
     in zero rows.  When its last row is zero, the forward multiplies only the
@@ -161,8 +166,14 @@ class _HankelBlock:
     norm.  Every other batch pays one `.any()` on its last row.
     """
 
-    def __init__(self, fwd, inv, coord_xi, coord_weights):
-        self._fwd, self._inv, self.coord_xi, self.coord_weights = fwd, inv, coord_xi, coord_weights
+    def __init__(self, part, rho, r, w_in, w_out, coord_weights):
+        """Forward kernel part(ρ_i r_j) · w_in[j], filled in blocks of rows so
+        that the Bessel temporaries stay a block in size (entry by entry exact)."""
+        self._fwd, self._inv = np.empty((rho.size, r.size)), None
+        step = max(1, _BLOCK_ENTRIES // r.size)
+        for i in range(0, rho.size, step):
+            np.multiply(part(np.outer(rho[i:i + step], r)), w_in, out=self._fwd[i:i + step])
+        self.w_in, self.w_out, self.coord_xi, self.coord_weights = w_in, w_out, rho, coord_weights
 
     def to_coords(self, vals: np.ndarray) -> np.ndarray:
         if len(vals) and not vals[-1].any():
@@ -172,6 +183,9 @@ class _HankelBlock:
         return _real_apply(self._fwd, vals)
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        if self._inv is None:
+            self._inv = self._fwd.T / self.w_in[:, None]
+            self._inv *= self.w_out
         return _real_apply(self._inv, coords)
 
 
@@ -190,13 +204,11 @@ class DunklTransformRank1:
         self.M = float(2.0 ** (2.0 * k + 0.5) * sps.gamma(k + 0.5))
         h, hxi = x_quad.npoints // 2, xi_quad.npoints // 2
         rho, w_rho = xi_quad.nodes[hxi:], 2.0 * xi_quad.weights[hxi:]
-        even, odd = _rank1_parts(k, np.outer(rho, x_quad.nodes[h:]))
-        # the blocks share these kernels; perfbench/tracing.py sizes the arrays in vars(self)
         w_r, w_inv = 2.0 * x_quad.weights[h:] / self.M, w_rho / self.M
-        self._fwd_even, self._fwd_odd = even * w_r, odd * w_r
-        self._inv_even, self._inv_odd = even.T * w_inv, odd.T * w_inv
-        self.even = _HankelBlock(self._fwd_even, self._inv_even, rho, w_rho)
-        self.odd = _HankelBlock(self._fwd_odd, self._inv_odd, rho, w_rho)
+        self.even, self.odd = (_HankelBlock(part, rho, x_quad.nodes[h:], w_r, w_inv, w_rho)
+                               for part in _rank1_parts(k))
+        # the blocks' forward kernels; perfbench/tracing.py sizes the arrays in vars(self)
+        self._fwd_even, self._fwd_odd = self.even._fwd, self.odd._fwd
         self.coord_xi, self.coord_weights = np.tile(rho, 2), np.tile(w_rho, 2)
 
     # bound here, not inherited: perfbench/tracing.py patches each class's own __dict__
@@ -241,10 +253,8 @@ class RadialDunklTransform(_HankelBlock):
         # quadrature weights; the transform itself is d-independent.
         self.M, M_rho = (float(q.recipe["const"] * 2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
                          for q in (x_quad, xi_quad))
-        ker = normalized_bessel_j(self.nu, np.outer(xi_quad.nodes, x_quad.nodes))
-        super().__init__(ker * (x_quad.weights / self.M)[None, :],
-                         ker.T * (xi_quad.weights / M_rho)[None, :],
-                         xi_quad.nodes, xi_quad.weights)
+        super().__init__(lambda z: normalized_bessel_j(self.nu, z), xi_quad.nodes, x_quad.nodes,
+                         x_quad.weights / self.M, xi_quad.weights / M_rho, xi_quad.weights)
 
     forward = _forward
     inverse = _inverse

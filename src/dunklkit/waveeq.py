@@ -77,11 +77,12 @@ class WaveConfigError(ValueError):
 
 
 class PicardDivergenceError(RuntimeError):
-    def __init__(self, epsilon: float, diffs: Sequence[float]):
+    """Growing Picard differences, or an iterate that overflowed (`overflow`)."""
+
+    def __init__(self, epsilon: float, diffs: Sequence[float], overflow: bool = False):
         super().__init__(f"Picard iteration diverging at epsilon={epsilon:g}; "
                          f"X-norm differences {list(diffs)}")
-        self.epsilon = epsilon
-        self.diffs = list(diffs)
+        self.epsilon, self.diffs, self.overflow = epsilon, list(diffs), overflow
 
 
 # ---------------------------------------------------------------------------
@@ -463,36 +464,39 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
     diffs: List[float] = []
     converged = False
-    for _ in range(config.max_picard):
-        U_new, dtU_new = pairs[0]
-        for r in chunks:
-            F = block.to_coords(nonlinearity(block.from_coords(U[r].T)))
-            np.multiply(dt, F.T, out=G[r])
-        G[0] *= 0.5
-        _duhamel(A, G, U_new, dtU_new)
-        diff, h1_now, dt_now = np.empty(nt), np.empty(nt), np.empty(nt)
-        for r in chunks:
-            # (dt/2) F: half of G, and G itself in row 0, where G holds it
-            half = 0.5 * G[r]
-            if r.start == 0:
-                half[0] = G[0]
-            dtU_new[r] -= half
-            U_new[r] += Phi[r]
-            dtU_new[r] += dtPhi[r]
-            dH, dV = _traces(U_new[r] - U[r], dtU_new[r] - dtU[r], block)
-            diff[r] = dH + dV
-            h1_now[r], dt_now[r] = _traces(U_new[r], dtU_new[r], block)
-        U, dtU = U_new, dtU_new
-        pairs.reverse()
-        diffs.append(float(np.max(xw * diff)))
-        floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
-        # an iterate that overflowed leaves a difference or floor that is not finite
-        if not (math.isfinite(diffs[-1]) and math.isfinite(floor)) or (
-                len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]):
-            raise PicardDivergenceError(eps, diffs)
-        if diffs[-1] <= floor:
-            converged = True
-            break
+    # an iterate that overflows is divergence, found from its differences, so
+    # numpy's overflow warnings on the way there say nothing new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_picard):
+            U_new, dtU_new = pairs[0]
+            for r in chunks:
+                F = block.to_coords(nonlinearity(block.from_coords(U[r].T)))
+                np.multiply(dt, F.T, out=G[r])
+            G[0] *= 0.5
+            _duhamel(A, G, U_new, dtU_new)
+            diff, h1_now, dt_now = np.empty(nt), np.empty(nt), np.empty(nt)
+            for r in chunks:
+                # (dt/2) F: half of G, and G itself in row 0, where G holds it
+                half = 0.5 * G[r]
+                if r.start == 0:
+                    half[0] = G[0]
+                dtU_new[r] -= half
+                U_new[r] += Phi[r]
+                dtU_new[r] += dtPhi[r]
+                dH, dV = _traces(U_new[r] - U[r], dtU_new[r] - dtU[r], block)
+                diff[r] = dH + dV
+                h1_now[r], dt_now[r] = _traces(U_new[r], dtU_new[r], block)
+            U, dtU = U_new, dtU_new
+            pairs.reverse()
+            diffs.append(float(np.max(xw * diff)))
+            floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
+            # an iterate that overflowed leaves a difference or floor that is not finite
+            overflow = not (math.isfinite(diffs[-1]) and math.isfinite(floor))
+            if overflow or (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]):
+                raise PicardDivergenceError(eps, diffs, overflow)
+            if diffs[-1] <= floor:
+                converged = True
+                break
 
     # the final iterate leaves the workspace, and the workspace goes, before
     # the outputs take its place

@@ -60,7 +60,9 @@ class Workbench:
 
     @property
     def transform(self):
-        """Dense transform, built on first spectral use (kernel ~ O(M²))."""
+        """Dense transform, built on first spectral use: its forward kernels
+        (~ O(M²)) at construction, in row blocks, and each inverse kernel on
+        the first inverse apply, which the Plancherel norms never make."""
         if self._transform is None:
             if self.mode == "radial":
                 self._transform = RadialDunklTransform(self.lam, self.quad, self.xi_quad)

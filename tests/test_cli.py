@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import dunklkit
+from dunklkit import cli
 from dunklkit.cli import main
 
 
@@ -175,23 +177,45 @@ def test_wave_picard_divergence_exit1(tmp_path):
     assert summary["divergence"] is True and summary["epsilon"] == 5.0
     diffs = summary["diff_xnorms"]
     assert len(diffs) == 4 and diffs == sorted(diffs)
+    assert summary["overflow"] is False and summary["config"]["epsilon"] == 5.0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["exit_code"] == 1 and "error" not in meta
     assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "summary.json"]
 
 
-def test_wave_picard_overflow_exit3(tmp_path):
-    # ε = 1e8: the third iterate overflows.  That is divergence, whose
-    # summary would hold the infinite difference, which no JSON output holds
+def test_wave_picard_overflow_exit1(tmp_path):
+    # ε = 1e8: the third iterate overflows.  That is divergence, exit 1; the
+    # summary lists the differences before the infinite one, which no JSON
+    # output holds, and says that an iterate overflowed
     cfg = write(tmp_path / "cfg.json", {"wave": {**README_WAVE, "epsilon": 1e8}})
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["wave", "--config", cfg, "--out", str(out)]) == 3
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["divergence"] is True and summary["overflow"] is True
+    assert summary["epsilon"] == 1e8 and len(summary["diff_xnorms"]) == 2
+    assert summary["config"]["epsilon"] == 1e8 and summary["config"]["nx"] == 280
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["exit_code"] == 3
-    assert meta["error"] == {"class": "NonFiniteResultError",
-                             "message": "summary.json.diff_xnorms[2] is inf"}
-    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+    assert meta["exit_code"] == 1 and "error" not in meta
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "summary.json"]
+
+
+def test_metadata_records_the_blas_build_and_threads(tmp_path):
+    # `wave` bits depend on the BLAS thread count, so every run records it
+    cfg = write(tmp_path / "cfg.json", VERIFY_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    blas = json.loads((out / "metadata.json").read_text())["blas"]
+    assert isinstance(blas["build"], str) and blas["build"]
+    assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+
+
+def test_metadata_records_null_blas_where_the_lookup_fails(tmp_path):
+    cfg = write(tmp_path / "cfg.json", VERIFY_CFG)
+    out = tmp_path / "out"
+    with mock.patch.object(cli.ctypes, "CDLL", side_effect=OSError("no such library")):
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["blas"] == {"build": None, "threads": None} and meta["exit_code"] == 0
 
 
 @pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "3"], 3)],

@@ -265,6 +265,19 @@ def test_wgn1_wgn2(wb_radial5=None):
     assert verify_corpus(wgn2, corpus, wb).empirical_constant > 0
 
 
+@pytest.mark.parametrize("mode", ["radial", "rank1"])
+def test_wgn3_at_s0_compares_a_norm_with_itself(mode):
+    # a = s = 0 runs the s = 0 branch of WeightedGN_III: both sides are the
+    # unweighted L² norm, so every ratio is 1 exactly
+    N, gamma, wb = ((3, 0.0, dk.radial_workbench(3, 0.0)) if mode == "radial"
+                    else (1, 0.5, dk.rank1_workbench(0.5)))
+    spec = dk.make_spec("WeightedGN_III", N=N, gamma=gamma, a=0.0, s=0.0)
+    assert admissible(spec).admissible
+    corpus = generate_corpus(5, 12, list(CORPUS_FAMILIES), mode=mode)
+    records = verify_corpus(spec, corpus, wb).records
+    assert len(records) == 12 and all(r.ratio == 1.0 for r in records)
+
+
 @functools.lru_cache(maxsize=None)
 def _radial_workbench(N, gamma):
     return dk.radial_workbench(N, gamma)

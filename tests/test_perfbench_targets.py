@@ -42,16 +42,22 @@ def test_trace_target_resolves(target):
 def test_kernel_built_sizes_the_kernels_the_transform_applies(mode):
     # `spectral.kernel_bytes` reads the 2-D arrays held by the transform
     # itself: the parity blocks of a rank-1 transform must apply those same
-    # arrays, not copies and not arrays held only by the blocks
+    # forward arrays, not copies and not arrays held only by the blocks.  A
+    # built transform holds no inverse: each block derives one on its first
+    # `from_coords`, after the tracer has sized the kernels
     grid = dict(resolution=64, xi_resolution=64)
     if mode == "rank1":
         tr = dunklkit.rank1_workbench(0.5, **grid).transform
-        kernels = [a for b in (tr.even, tr.odd) for a in (b._fwd, b._inv)]
+        blocks = [tr.even, tr.odd]
     else:
         tr = dunklkit.radial_workbench(3, 0.0, **grid).transform
-        kernels = [tr._fwd, tr._inv]
+        blocks = [tr]
+    kernels = [b._fwd for b in blocks]
     held = [v for v in vars(tr).values() if isinstance(v, np.ndarray) and v.ndim == 2]
     assert len(held) == len(kernels) and all(any(a is b for b in held) for a in kernels)
     tracer = tracing.Tracer()
     tracing._kernel_built(tracer, None, (tr,), None)
     assert tracer.extra["kernel_bytes"] == sum(a.nbytes for a in kernels) > 0
+    assert all(b._inv is None for b in blocks)
+    tr.from_coords(np.zeros(tr.coord_xi.size))
+    assert all(b._inv.shape == b._fwd.shape[::-1] for b in blocks)

@@ -75,9 +75,10 @@ def test_rank1_blocks_match_jv_reference(k):
     # (up to 416 here), and with it the reference's own jv error (at k = 0,
     # 2.4e-14 against mpmath at z = 14.1, where sin z is exact to 1e-16)
     scale = np.maximum(1.0, z / (2.0 * k + 1.0))
+    tr.from_coords(np.zeros(tr.coord_xi.size))    # derives the inverse kernels
     for block, ker, w, tol in [(tr._fwd_even, even, w_r, 1.0), (tr._fwd_odd, odd, w_r, scale),
-                               (tr._inv_even, even.T, w_inv, 1.0),
-                               (tr._inv_odd, odd.T, w_inv, scale.T)]:
+                               (tr.even._inv, even.T, w_inv, 1.0),
+                               (tr.odd._inv, odd.T, w_inv, scale.T)]:
         assert np.all(np.abs(block - ker * w) <= 1e-14 * tol * w)
 
 

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special as sps
 
 import dunklkit as dk
+from dunklkit import spectral
 from dunklkit.functions import band_profile, generate_corpus
+from dunklkit.special import normalized_bessel_j
 from dunklkit.spectral import (DyadicPartition, LowFrequencyError, SpectralField,
                                classical_fourier_reference, fractional_laplacian,
                                homogeneous_norm, littlewood_paley_project, rank1_kernel,
@@ -381,3 +387,97 @@ def test_rank1_transform_rejects_unmirrored_rule():
 
 def test_rank1_workbench_takes_rmax():
     assert dk.rank1_workbench(0.5, rmax=12.0).quad.rmax == 12.0
+
+
+# ---------------------------------------------------------------------------
+# kernels: forward built in row blocks, inverse derived on first use
+
+
+def _whole_grid_kernels(tr):
+    """(block, its forward kernel, the inverse built directly): the Bessel
+    kernel evaluated on the whole grid at once, with the x weights folded in
+    going forward and the ξ weights coming back."""
+    xq, xiq = tr.x_quad, tr.xi_quad
+    if isinstance(tr, dk.RadialDunklTransform):
+        ker = normalized_bessel_j(tr.nu, np.outer(xiq.nodes, xq.nodes))
+        m_rho = float(xiq.recipe["const"] * 2.0 ** (tr.lam / 2.0 - 1.0) * sps.gamma(tr.lam / 2.0))
+        return [(tr, ker * (xq.weights / tr.M), ker.T * (xiq.weights / m_rho))]
+    h, hxi, k = xq.npoints // 2, xiq.npoints // 2, tr.k
+    z = np.outer(xiq.nodes[hxi:], xq.nodes[h:])
+    w_in, w_out = 2.0 * xq.weights[h:] / tr.M, 2.0 * xiq.weights[hxi:] / tr.M
+    even = normalized_bessel_j(k - 0.5, z)
+    odd = z / (2.0 * k + 1.0) * normalized_bessel_j(k + 0.5, z)
+    return [(tr.even, even * w_in, even.T * w_out), (tr.odd, odd * w_in, odd.T * w_out)]
+
+
+def _derived_inverse_within_4_ulp(block, direct) -> bool:
+    """Every entry of the inverse kernel a block derives on its first
+    from_coords is within 4 ulp (relative) of the directly built one."""
+    block.from_coords(np.zeros(block.coord_xi.size))
+    return bool(np.all(np.abs(block._inv - direct) <= 4.0 * np.finfo(float).eps * np.abs(direct)))
+
+
+def _shipped_transforms():
+    """The transforms the benchmark builds: the five verify-sweep workbenches
+    (the first is also sharp-probe's default N = 3 workbench) and the three
+    wave-picard grids (the README wave grid)."""
+    yield from (dk.radial_workbench(N, g).transform for N, g in ((3, 0.0), (3, 0.5), (3, 1.0),
+                                                                 (5, 0.0)))
+    yield dk.rank1_workbench(0.5).transform
+    grid = dict(x_max=16.0, nx=280, xi_max=20.0, nxi=280)
+    yield from (dk.WaveConfig(b=1.0, m=1.0, mode="rank1", k=k, **grid).build_transform()
+                for k in (0.5, 1.0))
+    yield dk.WaveConfig(b=1.0, m=1.0, mode="radial", N=3, gamma=0.0, **grid).build_transform()
+
+
+def test_shipped_kernels_are_the_whole_grid_kernels():
+    # the row-blocked forward kernels are the whole-grid products bit for bit;
+    # each derived inverse entry is within 4 ulp of the directly built one
+    for tr in _shipped_transforms():
+        for block, fwd, inv in _whole_grid_kernels(tr):
+            assert np.array_equal(block._fwd, fwd)
+            assert _derived_inverse_within_4_ulp(block, inv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(mode=st.sampled_from(["radial", "rank1"]),
+       k=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.05, 3.0),
+       N=st.integers(1, 6), gamma=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+       res=st.integers(16, 200), xi_res=st.integers(16, 200),
+       rmax=st.floats(2.0, 40.0), xi_max=st.floats(2.0, 60.0), entries=st.integers(1, 5000))
+def test_row_blocked_kernels_are_the_whole_grid_kernels(mode, k, N, gamma, res, xi_res,
+                                                        rmax, xi_max, entries):
+    # a small row block splits the build into many blocks (one row each at
+    # entries below a row's length), which must not change a single entry
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", entries):
+        if mode == "radial":
+            tr = dk.radial_workbench(N, gamma, rmax, res, xi_max, xi_res).transform
+        else:
+            tr = dk.rank1_workbench(k, rmax, res, xi_max, xi_res).transform
+    for block, fwd, inv in _whole_grid_kernels(tr):
+        assert np.array_equal(block._fwd, fwd)
+        assert _derived_inverse_within_4_ulp(block, inv)
+
+
+def test_verify_corpus_derives_no_inverse():
+    # the README verify run goes forward only (Plancherel norms), so no
+    # block holds an inverse kernel after it
+    wb = dk.radial_workbench(3, 0.0)
+    spec = dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
+    corpus = generate_corpus(7, 20, ["Gaussian", "DilatedGaussian", "HermiteGaussian"],
+                             mode="radial")
+    assert dk.verify_corpus(spec, corpus, wb).records
+    assert wb.transform._inv is None
+
+
+@pytest.mark.parametrize("mode", ["radial", "rank1"])
+def test_a_second_inverse_reuses_the_derived_kernel(mode):
+    grid = dict(resolution=64, xi_resolution=64)
+    tr = (dk.radial_workbench(3, 0.0, **grid) if mode == "radial"
+          else dk.rank1_workbench(0.5, **grid)).transform
+    blocks = [tr] if mode == "radial" else [tr.even, tr.odd]
+    c = np.random.default_rng(3).standard_normal((tr.coord_xi.size, 2))
+    first = tr.from_coords(c)
+    kernels = [b._inv for b in blocks]
+    assert np.array_equal(tr.from_coords(c), first)
+    assert all(b._inv is a for b, a in zip(blocks, kernels))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,14 +200,17 @@ def test_nonlinear_contraction_small_epsilon():
 def test_overflowing_picard_iteration_diverges():
     # ε = 1e8 on the README grid: the third iterate overflows, and its
     # infinite difference is divergence, not a difference below the floor
+    # (and the overflow on the way there warns nothing: a warning turned into
+    # an error would be raised instead of the divergence)
     cfg = WaveConfig(b=1.0, m=1.0, k=0.5, p=3.0, epsilon=1e8, nx=280, nxi=280,
                      x_max=16.0, xi_max=20.0, t_final=10.0, dt=0.01)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(PicardDivergenceError) as info:
             solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
     diffs = info.value.diffs
     assert len(diffs) == 3 and all(map(math.isfinite, diffs[:2])) and diffs[2] == math.inf
-    assert info.value.epsilon == 1e8
+    assert info.value.epsilon == 1e8 and info.value.overflow
 
 
 def test_nonlinearity_checks():
@@ -429,8 +433,13 @@ def test_build_transform_is_the_workbench_transform(mode):
           else dunklkit.radial_workbench(3, 0.5, **grid))
     tr = cfg.build_transform()
     assert type(tr) is type(wb.transform)
-    # the kernel arrays: rank-1 even/odd half-line blocks, radial _fwd/_inv
-    names = (["_fwd_even", "_fwd_odd", "_inv_even", "_inv_odd"] if mode == "rank1"
-             else ["_fwd", "_inv"])
+    # the forward kernels: rank-1 even/odd half-line blocks, radial _fwd
+    names = ["_fwd_even", "_fwd_odd"] if mode == "rank1" else ["_fwd"]
     for name in names + ["coord_xi", "coord_weights"]:
         assert np.array_equal(getattr(tr, name), getattr(wb.transform, name))
+    # and the inverse kernels each block derives on its first from_coords
+    blocks = [(t.even, t.odd) if mode == "rank1" else (t,) for t in (tr, wb.transform)]
+    for t in (tr, wb.transform):
+        t.from_coords(np.zeros(t.coord_xi.size))
+    for a, b in zip(*blocks):
+        assert a._inv is not None and np.array_equal(a._inv, b._inv)
