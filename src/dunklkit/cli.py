@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .extremal import (RecomputationError, TrialFamily, bump_scale_family,
                        inverse_power_family, power_gaussian_family, rayleigh_maximize)
-from .functions import CORPUS_FAMILIES, generate_corpus
+from .functions import CorpusError, generate_corpus
 from .inequalities import (AdmissibilityError, DegenerateFunctionError, FunctionClassError,
                            InequalitySpec, SeriesCapError, THEOREMS, WorkbenchMismatchError,
                            admissible, verify_corpus)
@@ -64,8 +64,8 @@ class NonFiniteResultError(ArithmeticError):
 
 
 # the package's own exception types, by exit code; anything else is internal
-_CONFIG_ERRORS = (ConfigError, AdmissibilityError, RootSystemError, WaveConfigError,
-                  WorkbenchMismatchError, QuadratureInputError)
+_CONFIG_ERRORS = (ConfigError, AdmissibilityError, CorpusError, RootSystemError,
+                  WaveConfigError, WorkbenchMismatchError, QuadratureInputError)
 _NUMERICAL_ERRORS = (ArithmeticError, DegenerateFunctionError, FunctionClassError,
                      SeriesCapError, GroupClosureError, LowFrequencyError, QuadratureError,
                      RecomputationError)
@@ -89,7 +89,7 @@ def _write_csv(out: Path, schema: str, rows) -> None:
 
 def _write_json(path: Path, obj) -> None:
     _check_finite(obj, path.name)
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -105,14 +105,6 @@ def _check_finite(obj, where: str) -> None:
             _check_finite(v, f"{where}[{i}]")
     elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
         raise NonFiniteResultError(f"{where} is {obj}")
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
 
 
 _MISSING = object()
@@ -188,12 +180,6 @@ def _build_corpus(cfg: dict, seed: int, mode: str):
     count = _require(c, "count", int, "$.corpus", 10)
     families = _require(c, "families", list, "$.corpus",
                         ["Gaussian", "DilatedGaussian", "HermiteGaussian"])
-    if count < 1 or not families:
-        raise ConfigError("$.corpus: count must be ≥ 1 and families non-empty")
-    unknown = [f for f in families if f not in CORPUS_FAMILIES]
-    if unknown:
-        raise ConfigError(f"$.corpus.families: unknown families {unknown}; "
-                          f"expected names from {list(CORPUS_FAMILIES)}")
     constraints = _require(c, "constraints", dict, "$.corpus", {})
     return generate_corpus(seed, count, families, constraints, mode=mode)
 

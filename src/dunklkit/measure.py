@@ -234,7 +234,8 @@ def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
 
     TensorGaussLike: exact-weight composite rule for N=1.  PolarProduct:
     radial rule against r^{Λ-1} dr times the μ_k surface constant (radial
-    integrands, any N).
+    integrands); the constant is closed-form where surface_constant_for has
+    one and numeric for N = 2 only.
     """
     if scheme == "PolarProduct":
         d = surface_const if surface_const is not None else surface_constant_for(rs)
@@ -263,26 +264,14 @@ def surface_constant(N: int, gamma: float) -> float:
 
 
 def surface_constant_for(rs: RootSystem) -> float:
-    """Exact ∫_{S^{N-1}} w_k dω for catalog systems; numeric otherwise."""
+    """Exact ∫_{S^{N-1}} w_k dω for catalog systems; numeric for N = 2 only."""
     lam = rs.dim + 2.0 * rs.gamma
     mm = exact_macdonald_mehta(rs)
     if mm is not None:
         return mm / (2.0 ** (lam / 2.0 - 1.0) * sps.gamma(lam / 2.0))
     if rs.dim == 2:
         return _sphere_constant_2d(rs)
-    if rs.dim == 3:
-        tc, wc = sps.roots_legendre(200)      # cosθ ∈ (-1,1)
-        tp, wp = sps.roots_legendre(200)
-        phi = np.pi * (tp + 1.0)
-        ct = tc
-        st = np.sqrt(1.0 - ct ** 2)
-        X = np.outer(st, np.cos(phi))
-        Y = np.outer(st, np.sin(phi))
-        Z = np.outer(ct, np.ones_like(phi))
-        pts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-        wgt = np.outer(wc, np.pi * wp).ravel()
-        return float(np.sum(wgt * rs_weight(rs, pts)))
-    raise QuadratureError("surface constant: numeric sphere rule implemented for N ≤ 3")
+    raise QuadratureError("surface constant: numeric sphere rule implemented for N = 2 only")
 
 
 def _sphere_constant_2d(rs: RootSystem, n: int = 48) -> float:
@@ -294,8 +283,6 @@ def _sphere_constant_2d(rs: RootSystem, n: int = 48) -> float:
         if k > 0:
             zeros.append(((phi + np.pi / 2) % (2 * np.pi), float(k)))
             zeros.append(((phi + 3 * np.pi / 2) % (2 * np.pi), float(k)))
-    if not zeros:
-        return 2.0 * np.pi
     zeros.sort()
     angles = np.array([z[0] for z in zeros])
     ks = np.array([z[1] for z in zeros])

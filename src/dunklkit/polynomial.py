@@ -179,13 +179,6 @@ class Polynomial:
 
     # -- misc -----------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.dim == other.dim and self.terms == other.terms
-
     def allclose(self, other: "Polynomial", tol: float = 1e-10) -> bool:
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(e, 0.0) - other.terms.get(e, 0.0)) <= tol for e in keys)
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{e}:{c:g}" for e, c in sorted(self.terms.items()))
-        return f"Polynomial(dim={self.dim}, {{{items}}})"

@@ -41,9 +41,9 @@ not see that saving.
 
 In rank 1 the Dunkl transform of an even function is the transform's
 `even` block, the Hankel transform of order k - ½, and its odd coordinates
-are 0.  When both data have exactly zero odd coordinates, the linear stage
-and the Picard loop run on `tr.even` alone, on the r > 0 samples: f(u) of an
-even u is even for every pointwise f, so the odd coordinates stay exactly 0.
+are 0.  When both data have exactly zero odd coordinates, the solve runs on
+`tr.even` alone, on the r > 0 samples (mirrored for the snapshots): f(u) of
+an even u is even for every pointwise f, so odd coordinates stay exactly 0.
 Odd data stay odd only under an odd f, which a user-supplied f need not be,
 so odd and mixed data run on the whole transform.
 """
@@ -328,13 +328,15 @@ def _coords_out(tr, U):
     return out
 
 
-def _solution(config: WaveConfig, tr, times, U, dtU, traces, **picard) -> WaveSolution:
+def _solution(config: WaveConfig, tr, block, times, U, dtU, traces, **picard) -> WaveSolution:
     """Physical snapshots and the decay fit of (U, ∂_t U) (_coords_out
-    arrays), whose norm traces _traces(U, ∂_t U) on the block solved on are
-    `traces`."""
+    arrays) solved on `block`, with `traces` their _traces on it; the snapshots
+    run on `block` too (the rank-1 even block's r > 0 half, mirrored)."""
     h1, dt2 = traces
     idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
-    snaps = tr.from_coords(U[idx].T).T
+    snaps = block.from_coords(U[idx].T[:block.coord_xi.size]).T
+    if block is not tr:
+        snaps = np.concatenate([snaps[:, ::-1], snaps], axis=1)
     delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
     return WaveSolution(times, tr.coord_xi, U, dtU, h1, dt2, tr.x_quad.nodes, idx, snaps,
                         delta, resid, **picard)
@@ -349,7 +351,7 @@ def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
     config.validate()
     tr, block, times, A, starts = _linear_stage(config, u0, u1)
     U, dtU = _carry(A, starts, slice(0, times.size))
-    return _solution(config, tr, times, _coords_out(tr, U), _coords_out(tr, dtU),
+    return _solution(config, tr, block, times, _coords_out(tr, U), _coords_out(tr, dtU),
                      _traces(U, dtU, block))
 
 
@@ -506,7 +508,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     # a difference at or below the stopping floor is rounding residue, and so is
     # its ratio to the one before
     factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]
-    return _solution(config, tr, times, U, dtU, (h1_now, dt_now), iterations=len(diffs),
+    return _solution(config, tr, block, times, U, dtU, (h1_now, dt_now), iterations=len(diffs),
                      diff_xnorms=diffs, contraction_factors=factors, converged=converged)
 
 

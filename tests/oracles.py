@@ -81,7 +81,7 @@ def picard_full(config, u0, u1, nonlinearity=None):
     `waveeq._chunks` range of rows, as in the solver: a BLAS product over
     fewer columns may round its last columns differently (OpenBLAS's
     SkylakeX kernels do).  With `config.p` None, `waveeq.solve_linear` the
-    same way."""
+    same way.  Its snapshots, too, go through the whole transform."""
     tr, times = config.build_transform(), config.times
     scale = 1.0 if config.p is None else config.epsilon
     A, starts = waveeq._linear_modes(
@@ -90,7 +90,7 @@ def picard_full(config, u0, u1, nonlinearity=None):
     Phi, dtPhi = waveeq._carry(A, starts, slice(0, times.size))
     traces = waveeq._traces(Phi, dtPhi, tr)
     if config.p is None:
-        return waveeq._solution(config, tr, times, Phi, dtPhi, traces)
+        return waveeq._solution(config, tr, tr, times, Phi, dtPhi, traces)
     if nonlinearity is None:
         def nonlinearity(u):
             return np.abs(u) ** (config.p - 1.0) * u
@@ -111,7 +111,7 @@ def picard_full(config, u0, u1, nonlinearity=None):
         if diffs[-1] <= floor:
             break
     factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]
-    return waveeq._solution(config, tr, times, U, dtU, traces, iterations=len(diffs),
+    return waveeq._solution(config, tr, tr, times, U, dtU, traces, iterations=len(diffs),
                             diff_xnorms=diffs, contraction_factors=factors,
                             converged=diffs[-1] <= floor)
 
@@ -177,11 +177,12 @@ def normalized_bessel_j_jv(nu, z):
 
 def carrier_values_loop(carrier, x, power):
     """A carrier's f(x)/|x|^power one carrier at a time, by the scalar Horner
-    loop for the polynomial × Gaussian carriers (profiles use their own
-    value_reduced), so the padded-matrix evaluation can be checked against it."""
+    loop for the polynomial × Gaussian carriers (profiles, which factor no
+    origin power, by their own `value`), so the padded-matrix evaluation can
+    be checked against it."""
     x = np.asarray(x, dtype=float)
     if not hasattr(carrier, "coeffs"):
-        return carrier.value_reduced(x, power)
+        return carrier.value(x)
     m0 = carrier.lead
     t = x * x if hasattr(carrier, "beta") else x
     q = np.zeros_like(x)

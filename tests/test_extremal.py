@@ -18,6 +18,12 @@ def _rellich_ceiling(N, gamma):
     return THEOREMS["ClassicalRellich"].known_bound({"N": float(N), "gamma": gamma})
 
 
+def test_gap_is_none_without_a_ceiling():
+    result = dk.OptimizationResult({"beta": 1.0}, 0.8, [0.8], True, False, 1, 1)
+    assert result.gap is None and result.to_dict()["gap"] is None
+    assert dataclasses.replace(result, ceiling=1.0).gap == pytest.approx(0.2)
+
+
 def test_sharp_constant_values():
     assert fractional_hardy_constant(3, 0.0, 0.0) == pytest.approx(1.0)
     # Γ(5/4) = Γ(1/4)/4 gives C(1) = 1/2 (classical (N-2)/2 at N = 3)

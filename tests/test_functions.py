@@ -3,8 +3,11 @@ import gc
 import numpy as np
 import pytest
 
-from dunklkit.functions import (AnnularBump, FunctionClassError, PolyGauss1D, RadialBump,
-                                RadialPG, TestFunction, band_profile, generate_corpus)
+import dunklkit as dk
+from dunklkit.dunkl import dunkl_laplacian_num
+from dunklkit.functions import (AnnularBump, CorpusError, FunctionClassError, PolyGauss1D,
+                                RadialBump, RadialPG, TestFunction, band_profile,
+                                generate_corpus)
 from dunklkit.inequalities import THEOREMS, VIOLATION_RTOL
 
 
@@ -145,6 +148,41 @@ def test_hand_built_vanishing_member_is_in_the_rellich_class():
                             dk.radial_workbench(5, 0.0))
     ceiling = THEOREMS["ClassicalRellich"].known_bound({"N": 5.0, "gamma": 0.0})
     assert ceiling == 0.8 and 0 < rec.ratio <= ceiling * (1 + VIOLATION_RTOL)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.3])
+def test_rank1_laplacian_hook_matches_the_numerical_dunkl_laplacian(k):
+    # Δ_k = T², T f = f' + k (f(x) - f(-x))/x, on a carrier with odd and even
+    # parts; the nested difference quotient at h = 5e-4 sits below its 1e-6
+    # relative floor (h = 2e-3 reads 1.1e-5 here: truncation, not the hook)
+    rs = dk.build_root_system("Rank1Z2", 1, [k])
+    f = PolyGauss1D((0.3, -1.0, 0.5, 0.8), 1.1)
+    x = np.array([-2.1, -1.3, -0.4, 0.35, 0.9, 1.7, 2.6])
+    exact = f.laplacian(k).value(x)
+    num = dunkl_laplacian_num(rs, f.value, x, h=5e-4)
+    assert np.max(np.abs(num - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_rank1_lap_norm_goes_through_the_laplacian_hook(wb_rank1_k05):
+    # ‖Δ_k^j f‖₂ on a rank-1 workbench is the closed-form L²(μ_k) norm of the
+    # hook's Δ_k^j f
+    f = PolyGauss1D((0.3, -1.0, 0.5, 0.8), 1.1)
+    member = TestFunction("pg", "HermiteGaussian", "rank1", {}, (f,))
+    g = f
+    for j in (1, 2):
+        g = g.laplacian(0.5)
+        want = np.sqrt(g.weighted_l2_exact(0.0, 0.5))
+        assert wb_rank1_k05.lap_norm(member, j, 2.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("count, families, message", [
+    (0, ["Gaussian"], "count must be ≥ 1, got 0"),
+    (3, [], "empty corpus family list"),
+    (3, ["Gaussian", "Lorentzian"], r"unknown corpus families \['Lorentzian'\]"),
+])
+def test_corpus_requests_it_cannot_serve_raise_corpus_error(count, families, message):
+    with pytest.raises(CorpusError, match=message):
+        generate_corpus(1, count, families)
 
 
 def test_band_profile_support():

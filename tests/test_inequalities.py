@@ -133,6 +133,25 @@ def test_admissibility_rejections():
     assert not admissible(bad4).admissible
 
 
+@pytest.mark.parametrize("spec, failed", [
+    (dk.make_spec("Hardy_Lp", N=3, gamma=0.0, p=4.0), ["p_high"]),
+    (dk.make_spec("WeightedGN_II", N=3, gamma=0.0, a=1.5, s=2.0), ["lambda_gt_4", "s_high"]),
+    (dk.make_spec("CKN_I", N=3, gamma=0.0, p=2, q=2, r=1.7, b=0.0, c=-0.5, delta=1.5),
+     ["delta_range", "balance", "c_formula"]),
+], ids=["Hardy_Lp", "WeightedGN_II", "CKN_I"])
+def test_inadmissible_spec_is_refused_naming_its_failed_conditions(spec, failed, wb_radial3):
+    # evaluate_sides (one member) and verify_corpus (a corpus) raise before any
+    # norm, and the message lists every failed condition id
+    assert [c.cid for c in admissible(spec).failed] == failed
+    want = f"{spec.theorem}: inadmissible parameters ({', '.join(failed)})"
+    corpus = generate_corpus(7, 3, ["Gaussian", "HermiteGaussian"])
+    for run in (lambda: evaluate_sides(spec, corpus[0], wb_radial3),
+                lambda: verify_corpus(spec, corpus, wb_radial3)):
+        with pytest.raises(AdmissibilityError) as info:
+            run()
+        assert str(info.value) == want
+
+
 def test_uncertainty_gaussian_value(wb_rank1_k05):
     # Gaussian moments give exactly 1/2 at N = 1, k = 0 (evaluator arithmetic;
     # the theorem's own p-range is empty there)

@@ -385,6 +385,22 @@ def test_corpus_values_match_carrier_loop(seed, count, vanishing, mode, derived)
             np.testing.assert_allclose(row, want, rtol=1e-15, atol=0.0, err_msg=f.fid)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=SEEDS, count=st.integers(1, 12),
+       families=st.lists(st.sampled_from(CORPUS_FAMILIES), min_size=1, unique=True),
+       mode=st.sampled_from(["radial", "rank1"]), radial=st.booleans(), vanish=st.booleans())
+def test_corpus_members_satisfy_their_constraints(seed, count, families, mode, radial, vanish):
+    # generate_corpus builds each constraint into the members it draws: the
+    # radial one zeroes a rank-1 member's odd coefficients, the vanishing one
+    # gives it an origin factor or an annulus
+    corpus = generate_corpus(seed, count, families,
+                             {"radial": radial, "vanish_at_origin": vanish}, mode=mode)
+    assert len(corpus) == count
+    for f in corpus:
+        assert f.is_radial or not radial, f.fid
+        assert f.vanishes_at_origin or not vanish, f.fid
+
+
 def _first_error(evaluate):
     """(type, message) of what evaluate() raises, or None."""
     try:

@@ -382,8 +382,8 @@ def test_solvers_match_the_full_coordinate_loop(k, case, t_final, p):
 
 
 def test_even_data_picard_loop_runs_on_the_even_block(monkeypatch):
-    # the full transform maps the data in and the snapshots out; every Picard
-    # step runs on the even block alone
+    # the full transform maps the data in; every Picard step, and the
+    # snapshots, run on the even block alone
     cfg = WaveConfig(b=1.0, m=1.0, epsilon=0.05, p=3.0, mode="rank1", k=0.5, x_max=12.0,
                      nx=80, xi_max=14.0, nxi=80, t_final=2.0, dt=0.02)
     tr = cfg.build_transform()
@@ -398,9 +398,27 @@ def test_even_data_picard_loop_runs_on_the_even_block(monkeypatch):
     sol = solve_nonlinear(cfg, _gauss, u1)
     assert sol.iterations > 1 and sol.U.shape[1] == tr.coord_xi.size
     n_x = tr.x_quad.npoints
-    assert sorted(calls) == [("from_coords", (tr.coord_xi.size, sol.snapshot_indices.size)),
-                             ("to_coords", (n_x,)), ("to_coords", (n_x,))]
+    assert sorted(calls) == [("to_coords", (n_x,)), ("to_coords", (n_x,))]
     assert not np.any(sol.U[:, tr.coord_xi.size // 2:])
+
+
+def test_even_solve_derives_no_odd_inverse(monkeypatch):
+    # the README solve: even data never apply the odd block's inverse, so it
+    # is never derived (574,592 B on this grid); odd and mixed data run on the
+    # whole transform and derive both
+    built = []
+    build = WaveConfig.build_transform
+    monkeypatch.setattr(WaveConfig, "build_transform",
+                        lambda self: built.append(build(self)) or built[-1])
+    cfg = WaveConfig(b=1.0, m=1.0, epsilon=1e-2, p=3.0, mode="rank1", k=0.5, x_max=16.0,
+                     nx=280, xi_max=20.0, nxi=280, t_final=10.0, dt=0.01)
+    for case, odd_inverse in (("even", False), ("odd", True), ("mixed", True)):
+        u0, u1, _ = PARITY_CASES[case]
+        sol = solve_nonlinear(cfg, u0, u1)
+        tr = built[-1]
+        assert sol.iterations > 1 and tr.even._inv is not None, case
+        assert (tr.odd._inv is not None) == odd_inverse, case
+    assert len(built) == 3 and tr.odd._inv.nbytes == 574592
 
 
 def test_picard_loop_memory_is_one_workspace_block():
