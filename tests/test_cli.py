@@ -252,6 +252,16 @@ def test_json_outputs_reject_nan(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("value", [np.int64(3), np.arange(2.0)], ids=["int64", "array"])
+def test_json_outputs_refuse_numpy_values(tmp_path, value):
+    # a numpy value that reaches an output is a bug in the command (exit 4),
+    # not something to convert on the way out
+    import dunklkit.cli as cli
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(tmp_path / "s.json", {"a": value})
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("wave", {"wave": {"b": 1, "m": 1, "grid": {"nx": 4}}}),
     ("verify", {**VERIFY_CFG, "mode": {**VERIFY_CFG["mode"], "resolution": 8}}),

@@ -5,9 +5,8 @@ import pytest
 
 import dunklkit as dk
 from dunklkit.dunkl import dunkl_laplacian_num
-from dunklkit.functions import (AnnularBump, CorpusError, FunctionClassError, PolyGauss1D,
-                                RadialBump, RadialPG, TestFunction, band_profile,
-                                generate_corpus)
+from dunklkit.functions import (AnnularBump, FunctionClassError, PolyGauss1D, RadialBump,
+                                RadialPG, TestFunction, band_profile, generate_corpus)
 from dunklkit.inequalities import THEOREMS, VIOLATION_RTOL
 
 
@@ -173,16 +172,6 @@ def test_rank1_lap_norm_goes_through_the_laplacian_hook(wb_rank1_k05):
         g = g.laplacian(0.5)
         want = np.sqrt(g.weighted_l2_exact(0.0, 0.5))
         assert wb_rank1_k05.lap_norm(member, j, 2.0) == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("count, families, message", [
-    (0, ["Gaussian"], "count must be ≥ 1, got 0"),
-    (3, [], "empty corpus family list"),
-    (3, ["Gaussian", "Lorentzian"], r"unknown corpus families \['Lorentzian'\]"),
-])
-def test_corpus_requests_it_cannot_serve_raise_corpus_error(count, families, message):
-    with pytest.raises(CorpusError, match=message):
-        generate_corpus(1, count, families)
 
 
 def test_band_profile_support():

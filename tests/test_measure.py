@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from dunklkit.functions import RadialPG, TestFunction, generate_corpus
+from dunklkit.functions import CorpusError, RadialPG, TestFunction, generate_corpus
 from dunklkit.measure import (NonIntegrableWeightError, QuadratureError, QuadratureInputError,
                               _axis_quadrature, _half_axis_rule, build_quadrature,
                               exact_macdonald_mehta, macdonald_mehta,
@@ -251,9 +251,11 @@ def test_corpus_determinism_and_constraints():
     c = generate_corpus(9, 8, ["HermiteGaussian", "AnnularBump"],
                         {"vanish_at_origin": True}, mode="radial")
     assert all(f.vanishes_at_origin for f in c)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError, match="count must be ≥ 1, got 0"):
+        generate_corpus(1, 0, ["Gaussian"])
+    with pytest.raises(CorpusError, match="empty corpus family list"):
         generate_corpus(1, 3, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError, match=r"unknown corpus families \['NoSuchFamily'\]"):
         generate_corpus(1, 3, ["NoSuchFamily"])
 
 

@@ -8,7 +8,8 @@ prints one Markdown table on stdout: for each module of src/dunklkit, the
 number of executable lines that no test ran, and which lines they are.
 pytest's own report goes to stderr.  Code run only in a subprocess (the
 `--help` and import checks, so `__main__`) is not seen.  The exit status is
-pytest's.  Standard library only; the traced run takes a few minutes.
+pytest's.  Standard library only; the traced run takes about 1.5 min
+(2 cores), against about 1 min untraced.
 """
 
 from __future__ import annotations
