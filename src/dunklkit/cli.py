@@ -95,15 +95,14 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _check_finite(obj, where: str) -> None:
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+    """A NaN or infinite float raises; numpy arrays are json.dumps's to refuse."""
     if isinstance(obj, dict):
         for key, v in obj.items():
             _check_finite(v, f"{where}.{key}")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _check_finite(v, f"{where}[{i}]")
-    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+    elif isinstance(obj, float) and not math.isfinite(obj):
         raise NonFiniteResultError(f"{where} is {obj}")
 
 
@@ -365,7 +364,7 @@ def cmd_selftest(cfg: dict, out: Path, seed: int | None) -> int:
         if k == 0.0:
             f = corpus[2]
             ref = classical_fourier_reference(f.value, wb.xi_quad.nodes, wb.quad.rmax)
-            fourier_err = float(np.max(np.abs(wb.spectral(f).values - ref)))
+            fourier_err = float(np.max(np.abs(wb.transform.to_full(wb.spectral(f).values) - ref)))
         elif k == 0.5:
             calibration = wb.transform.calibration_report()
     check(f"fourier k=0 agreement: max abs error {fourier_err:.3e}", fourier_err, 1e-7)
@@ -465,6 +464,9 @@ def main(argv=None) -> int:
             seed = _require(cfg, path, int, default=seed)
         if seed is not None and args.seed is not None:
             seed = args.seed
+        if seed is not None and seed < 0:
+            where = "--seed" if args.seed is not None else f"$.{path}"
+            raise ConfigError(f"{where}: a seed must be ≥ 0, got {seed}")
         code = COMMANDS[args.command](cfg, out, seed)
     except _CONFIG_ERRORS as exc:
         code, error = EXIT_CONFIG, exc

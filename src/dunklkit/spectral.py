@@ -23,17 +23,20 @@ The radial transform is one real half-line Hankel block (_HankelBlock), the
 rank-1 transform two, by the parity split of its kernel: `even` (order k-1/2,
 on ½(f(r) + f(-r))) and `odd` (order k+1/2, on ½(f(r) - f(-r))).  Both work in
 real spectral coordinates (rank-1: rows [E; O] on ρ > 0, D_k f(±ρ) = E ∓ iO;
-radial: the samples) via `to_coords`/`from_coords`/`to_full`, `coord_xi` and
-`coord_weights`.  The blocks are dense (no fast transform algorithm exists
-for general k), applied as real matmuls.  A block builds its forward kernel
-at construction, in blocks of rows, and derives its inverse from it on the
-first inverse apply.  The entries come from `normalized_bessel_j`, whose cost
-depends on the order: half-integer orders (integer k; odd integer Λ) use
-spherical Bessel functions, orders 0 and 1 (k = ½; Λ = 2, 4) the Cephes
-J0/J1, and every other order the general `jv`, several times slower per entry.
-Multipliers (fractional Laplacian |ξ|^s, Riesz potential |ξ|^{-s}, Sobolev
-weights, dyadic Littlewood-Paley projectors) are diagonal in this
-representation.
+radial: the samples) via `to_coords`/`from_coords`, at frequencies `coord_xi`
+with weights `coord_weights` (the dμ_k mass of ±ρ together), so that
+‖D_k f‖₂² = Σ weights·|coords|²; `to_full` maps coordinates to the samples on
+the signed ξ grid.  A `SpectralField` holds these coordinates: `forward`
+returns one, `inverse` takes one back.  The blocks are dense (no fast
+transform algorithm exists for general k), applied as real matmuls.  A block
+builds its forward kernel at construction, in blocks of rows, and derives its
+inverse from it on the first inverse apply.  The entries come from
+`normalized_bessel_j`, whose cost depends on the order: half-integer orders
+(integer k; odd integer Λ) use spherical Bessel functions, orders 0 and 1
+(k = ½; Λ = 2, 4) the Cephes J0/J1, and every other order the general `jv`,
+several times slower per entry.  Multipliers (fractional Laplacian |ξ|^s,
+Riesz potential |ξ|^{-s}, Sobolev weights, dyadic Littlewood-Paley
+projectors) depend on |ξ| only, so they are diagonal in these coordinates.
 """
 
 from __future__ import annotations
@@ -74,18 +77,13 @@ _BLOCK_ENTRIES = 1 << 16                 # kernel entries per row block of a bui
 
 @dataclass
 class SpectralField:
-    """Samples of a Dunkl transform on its ξ-quadrature grid."""
+    """A Dunkl transform in its transform's real coordinates: `values` at
+    frequencies |ξ| = `xi` (`coord_xi`) with weights `weights`
+    (`coord_weights`), so ‖D_k f‖₂² = Σ weights·|values|²."""
 
-    quad: WeightedQuadrature       # spectral-side rule (weights = dμ_k(ξ))
-    values: np.ndarray             # complex samples on quad.nodes, (n,) or a batch (n, m)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.quad.nodes
-
-    @property
-    def abs_xi(self) -> np.ndarray:
-        return np.abs(self.quad.nodes)
+    xi: np.ndarray                 # |ξ| of each coordinate
+    weights: np.ndarray            # dμ_k mass of each coordinate
+    values: np.ndarray             # coordinates, (n,) or a batch (n, m)
 
     def _abs2(self) -> np.ndarray:
         """|values|² of a single field: a float-valued norm refuses a batch."""
@@ -94,7 +92,7 @@ class SpectralField:
         return np.abs(self.values) ** 2
 
     def l2(self) -> float:
-        return float(np.sqrt(np.sum(self.quad.weights * self._abs2())))
+        return float(np.sqrt(np.sum(self.weights * self._abs2())))
 
     def scaled(self, mult: np.ndarray) -> "SpectralField":
         """The field times a multiplier on the ξ grid (axis 0, also of a batch)."""
@@ -114,26 +112,18 @@ def rank1_kernel(k: float, z: np.ndarray) -> np.ndarray:
     return even - 1j * odd
 
 
-def _real_apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real mat @ v in real arithmetic: a complex v as interleaved re/im columns."""
-    if not np.iscomplexobj(v):
-        return mat @ v
-    flat = np.ascontiguousarray(v).reshape(v.shape[0], -1).view(float)
-    return (mat @ flat).view(complex).reshape((mat.shape[0],) + v.shape[1:])
-
-
 def _forward(self, f) -> SpectralField:
     """Transform of a callable on x_quad.nodes or of samples there: shape
     (n,), or a batch (n, m) of m columns."""
     vals = np.asarray(f(self.x_quad.nodes) if callable(f) else f)
-    return SpectralField(self.xi_quad, self.to_full(self.to_coords(vals)))
+    return SpectralField(self.coord_xi, self.coord_weights, self.to_coords(vals))
 
 
 def _inverse(self, field) -> np.ndarray:
-    """Physical samples of a field, or of spectral samples of shape (n_ξ,)
-    or (n_ξ, m)."""
-    vals = field.values if isinstance(field, SpectralField) else np.asarray(field)
-    return self.from_coords(self.from_full(vals))
+    """Physical samples of a field, or of coordinates of shape (n_ξ,) or
+    (n_ξ, m)."""
+    return self.from_coords(field.values if isinstance(field, SpectralField)
+                            else np.asarray(field))
 
 
 def _calibration_report(self) -> dict:
@@ -147,9 +137,9 @@ def _calibration_report(self) -> dict:
     back = self.inverse(fld)
     return {
         "normalization_M": self.M,
-        "gaussian_fixed_point_error": float(np.max(np.abs(fld.values - target))),
+        "gaussian_fixed_point_error": float(np.max(np.abs(self.to_full(fld.values) - target))),
         "plancherel_relative_deviation": float(abs(fld.l2() / l2_in - 1.0)),
-        "round_trip_error": float(np.max(np.abs(back.real - g))),
+        "round_trip_error": float(np.max(np.abs(back - g))),
     }
 
 
@@ -179,14 +169,14 @@ class _HankelBlock:
         if len(vals) and not vals[-1].any():
             live = np.flatnonzero(vals.any(axis=tuple(range(1, vals.ndim))))
             cut = live[-1] + 1 if live.size else 1
-            return _real_apply(self._fwd[:, :cut], vals[:cut])
-        return _real_apply(self._fwd, vals)
+            return self._fwd[:, :cut] @ vals[:cut]
+        return self._fwd @ vals
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         if self._inv is None:
             self._inv = self._fwd.T / self.w_in[:, None]
             self._inv *= self.w_out
-        return _real_apply(self._inv, coords)
+        return self._inv @ coords
 
 
 class DunklTransformRank1:
@@ -232,11 +222,6 @@ class DunklTransformRank1:
         e, io = coords[:h], 1j * coords[h:]
         return np.concatenate([(e + io)[::-1], e - io])
 
-    def from_full(self, values: np.ndarray) -> np.ndarray:
-        h = values.shape[0] // 2
-        pos, neg = values[h:], values[h - 1::-1]
-        return np.concatenate([0.5 * (pos + neg), 0.5j * (pos - neg)])
-
 
 class RadialDunklTransform(_HankelBlock):
     """Self-inverse radial (Hankel-type) transform for dimension Λ = N + 2γ:
@@ -263,12 +248,9 @@ class RadialDunklTransform(_HankelBlock):
     def to_full(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords, dtype=complex)
 
-    def from_full(self, values: np.ndarray) -> np.ndarray:
-        return values
-
     def synthesize(self, profile: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Physical samples of the field with the given spectral profile."""
-        return self.inverse(np.asarray(profile(self.xi_quad.nodes), dtype=complex))
+        return self.inverse(np.asarray(profile(self.coord_xi), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +263,7 @@ def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
         raise ValueError("s must be ≥ 0; use riesz_potential for negative powers")
     if s == 0:
         return field
-    return field.scaled(field.abs_xi ** s)
+    return field.scaled(field.xi ** s)
 
 
 def riesz_potential(field: SpectralField, s: float) -> SpectralField:
@@ -294,25 +276,25 @@ def riesz_potential(field: SpectralField, s: float) -> SpectralField:
     if s <= 0:
         raise ValueError("s must be positive")
     scale = float(np.max(np.abs(field.values))) + 1e-300
-    low = field.abs_xi < XI_FLOOR
+    low = field.xi < XI_FLOOR
     if np.any(np.abs(field.values[low]) > LOW_FREQ_TOL * scale):
         raise LowFrequencyError(
             f"spectral mass above {LOW_FREQ_TOL:g} (relative) below |ξ| = {XI_FLOOR:g}; "
             "Riesz potential rejected")
-    return field.scaled(field.abs_xi ** (-s))
+    return field.scaled(field.xi ** (-s))
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """‖f‖_{H^s}: (∫ |D_k f|² (1+|ξ|²)^s dμ_k(ξ))^{1/2}."""
-    w = (1.0 + field.abs_xi ** 2) ** s
-    return float(np.sqrt(np.sum(field.quad.weights * w * field._abs2())))
+    w = (1.0 + field.xi ** 2) ** s
+    return float(np.sqrt(np.sum(field.weights * w * field._abs2())))
 
 
 def homogeneous_norm(field: SpectralField, s: float):
     """‖(-Δ_k)^{s/2} f‖₂ computed in the transform domain (Plancherel): a
     float for one field (n,), one norm per column, an (m,) array, for a
     batch (n, m)."""
-    w = field.quad.weights * field.abs_xi ** (2.0 * s)
+    w = field.weights * field.xi ** (2.0 * s)
     out = np.sqrt((w * np.abs(field.values.T) ** 2).sum(axis=-1))
     return float(out) if field.values.ndim == 1 else out
 
@@ -371,12 +353,12 @@ def square_function_l2_ratio(field: SpectralField, s: float,
     By Plancherel both sides are diagonal, so the ratio is computed entirely
     in the transform domain.
     """
-    w = field.quad.weights
+    w = field.weights
     a2 = field._abs2()
     num = 0.0
     for j in partition.j_range:
         num += 4.0 ** (j * s) * np.sum(w * partition.psi_j(field.xi, j) ** 2 * a2)
-    den = np.sum(w * field.abs_xi ** (2.0 * s) * a2)
+    den = np.sum(w * field.xi ** (2.0 * s) * a2)
     return float(np.sqrt(num / den))
 
 

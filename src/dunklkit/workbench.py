@@ -33,15 +33,14 @@ r^{-1-ε} tails that no truncated oscillatory quadrature resolves, while the
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .functions import as_members, corpus_values
 from .measure import (WeightedQuadrature, radial_quadrature, rank1_quadrature,
                       weighted_lp_norm)
-from .spectral import (DunklTransformRank1, RadialDunklTransform, SpectralField,
-                       homogeneous_norm)
+from .spectral import DunklTransformRank1, RadialDunklTransform, homogeneous_norm
 
 __all__ = ["Workbench", "radial_workbench", "rank1_workbench"]
 
@@ -94,10 +93,11 @@ class Workbench:
             vals = corpus_values(todo, self.quad.nodes)
             batch = self.transform.forward(np.ascontiguousarray(vals.T))
             for j, g in enumerate(todo):
-                self._fields[g] = SpectralField(batch.quad, batch.values[:, j].copy())
+                self._fields[g] = replace(batch, values=batch.values[:, j].copy())
         if one:
             return self._fields[f]
-        return SpectralField(self.xi_quad, np.array([self._fields[g].values for g in fs]).T)
+        cols = np.array([self._fields[g].values for g in fs]).T
+        return replace(self._fields[fs[0]], values=cols)
 
     # -- norms --------------------------------------------------------------
 
@@ -120,13 +120,10 @@ class Workbench:
             g = _each(g, lambda h: h.laplacian(c))
         return weighted_lp_norm(g, p, a, self.quad)
 
-    def frac_norm(self, f, s: float, p: float = 2.0, a: float = 0.0):
-        """‖|x|^a (-Δ_k)^{s/2} f‖_p."""
+    def frac_norm(self, f, s: float, p: float = 2.0):
+        """‖(-Δ_k)^{s/2} f‖_p."""
         if s == 0.0:
-            return self.norm(f, p, a)
-        if a != 0.0:
-            raise NotImplementedError("power weights on fractional norms are not needed "
-                                      "by any encoded theorem")
+            return self.norm(f, p)
         if p != 2.0:                                 # synthesized on the physical grid
             return weighted_lp_norm(self.frac_values(f, s), p, 0.0, self.quad)
         fs, one = as_members(f)
@@ -143,10 +140,10 @@ class Workbench:
         return out[0] if one else np.array(out)
 
     def frac_values(self, f, s: float) -> np.ndarray:
-        """(-Δ_k)^{s/2} f synthesized on the physical grid (real part): shape
-        (n,) for one function, (m, n) for a corpus."""
+        """(-Δ_k)^{s/2} f synthesized on the physical grid: shape (n,) for one
+        function, (m, n) for a corpus."""
         fld = self.spectral(f)
-        return np.real(self.transform.inverse(fld.scaled(fld.abs_xi ** s))).T
+        return self.transform.inverse(fld.scaled(fld.xi ** s)).T
 
 
 def _each(f, op):

@@ -248,14 +248,15 @@ def test_wave_strong_damping_long_time_is_finite(tmp_path, nonlinear):
 def test_json_outputs_reject_nan(tmp_path):
     import dunklkit.cli as cli
     with pytest.raises(cli.NonFiniteResultError, match=r"s\.json\.a\[1\]\.b is inf"):
-        cli._write_json(tmp_path / "s.json", {"a": [1.0, {"b": np.array(np.inf)}]})
+        cli._write_json(tmp_path / "s.json", {"a": [1.0, {"b": float("inf")}]})
     assert not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("value", [np.int64(3), np.arange(2.0)], ids=["int64", "array"])
+@pytest.mark.parametrize("value", [np.int64(3), np.arange(2.0), np.array(np.inf)],
+                         ids=["int64", "array", "array_inf"])
 def test_json_outputs_refuse_numpy_values(tmp_path, value):
     # a numpy value that reaches an output is a bug in the command (exit 4),
-    # not something to convert on the way out
+    # finite or not, not something to convert on the way out
     import dunklkit.cli as cli
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli._write_json(tmp_path / "s.json", {"a": value})
@@ -353,6 +354,9 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
     ("sharp", {**_SHARP_BASE, "family": {"tag": "BumpScale", "box": {"scale_box": [2.0, 1.0]}}}),
     ("sharp", {**_SHARP_BASE, "spec": {"theorem": "FractionalHardy",
                                        "params": {"N": 3, "gamma": 0.0, "s": 2.0}}}),
+    ("verify", {**VERIFY_CFG, "corpus": {**VERIFY_CFG["corpus"], "seed": -1}}),
+    ("sharp", {**_SHARP_BASE, "optimizer": {"seed": -1}}),
+    ("sharp --seed -1", {**_SHARP_BASE, "optimizer": {"seed": 7}}),
 ], ids=["mode.resolution", "mode.gamma", "mode.N", "spec.params", "corpus.count",
         "corpus.seed", "corpus.families", "corpus.constraints",
         "corpus", "norms", "norms.p", "norms.entry", "optimizer.max_iters",
@@ -360,10 +364,11 @@ _CORPUS_BASE = {"corpus": {"seed": 1, "count": 2, "families": ["Gaussian"]}}
         "verify.mode_lambda", "sharp.mode_lambda", "sharp.mode_rank1",
         "corpus.families_unknown",
         "corpus.count_zero", "corpus.families_empty", "optimizer.restarts_zero",
-        "family.box.reversed", "sharp.inadmissible"])
+        "family.box.reversed", "sharp.inadmissible",
+        "corpus.seed_negative", "optimizer.seed_negative", "seed_flag_negative"])
 def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
     path = write(tmp_path / "cfg.json", cfg)
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert main([*command.split(), "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -247,6 +247,15 @@ def test_higher_rellich_j2(wb_radial5=None):
     assert np.isfinite(res.empirical_constant) and res.empirical_constant > 0
 
 
+def test_higher_rellich_weight_low_boundary():
+    # b = a + 2(j-1) + 1 is the smallest admissible weight; just below it,
+    # weight_low is the one condition that fails
+    P = dict(N=11, gamma=0.0, a=0.0, j=2)
+    assert admissible(dk.make_spec("HigherRellich", b=3.0, **P)).admissible
+    below = admissible(dk.make_spec("HigherRellich", b=3.0 - 1e-6, **P))
+    assert [c.cid for c in below.failed] == ["weight_low"]
+
+
 def test_sobolev_and_hardy(wb_radial3):
     corpus = generate_corpus(19, 4, ["Gaussian", "HermiteGaussian"], mode="radial")
     res = verify_corpus(dk.sobolev_spec(3, 0.0, 2.0), corpus, wb_radial3)

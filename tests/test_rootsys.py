@@ -30,6 +30,15 @@ def test_symmetric_group_positive_root_count():
     assert rs2.num_positive == 2
 
 
+def test_symmetric_group_a1_lives_in_n2():
+    # A₁: the one root e1 - e2 in N = 2; N = 1 holds no root of the family
+    rs = build_root_system("SymmetricGroupA", 2, [0.4])
+    rs.validate()
+    assert rs.num_positive == 1 and generate_group(rs).order == 2
+    with pytest.raises(RootSystemError, match="N≥2"):
+        build_root_system("SymmetricGroupA", 1, [0.4])
+
+
 def test_reflect_examples():
     # sqrt(2) e1 in R^2 flips the first coordinate
     alpha = np.array([np.sqrt(2.0), 0.0])

@@ -32,9 +32,8 @@ def test_gaussian_is_fixed_point_all_k():
     for k in (0.0, 0.5, 1.5):
         wb = dk.rank1_workbench(k)
         g = generate_corpus(1, 1, ["Gaussian"], mode="rank1")[0]
-        fld = wb.spectral(g)
-        np.testing.assert_allclose(fld.values, np.exp(-0.5 * wb.xi_quad.nodes ** 2),
-                                   atol=1e-7)
+        full = wb.transform.to_full(wb.spectral(g).values)
+        np.testing.assert_allclose(full, np.exp(-0.5 * wb.xi_quad.nodes ** 2), atol=1e-7)
 
 
 def test_k0_matches_fourier_reference():
@@ -43,7 +42,7 @@ def test_k0_matches_fourier_reference():
                              mode="rank1")
     for f in corpus:
         ref = classical_fourier_reference(f.value, wb.xi_quad.nodes, wb.quad.rmax)
-        got = wb.spectral(f).values
+        got = wb.transform.to_full(wb.spectral(f).values)
         assert np.max(np.abs(got - ref)) < 1e-7
 
 
@@ -61,9 +60,10 @@ def test_hermitian_symmetry():
     wb = dk.rank1_workbench(0.7)
     f = generate_corpus(3, 3, ["HermiteGaussian"], mode="rank1")[2]
     fld = wb.spectral(f)
-    n = fld.values.size // 2
-    mirrored = fld.values[::-1]                     # grid is symmetric by construction
-    np.testing.assert_allclose(fld.values, np.conj(mirrored), atol=1e-12)
+    assert fld.values.dtype == np.float64           # a real function has real coordinates
+    full = wb.transform.to_full(fld.values)
+    mirrored = full[::-1]                           # grid is symmetric by construction
+    np.testing.assert_allclose(full, np.conj(mirrored), atol=1e-12)
 
 
 def test_round_trip():
@@ -87,8 +87,9 @@ def test_derivative_intertwining():
     wb = dk.rank1_workbench(k)
     f = generate_corpus(2, 1, ["HermiteGaussian"], mode="rank1")[0]
     tf = f.apply_dunkl(k)
-    lhs = wb.transform.forward(tf.value(wb.quad.nodes)).values
-    rhs = 1j * wb.xi_quad.nodes * wb.spectral(f).values
+    full = wb.transform.to_full
+    lhs = full(wb.transform.forward(tf.value(wb.quad.nodes)).values)
+    rhs = 1j * wb.xi_quad.nodes * full(wb.spectral(f).values)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -175,12 +176,10 @@ def test_projection_sum_reconstructs(wb_radial3):
 
 
 def test_projection_annulus_concentration(wb_radial3):
-    from dunklkit.spectral import SpectralField
     part = DyadicPartition(-6, 6)
     tr = wb_radial3.transform
     # synthetic band-limited field with spectrum in [1.1, 3.6] ⊂ [2^0, 2^2]
-    vals = band_profile(1.1, 3.6)(wb_radial3.xi_quad.nodes).astype(complex)
-    F = SpectralField(wb_radial3.xi_quad, vals)
+    F = SpectralField(tr.coord_xi, tr.coord_weights, band_profile(1.1, 3.6)(tr.coord_xi))
     total = F.l2()
     far = littlewood_paley_project(tr, F, 4, part)[0].l2()
     assert far < 1e-10 * total
@@ -282,18 +281,19 @@ def test_batched_multipliers_act_per_column(square):
     # a batch (n_ξ, m) is scaled along ξ column by column; with m = n_ξ a
     # multiplier along the batch axis would broadcast and be wrong
     wb = dk.radial_workbench(3, 0, resolution=64, xi_resolution=64)
-    n_xi = wb.xi_quad.npoints
+    tr = wb.transform
+    n_xi = tr.coord_xi.size
     m = n_xi if square else 3
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal((n_xi, m)) + 1j * rng.standard_normal((n_xi, m))
-    vals[wb.xi_quad.nodes < 0.125] = 0.0          # passes the Riesz low-frequency gate
-    batch, part = SpectralField(wb.xi_quad, vals), DyadicPartition()
+    vals = np.random.default_rng(3).standard_normal((n_xi, m))
+    vals[tr.coord_xi < 0.125] = 0.0               # passes the Riesz low-frequency gate
+    field = lambda v: SpectralField(tr.coord_xi, tr.coord_weights, v)
+    batch, part = field(vals), DyadicPartition()
     for op in (lambda f: fractional_laplacian(f, 1.5), lambda f: riesz_potential(f, 0.5),
-               lambda f: littlewood_paley_project(wb.transform, f, 1, part)[0]):
+               lambda f: littlewood_paley_project(tr, f, 1, part)[0]):
         got = op(batch).values
         assert got.shape == (n_xi, m)
         for j in range(m):
-            assert np.array_equal(got[:, j], op(SpectralField(wb.xi_quad, vals[:, j])).values)
+            assert np.array_equal(got[:, j], op(field(vals[:, j])).values)
     for norm in (SpectralField.l2, lambda f: sobolev_norm(f, 1.0),
                  lambda f: square_function_l2_ratio(f, 1.0, part)):
         with pytest.raises(ValueError, match="batch"):
@@ -302,14 +302,15 @@ def test_batched_multipliers_act_per_column(square):
     got = homogeneous_norm(batch, 1.0)
     assert got.shape == (m,)
     for j in range(m):
-        assert got[j] == pytest.approx(homogeneous_norm(SpectralField(wb.xi_quad, vals[:, j]), 1.0),
-                                       rel=1e-14)
+        assert got[j] == pytest.approx(homogeneous_norm(field(vals[:, j]), 1.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.3])
 def test_rank1_blocks_match_dense_kernel(k):
     # the real half-line blocks against the dense full-line transform built
-    # from the public kernel, on unequal grids, for real/complex (n,)/(n, m) input
+    # from the public kernel, on unequal grids, for real/complex (n,)/(n, m)
+    # input: forward through to_full, and inverse(c) against the dense
+    # inverse of to_full(c)
     xq, xiq = dk.rank1_quadrature(k, 11.0, 96), dk.rank1_quadrature(k, 15.0, 130)
     tr = dk.DunklTransformRank1(k, xq, xiq)
     ker = rank1_kernel(k, np.outer(xiq.nodes, xq.nodes))
@@ -322,19 +323,19 @@ def test_rank1_blocks_match_dense_kernel(k):
             yield rng.standard_normal(shape)
             yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    for apply, dense, n in ((lambda v: tr.forward(v).values, dense_fwd, xq.npoints),
-                            (tr.inverse, dense_inv, xiq.npoints)):
+    for n, apply in ((xq.npoints, lambda v: (tr.to_full(tr.forward(v).values), dense_fwd @ v)),
+                     (xiq.npoints, lambda c: (tr.inverse(c), dense_inv @ tr.to_full(c)))):
         for v in inputs(n):
-            want, got = dense @ v, apply(v)
+            got, want = apply(v)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # coordinates: Σ w·c² is the L²(μ_k) norm of the full-grid values, and
-    # to_full/from_full are inverse to each other
-    c = rng.standard_normal((xiq.npoints, 2))
-    full = tr.to_full(c)
-    np.testing.assert_allclose(tr.coord_weights @ c ** 2, xiq.weights @ np.abs(full) ** 2,
-                               rtol=1e-13)
-    np.testing.assert_allclose(tr.from_full(full), c, rtol=0, atol=1e-15)
+    # coordinates: Σ w·|c|² is the L²(μ_k) norm of the full-grid values, and
+    # a field's norms read it, for real and complex c
+    for c in inputs(xiq.npoints):
+        if c.ndim == 2:
+            got = homogeneous_norm(SpectralField(tr.coord_xi, tr.coord_weights, c), 0.0)
+            np.testing.assert_allclose(got ** 2, xiq.weights @ np.abs(tr.to_full(c)) ** 2,
+                                       rtol=1e-13)
 
 
 def _whole_kernel_coords(tr, vals):
@@ -376,6 +377,21 @@ def test_zero_tail_forward_matches_the_whole_kernel(mode, wb_radial3, wb_rank1_k
     for shape in ((x.size,), (x.size, 3), (x.size, 0)):
         got = tr.to_coords(np.zeros(shape))
         assert got.shape == (tr.coord_xi.size,) + shape[1:] and not got.any()
+
+
+@pytest.mark.parametrize("mode", ["radial", "rank1"])
+def test_real_corpus_stays_in_real_coordinates(mode, wb_radial3, wb_rank1_k05, monkeypatch):
+    # a field holds the transform's real coordinates at coord_xi with
+    # coord_weights, and frac_values sends real coordinates back
+    wb = wb_radial3 if mode == "radial" else wb_rank1_k05
+    tr, corpus = wb.transform, generate_corpus(5, 4, ["Gaussian", "HermiteGaussian"], mode=mode)
+    fld = wb.spectral(corpus)
+    assert fld.values.dtype == np.float64 and fld.values.shape == (tr.coord_xi.size, 4)
+    assert np.array_equal(fld.xi, tr.coord_xi) and np.array_equal(fld.weights, tr.coord_weights)
+    seen, inverse = [], tr.inverse
+    monkeypatch.setattr(tr, "inverse", lambda c: seen.append(c.values.dtype) or inverse(c))
+    vals = wb.frac_values(corpus, 1.0)
+    assert seen == [np.float64] and vals.shape == (4, wb.quad.npoints)
 
 
 def test_rank1_transform_rejects_unmirrored_rule():

@@ -224,6 +224,19 @@ def test_nonlinearity_checks():
                         nonlinearity=lambda u: np.sign(u) * np.abs(u) ** 0.2)
 
 
+@pytest.mark.parametrize("scale, passes", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)],
+                         ids=["under", "over"])
+def test_nonlinearity_growth_bound_is_50(scale, passes):
+    # c·u|u| at p = 2: the growth ratio is c on a same-sign sample pair and
+    # at most c on the others, so the sampled ratio is c to rounding
+    f = lambda u: 50.0 * scale * u * np.abs(u)
+    if passes:
+        waveeq._check_nonlinearity(f, 2.0)
+    else:
+        with pytest.raises(WaveConfigError, match="Lipschitz-growth"):
+            waveeq._check_nonlinearity(f, 2.0)
+
+
 def test_radial_mode_solver_runs():
     cfg = WaveConfig(b=1.0, m=1.0, mode="radial", N=3, gamma=0.0, nx=240, nxi=240,
                      x_max=14.0, xi_max=18.0, t_final=4.0, dt=0.02)
@@ -295,14 +308,14 @@ def test_linear_solution_matches_full_grid_modes(mode):
     u1 = lambda x: x * np.exp(-0.5 * x * x)
     sol = solve_linear(cfg, u0, u1)
     tr = cfg.build_transform()
-    U0, U1 = tr.forward(u0).values, tr.forward(u1).values
+    U0, U1 = (tr.to_full(tr.forward(u).values) for u in (u0, u1))
     t, xi = sol.times, np.abs(tr.xi_quad.nodes)
     U, dtU = tr.to_full(sol.U.T).T, tr.to_full(sol.dtU.T).T
     for got, want in ((U, linear_mode_solution(1.0, 1.5, xi, t, U0, U1)),
                       (dtU, mode_time_derivative(1.0, 1.5, xi, t, U0, U1))):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    snaps = np.real(tr.inverse(U[sol.snapshot_indices].T)).T
+    snaps = tr.inverse(sol.U[sol.snapshot_indices].T).T     # the rows the snapshots sample
     assert np.max(np.abs(sol.snapshots - snaps)) <= 1e-13 * np.max(np.abs(snaps))
     w = tr.xi_quad.weights
     np.testing.assert_allclose(sol.h1_trace, np.sqrt(np.abs(U) ** 2 @ (w * (1 + xi ** 2))),
