@@ -35,8 +35,8 @@ from .inequalities import (AdmissibilityError, DegenerateFunctionError, Function
 from .measure import QuadratureError, QuadratureInputError, weighted_lp_norm
 from .rootsys import GroupClosureError, RootSystemError
 from .spectral import LowFrequencyError, classical_fourier_reference
-from .waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, solve_linear,
-                     solve_nonlinear, x_norm)
+from .waveeq import (DELTA_FACTOR, PicardDivergenceError, WaveConfig, WaveConfigError,
+                     solve_linear, solve_nonlinear, x_norm)
 from .workbench import Workbench, radial_workbench, rank1_workbench
 
 EXIT_OK = 0
@@ -63,12 +63,13 @@ class NonFiniteResultError(ArithmeticError):
     """A number that a command would write out is NaN or infinite."""
 
 
-# the package's own exception types, by exit code; anything else is internal
+# the package's own exception types, by exit code (FloatingPointError is what
+# dunkl_derivative_num raises on a non-finite evaluator); anything else is internal
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, CorpusError, RootSystemError,
                   WaveConfigError, WorkbenchMismatchError, QuadratureInputError)
-_NUMERICAL_ERRORS = (ArithmeticError, DegenerateFunctionError, FunctionClassError,
-                     SeriesCapError, GroupClosureError, LowFrequencyError, QuadratureError,
-                     RecomputationError)
+_NUMERICAL_ERRORS = (FloatingPointError, NonFiniteResultError, DegenerateFunctionError,
+                     FunctionClassError, SeriesCapError, GroupClosureError, LowFrequencyError,
+                     QuadratureError, RecomputationError)
 
 
 def _fmt(x) -> str:
@@ -95,15 +96,19 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _check_finite(obj, where: str) -> None:
-    """A NaN or infinite float raises; numpy arrays are json.dumps's to refuse."""
+    """A NaN or infinite float raises, and so does a float subclass (numpy's
+    float64): json.dumps would write it, and refuses every other numpy value."""
     if isinstance(obj, dict):
         for key, v in obj.items():
             _check_finite(v, f"{where}.{key}")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _check_finite(v, f"{where}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise NonFiniteResultError(f"{where} is {obj}")
+    elif isinstance(obj, float):
+        if type(obj) is not float:
+            raise TypeError(f"{where}: {type(obj).__name__} is not JSON serializable")
+        if not math.isfinite(obj):
+            raise NonFiniteResultError(f"{where} is {obj}")
 
 
 _MISSING = object()
@@ -320,7 +325,7 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             "contraction_factors": sol.contraction_factors,
             "converged": sol.converged,
             "x_norm": x_norm(sol.times, sol.h1_trace, sol.dt_trace,
-                             max(sol.delta_fit * config.delta_factor, 1e-6)),
+                             max(sol.delta_fit * DELTA_FACTOR, 1e-6)),
         })
         _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
         rows = []

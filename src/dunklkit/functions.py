@@ -521,8 +521,9 @@ def _even_carrier(mode: str, q: tuple, s: float):
     return PolyGauss1D(tuple(v for c in q for v in (0.0, c))[1:], s)
 
 
-def gaussian(mode: str = "radial", s: float = 1.0, fid: str = "Gaussian-0") -> TestFunction:
-    return TestFunction(fid, "Gaussian", mode, {"s": s}, (_even_carrier(mode, (1.0,), s),))
+def gaussian(mode: str = "radial", s: float = 1.0) -> TestFunction:
+    return TestFunction("Gaussian-0", "Gaussian", mode, {"s": s},
+                        (_even_carrier(mode, (1.0,), s),))
 
 
 def band_profile(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:

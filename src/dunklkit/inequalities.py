@@ -669,8 +669,7 @@ def admissible(spec: InequalitySpec) -> AdmissibilityReport:
     return AdmissibilityReport(tuple(thm.conditions(spec.params)))
 
 
-def evaluate_sides(spec: InequalitySpec, f, wb: Workbench,
-                   enforce_hypotheses: bool = True):
+def evaluate_sides(spec: InequalitySpec, f, wb: Workbench):
     """Constant-free lhs/rhs evaluation for one function (a record), or for
     a corpus, a list or tuple of functions (a tuple of records, one per
     member, from one evaluation of each norm over the whole corpus).
@@ -680,22 +679,19 @@ def evaluate_sides(spec: InequalitySpec, f, wb: Workbench,
     WorkbenchMismatchError when wb has another Λ than the spec,
     DegenerateFunctionError when rhs = 0 or a side or the ratio is not
     finite.  For a corpus, the error raised is the one that the first
-    failing member raises alone.  Passing enforce_hypotheses=False
-    evaluates the two sides as plain quantities (evaluator arithmetic only;
-    no inequality is claimed).
+    failing member raises alone.
     """
     fs, one = as_members(f)
     thm = THEOREMS[spec.theorem]
-    if enforce_hypotheses:
-        rep = admissible(spec)
-        if not rep.admissible:
-            failed = ", ".join(c.cid for c in rep.failed)
-            raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters ({failed})")
+    rep = admissible(spec)
+    if not rep.admissible:
+        failed = ", ".join(c.cid for c in rep.failed)
+        raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters ({failed})")
     P = spec.params
     if abs(P["N"] + 2.0 * P["gamma"] - wb.lam) > 1e-9:
         raise WorkbenchMismatchError("workbench (N, γ) does not match the spec parameters")
     # the members before the first one outside the class are evaluated first
-    errors = (_class_error(spec, g, wb, enforce_hypotheses) for g in fs)
+    errors = (_class_error(spec, g, wb) for g in fs)
     cut, err = next(((j, e) for j, e in enumerate(errors) if e), (len(fs), None))
     records = _sides(thm, P, fs[:cut], wb) if cut else ()
     if err is not None:
@@ -703,11 +699,11 @@ def evaluate_sides(spec: InequalitySpec, f, wb: Workbench,
     return records[0] if one else records
 
 
-def _class_error(spec: InequalitySpec, f: TestFunction, wb: Workbench,
-                 enforce_hypotheses: bool) -> FunctionClassError | None:
+def _class_error(spec: InequalitySpec, f: TestFunction,
+                 wb: Workbench) -> FunctionClassError | None:
     if f.mode != wb.mode:
         return FunctionClassError(f"{f.fid} is a {f.mode} function; the workbench is {wb.mode}")
-    if enforce_hypotheses and THEOREMS[spec.theorem].requires_vanishing and not (
+    if THEOREMS[spec.theorem].requires_vanishing and not (
             f.vanishes_at_origin or f.in_origin_closure):
         return FunctionClassError(
             f"{spec.theorem} requires functions vanishing at the origin; {f.fid} does not")

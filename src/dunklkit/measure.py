@@ -186,11 +186,11 @@ class WeightedQuadrature:
                 f"power weight |x|^{extra:g} makes the origin exponent {sigma:g} ≤ -1")
         return _axis_quadrature(self.kind, sigma, r["const"], self.rmax, r["resolution"])
 
-    def refined(self, factor: int = 2) -> "WeightedQuadrature":
-        """Same rule at `factor`× the resolution (convergence studies)."""
+    def refined(self) -> "WeightedQuadrature":
+        """Same rule at twice the resolution (convergence studies)."""
         r = self.recipe
         return _axis_quadrature(self.kind, r["sigma"], r["const"], self.rmax,
-                                int(r["resolution"] * factor))
+                                int(r["resolution"] * 2))
 
 
 # typed: a hit is the very rule a fresh build from these argument types gives
@@ -274,7 +274,7 @@ def surface_constant_for(rs: RootSystem) -> float:
     raise QuadratureError("surface constant: numeric sphere rule implemented for N = 2 only")
 
 
-def _sphere_constant_2d(rs: RootSystem, n: int = 48) -> float:
+def _sphere_constant_2d(rs: RootSystem) -> float:
     """∫_0^{2π} w_k(cosθ, sinθ) dθ with Gauss-Jacobi panels split at the
     hyperplane zeros, so the |⟨α,ω⟩|^{2k} endpoint factors integrate exactly."""
     phis = np.arctan2(rs.positive_roots[:, 1], rs.positive_roots[:, 0])
@@ -292,7 +292,7 @@ def _sphere_constant_2d(rs: RootSystem, n: int = 48) -> float:
         a, ka = angles[i], ks[i]
         b = angles[(i + 1) % m] if i + 1 < m else angles[0] + 2 * np.pi
         kb = ks[(i + 1) % m]
-        t, w = sps.roots_jacobi(n, 2.0 * kb, 2.0 * ka)   # (b-θ)^{2kb} (θ-a)^{2ka}
+        t, w = sps.roots_jacobi(48, 2.0 * kb, 2.0 * ka)   # (b-θ)^{2kb} (θ-a)^{2ka}
         theta = a + (b - a) * (t + 1.0) / 2.0
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         sing = (theta - a) ** (2.0 * ka) * (b - theta) ** (2.0 * kb)

@@ -46,8 +46,8 @@ class Polynomial:
         return cls(dim, {(0,) * dim: c})
 
     @classmethod
-    def monomial(cls, exponents: MultiIndex, coeff: float = 1.0) -> "Polynomial":
-        return cls(len(exponents), {tuple(exponents): coeff})
+    def monomial(cls, exponents: MultiIndex) -> "Polynomial":
+        return cls(len(exponents), {tuple(exponents): 1.0})
 
     # -- algebra ------------------------------------------------------------
 
@@ -117,11 +117,11 @@ class Polynomial:
             out = out + t
         return out
 
-    def divide_linear(self, alpha: np.ndarray, rel_tol: float = 1e-9) -> "Polynomial":
+    def divide_linear(self, alpha: np.ndarray) -> "Polynomial":
         """Exact division by the linear form ⟨α, x⟩.
 
         Synthetic division in the pivot variable (largest |α_j|).  The final
-        remainder must vanish; a relative remainder above rel_tol raises
+        remainder must vanish; a relative remainder above 1e-9 raises
         PolynomialDivisionError (the caller guarantees divisibility).
         """
         alpha = np.asarray(alpha, dtype=float)
@@ -156,7 +156,7 @@ class Polynomial:
                 else:
                     work[e2] = r
         rem = max((abs(c) for c in work.values()), default=0.0)
-        if rem > rel_tol * scale:
+        if rem > 1e-9 * scale:
             raise PolynomialDivisionError(
                 f"nonzero remainder {rem:.3e} (rel {rem / scale:.3e}) dividing by linear form")
         return Polynomial(self.dim, quot)

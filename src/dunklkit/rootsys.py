@@ -116,7 +116,7 @@ class RootSystem:
     def gamma(self) -> float:
         return float(np.sum(self.multiplicities))
 
-    def validate(self, cap: int = 100_000) -> None:
+    def validate(self) -> None:
         """Check negation/reflection closure and G-invariance of k."""
         pr = self.positive_roots
         # R ∩ ℝα = {±α}: no two positive roots parallel
@@ -131,7 +131,7 @@ class RootSystem:
             for v in img:
                 if not _in_rows(v, allr, _MATCH_TOL):
                     raise RootSystemError("root set not closed under its reflections")
-        grp = generate_group(self, cap=cap)
+        grp = generate_group(self)
         for g in grp.elements:
             for a, k in zip(pr, self.multiplicities):
                 ga = g @ a

@@ -367,8 +367,7 @@ def square_function_l2_ratio(field: SpectralField, s: float,
 
 
 def classical_fourier_reference(f: Callable[[np.ndarray], np.ndarray],
-                                xi: np.ndarray, xmax: float,
-                                n: int = 4097) -> np.ndarray:
+                                xi: np.ndarray, xmax: float) -> np.ndarray:
     """Unitary Fourier transform (1/√(2π)) ∫ f e^{-iξx} dx by uniform Simpson.
 
     Deliberately independent of the Bessel-kernel path: used as the k = 0
@@ -376,7 +375,7 @@ def classical_fourier_reference(f: Callable[[np.ndarray], np.ndarray],
     """
     from scipy.integrate import simpson  # loads scipy.optimize/sparse; kept out of import
 
-    xs = np.linspace(-xmax, xmax, n)
+    xs = np.linspace(-xmax, xmax, 4097)
     fx = np.asarray(f(xs))
     phase = np.exp(-1j * np.outer(np.asarray(xi, float), xs))
     vals = simpson(phase * fx[None, :], x=xs, axis=1)

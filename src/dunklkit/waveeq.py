@@ -155,6 +155,11 @@ def mode_time_derivative(b: float, m: float, xi, t, U0, U1):
 # ---------------------------------------------------------------------------
 # configuration
 
+MAX_PICARD = 10       # Picard steps before a solve stops unconverged
+PICARD_TOL = 1e-13    # stopping floor: a difference ≤ this × the iterate's X-norm
+DELTA_FACTOR = 0.9    # the X-norm weight e^{δt} takes δ = this × the fitted rate
+N_SNAPSHOTS = 9       # evenly spaced grid times with physical snapshots
+
 
 @dataclass
 class WaveConfig:
@@ -178,11 +183,6 @@ class WaveConfig:
     nxi: int = 360
     t_final: float = 10.0
     dt: float = 0.01
-    fit_window: tuple | None = None
-    n_snapshots: int = 9
-    max_picard: int = 10
-    picard_tol: float = 1e-13
-    delta_factor: float = 0.9
 
     @property
     def lam(self) -> float:
@@ -208,11 +208,6 @@ class WaveConfig:
                                   f"grid times (dt={self.dt:g})")
         if self.mode not in ("rank1", "radial"):
             raise WaveConfigError("mode must be rank1 or radial")
-        if self.max_picard < 1 or self.n_snapshots < 1:
-            raise WaveConfigError("max_picard and n_snapshots must be at least 1")
-        for name in ("picard_tol", "delta_factor"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise WaveConfigError(f"{name} must be positive and finite")
         if self.p is not None:
             if self.p <= 1:
                 raise WaveConfigError("nonlinearity exponent p must be > 1")
@@ -315,7 +310,7 @@ def _linear_stage(config: WaveConfig, u0, u1, scale: float = 1.0):
 
 
 def _fit_window(config: WaveConfig) -> tuple:
-    return config.fit_window or (0.2 * config.t_final, 0.8 * config.t_final)
+    return 0.2 * config.t_final, 0.8 * config.t_final
 
 
 def _coords_out(tr, U):
@@ -333,7 +328,7 @@ def _solution(config: WaveConfig, tr, block, times, U, dtU, traces, **picard) ->
     arrays) solved on `block`, with `traces` their _traces on it; the snapshots
     run on `block` too (the rank-1 even block's r > 0 half, mirrored)."""
     h1, dt2 = traces
-    idx = np.unique(np.linspace(0, times.size - 1, config.n_snapshots).astype(int))
+    idx = np.unique(np.linspace(0, times.size - 1, N_SNAPSHOTS).astype(int))
     snaps = block.from_coords(U[idx].T[:block.coord_xi.size]).T
     if block is not tr:
         snaps = np.concatenate([snaps[:, ::-1], snaps], axis=1)
@@ -421,16 +416,16 @@ def _duhamel(A, G, U, V) -> None:
 
 
 def solve_nonlinear(config: WaveConfig, u0, u1,
-                    nonlinearity: Callable[[np.ndarray], np.ndarray] | None = None,
-                    check_nonlinearity: bool = True) -> WaveSolution:
+                    nonlinearity: Callable[[np.ndarray], np.ndarray] | None = None
+                    ) -> WaveSolution:
     """Picard iteration on the Duhamel map starting from the linear solution.
 
     Data is scaled by config.epsilon.  The default nonlinearity |u|^{p-1} u
     is the canonical representative of the admissible class; a user-supplied
     f is accepted after a sampled zero-at-zero / Lipschitz-growth check.
     The iteration stops when the discrete X-norm of successive differences
-    falls below tolerance; three consecutive growing differences, or a
-    difference or tolerance that is not finite, raise PicardDivergenceError.
+    reaches the PICARD_TOL floor; three consecutive growing differences, or a
+    difference or floor that is not finite, raise PicardDivergenceError.
     """
     config.validate()
     if config.p is None:
@@ -439,7 +434,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     if nonlinearity is None:
         def nonlinearity(u):
             return np.abs(u) ** (p - 1.0) * u
-    elif check_nonlinearity:
+    else:
         _check_nonlinearity(nonlinearity, p)
 
     eps, dt = config.epsilon, config.dt
@@ -460,7 +455,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
     if not math.isfinite(delta_lin):
         delta_lin = 0.0
-    delta_used = config.delta_factor * max(delta_lin, 1e-6)
+    delta_used = DELTA_FACTOR * max(delta_lin, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
 
     U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
@@ -469,7 +464,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
     # an iterate that overflows is divergence, found from its differences, so
     # numpy's overflow warnings on the way there say nothing new
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.max_picard):
+        for _ in range(MAX_PICARD):
             U_new, dtU_new = pairs[0]
             for r in chunks:
                 F = block.to_coords(nonlinearity(block.from_coords(U[r].T)))
@@ -491,7 +486,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
             U, dtU = U_new, dtU_new
             pairs.reverse()
             diffs.append(float(np.max(xw * diff)))
-            floor = config.picard_tol * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
+            floor = PICARD_TOL * (float(np.max(xw * (h1_now + dt_now))) + 1e-300)
             # an iterate that overflowed leaves a difference or floor that is not finite
             overflow = not (math.isfinite(diffs[-1]) and math.isfinite(floor))
             if overflow or (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]):

@@ -152,10 +152,9 @@ def _each(f, op):
 
 
 def radial_workbench(N: int, gamma: float, rmax: float = 16.0, resolution: int = 640,
-                     xi_max: float = 30.0, xi_resolution: int = 640,
-                     surface_const: float | None = None) -> Workbench:
-    q = radial_quadrature(N, gamma, rmax, resolution, surface_const=surface_const)
-    qx = radial_quadrature(N, gamma, xi_max, xi_resolution, surface_const=surface_const)
+                     xi_max: float = 30.0, xi_resolution: int = 640) -> Workbench:
+    q = radial_quadrature(N, gamma, rmax, resolution)
+    qx = radial_quadrature(N, gamma, xi_max, xi_resolution)
     return Workbench("radial", N, gamma, q, qx)
 
 

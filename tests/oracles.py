@@ -95,10 +95,10 @@ def picard_full(config, u0, u1, nonlinearity=None):
         def nonlinearity(u):
             return np.abs(u) ** (config.p - 1.0) * u
     delta_lin, _ = waveeq._safe_fit(times, traces[0] + traces[1], waveeq._fit_window(config))
-    delta_used = config.delta_factor * max(delta_lin if math.isfinite(delta_lin) else 0.0, 1e-6)
+    delta_used = waveeq.DELTA_FACTOR * max(delta_lin if math.isfinite(delta_lin) else 0.0, 1e-6)
     xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
     U, dtU, diffs = Phi, dtPhi, []
-    for _ in range(config.max_picard):
+    for _ in range(waveeq.MAX_PICARD):
         F = np.concatenate([tr.to_coords(nonlinearity(tr.from_coords(U[r].T))).T
                             for r in waveeq._chunks(times.size)])
         dU, ddtU = duhamel(A, config.dt, F)
@@ -107,7 +107,7 @@ def picard_full(config, u0, u1, nonlinearity=None):
         diffs.append(float(np.max(xw * (dH + dV))))
         U, dtU = U_new, dtU_new
         traces = waveeq._traces(U, dtU, tr)
-        floor = config.picard_tol * (float(np.max(xw * (traces[0] + traces[1]))) + 1e-300)
+        floor = waveeq.PICARD_TOL * (float(np.max(xw * (traces[0] + traces[1]))) + 1e-300)
         if diffs[-1] <= floor:
             break
     factors = [d1 / d0 for d0, d1 in zip(diffs, diffs[1:]) if d1 > floor]

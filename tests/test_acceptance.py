@@ -189,7 +189,7 @@ def test_acceptance_07_nonlinear_contraction():
     geometric_ok = True
     for eps in (1e-2, 5e-3, 2.5e-3):
         cfg = WaveConfig(b=1.0, m=1.0, k=0.5, p=3.0, epsilon=eps, nx=280, nxi=280,
-                         x_max=16.0, xi_max=20.0, t_final=10.0, dt=0.01, max_picard=6)
+                         x_max=16.0, xi_max=20.0, t_final=10.0, dt=0.01)
         sol = solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
         if eps == 1e-2:
             diffs = sol.diff_xnorms

@@ -252,8 +252,9 @@ def test_json_outputs_reject_nan(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("value", [np.int64(3), np.arange(2.0), np.array(np.inf)],
-                         ids=["int64", "array", "array_inf"])
+@pytest.mark.parametrize("value", [np.int64(3), np.float64(1.5), np.arange(2.0),
+                                   np.array(np.inf)],
+                         ids=["int64", "float64", "array", "array_inf"])
 def test_json_outputs_refuse_numpy_values(tmp_path, value):
     # a numpy value that reaches an output is a bug in the command (exit 4),
     # finite or not, not something to convert on the way out
@@ -481,10 +482,12 @@ def _raising(exc):
 @pytest.mark.parametrize("exc, code", [
     (ValueError("a library bug"), 4), (KeyError("x"), 4), (TypeError("t"), 4),
     (RuntimeError("r"), 4), (FloatingPointError("overflow"), 3),
+    (ZeroDivisionError("float division by zero"), 4),
 ])
 def test_exception_exit_codes(monkeypatch, tmp_path, capsys, exc, code):
-    # only the package's own types (and arithmetic faults) map to 2 or 3;
-    # anything else is an internal error with its traceback on stderr
+    # only the package's own types (and the FloatingPointError raised on
+    # purpose) map to 2 or 3; anything else, a bare ZeroDivisionError
+    # included, is an internal error with its traceback on stderr
     import dunklkit.cli as cli
     monkeypatch.setitem(cli.COMMANDS, "selftest", _raising(exc))
     assert main(["selftest", "--out", str(tmp_path / "o")]) == code

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dunklkit.dunkl import (dunkl_apply_poly, dunkl_gradient_num, dunkl_gradient_poly,
-                            dunkl_laplacian_num, dunkl_laplacian_poly,
+from dunklkit.dunkl import (dunkl_apply_poly, dunkl_derivative_num, dunkl_gradient_num,
+                            dunkl_gradient_poly, dunkl_laplacian_num, dunkl_laplacian_poly,
                             integration_by_parts_residual)
 from dunklkit.functions import PolyGauss1D
 from dunklkit.measure import build_quadrature
@@ -86,6 +86,20 @@ def test_gradient_num_radial_function():
     x = np.array([0.7, -1.2])
     g = dunkl_gradient_num(rs, f, x)
     np.testing.assert_allclose(g, -x * f(x), atol=1e-9)
+
+
+def test_derivative_num_takes_a_scalar_point_in_rank1(rs_rank1_k05):
+    # x = 0.7 as a 0-d input is the one point (0.7,): a float, the same bits
+    # as the (1,) input, and T f = 3x² + 1 + 2x + k(f(x) - f(-x))/x for
+    # f = x³ + x² + x
+    p = Polynomial(1, {(3,): 1.0, (2,): 1.0, (1,): 1.0})
+    f = p.evaluate
+    got = dunkl_derivative_num(rs_rank1_k05, f, 0, 0.7)
+    assert type(got) is float
+    assert got == dunkl_derivative_num(rs_rank1_k05, f, 0, np.array([0.7]))
+    exact = dunkl_apply_poly(rs_rank1_k05, 0, p).evaluate(np.array([0.7]))
+    assert exact == pytest.approx(3 * 0.49 + 1 + 1.4 + 0.5 * 2 * (0.49 + 1), rel=1e-15)
+    assert got == pytest.approx(exact, rel=1e-8)
 
 
 def test_gradient_num_second_order_in_h():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import dunklkit as dk
 from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
-from dunklkit.inequalities import (VIOLATION_RTOL, AdmissibilityError,
+from dunklkit import inequalities
+from dunklkit.inequalities import (A_HI, A_ITERS, VIOLATION_RTOL, AdmissibilityError,
                                    DegenerateFunctionError, FunctionClassError,
                                    InequalitySpec, SeriesCapError, THEOREMS,
                                    WorkbenchMismatchError, admissible, evaluate_sides,
@@ -158,8 +159,8 @@ def test_uncertainty_gaussian_value(wb_rank1_k05):
     wb0 = dk.rank1_workbench(0.0)
     g = generate_corpus(1, 1, ["Gaussian"], mode="rank1")[0]
     spec = dk.make_spec("Uncertainty", N=1, gamma=0.0, p=2.0, q=2.0)
-    rec = evaluate_sides(spec, g, wb0, enforce_hypotheses=False)
-    assert rec.ratio == pytest.approx(0.5, rel=1e-8)
+    lhs, rhs = THEOREMS["Uncertainty"].evaluate(spec.params, [g], wb0)
+    assert lhs[0] / rhs[0] == pytest.approx(0.5, rel=1e-8)
 
 
 def test_uncertainty_admissible_case(wb_radial3):
@@ -422,6 +423,29 @@ def test_largest_admissible_a_bisection(wb_radial3):
         assert lhs / (wb_radial3.norm(f, 2.0) / c) ** 2 <= 2.0 * (1 + 1e-9)
 
 
+def test_largest_admissible_a_returns_the_bracket_end(wb_radial3):
+    # a bound that a = A_HI already meets ends the search there, unbisected
+    corpus = generate_corpus(21, 3, ["Gaussian", "DilatedGaussian"], mode="radial")
+    assert largest_admissible_a(corpus, 2.0, wb_radial3, ratio_bound=1e300) == A_HI == 8.0
+
+
+def test_largest_admissible_a_reads_series_overflow_as_inadmissible(wb_radial3, monkeypatch):
+    # an a whose exponential overflows (SeriesCapError) is too large: with
+    # every a > 3 overflowing and every other one admissible, the bisection
+    # on [0, 8] takes 4, 2, 3, then only points above 3, and stops at 3
+    tried = []
+
+    def lhs(vals, a, p, quad):
+        tried.append(a)
+        if a > 3.0:
+            raise SeriesCapError("exponential overflow")
+        return np.zeros(len(vals))
+    monkeypatch.setattr(inequalities, "trudinger_lhs", lhs)
+    corpus = generate_corpus(21, 3, ["Gaussian", "DilatedGaussian"], mode="radial")
+    assert largest_admissible_a(corpus, 2.0, wb_radial3, ratio_bound=2.0) == 3.0
+    assert tried[:4] == [8.0, 4.0, 2.0, 3.0] and len(tried) == 1 + A_ITERS
+
+
 def test_empty_corpus_rejected(wb_radial3):
     spec = dk.make_spec("FractionalHardy", N=3, gamma=0.0, s=1.0)
     with pytest.raises(ValueError):
@@ -458,9 +482,9 @@ def test_function_of_another_mode_rejected(wb_mode, corpus_mode):
         evaluate_sides(spec, corpus[0], wb)
     with pytest.raises(FunctionClassError, match="workbench is"):
         verify_corpus(spec, corpus, wb)
-    for f in corpus:              # the gate is not a hypothesis check
+    for f in corpus:
         with pytest.raises(FunctionClassError):
-            evaluate_sides(spec, f, wb, enforce_hypotheses=False)
+            evaluate_sides(spec, f, wb)
 
 
 def _small_radial3():
@@ -472,6 +496,16 @@ def test_spec_without_fractional_side_builds_no_transform():
     corpus = generate_corpus(5, 6, ["Gaussian", "HermiteGaussian"], mode="radial")
     verify_corpus(dk.make_spec("Hardy_Lp", N=3, gamma=0.0, p=2.0), corpus, wb)
     assert wb._transform is None and len(wb._fields) == 0
+
+
+def test_frac_norm_at_order_zero_is_the_lp_norm():
+    # s = 0 is the identity multiplier: the physical norm, with no transform built
+    wb = _small_radial3()
+    corpus = generate_corpus(5, 3, ["Gaussian", "HermiteGaussian"], mode="radial")
+    for p in (2.0, 1.5):
+        assert np.array_equal(wb.frac_norm(corpus, 0.0, p), wb.norm(corpus, p))
+        assert wb.frac_norm(corpus[0], 0.0, p) == wb.norm(corpus[0], p)
+    assert wb._transform is None
 
 
 def test_batched_fields_live_as_long_as_their_functions():

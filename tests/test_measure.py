@@ -126,18 +126,18 @@ def test_resolution_doubling_improves():
         return np.cos(9.0 * r) * np.exp(-0.125 * r * r)
     ref = radial_quadrature(3, 0.6, 12.0, 2560).integrate(f)
     e1 = abs(q.integrate(f) - ref)
-    e2 = abs(q.refined(2).integrate(f) - ref)
+    e2 = abs(q.refined().integrate(f) - ref)
     assert e1 >= 10.0 * e2 or e2 < 1e-14
 
 
 def test_refined_is_the_rule_at_higher_resolution():
     for build in (lambda res: rank1_quadrature(0.7, 12.0, res),
                   lambda res: radial_quadrature(3, 0.6, 12.0, res)):
-        fine, want = build(160).refined(2), build(320)
+        fine, want = build(160).refined(), build(320)
         np.testing.assert_array_equal(fine.nodes, want.nodes)
         np.testing.assert_array_equal(fine.weights, want.weights)
         # a power-weighted rule keeps its power weight
-        np.testing.assert_array_equal(build(160).with_power(1.5).refined(2).weights,
+        np.testing.assert_array_equal(build(160).with_power(1.5).refined().weights,
                                       want.with_power(1.5).weights)
 
 
@@ -158,8 +158,8 @@ def test_rules_are_built_once_and_read_only():
     assert q.with_power(1.7) is q.with_power(1.7)
     assert radial_quadrature(3, 0.5, 14.0, 420) is q
     # the power weight survives refinement, and both routes share one rule
-    assert q.with_power(1.5).refined(2) is q.refined(2).with_power(1.5)
-    assert not np.array_equal(q.with_power(1.5).refined(2).weights, q.refined(2).weights)
+    assert q.with_power(1.5).refined() is q.refined().with_power(1.5)
+    assert not np.array_equal(q.with_power(1.5).refined().weights, q.refined().weights)
     for rule in (q, q.with_power(-0.8), rank1_quadrature(0.5, 12.0, 160)):
         for arr in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
