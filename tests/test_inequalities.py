@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dunklkit as dk
-from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit import inequalities
+from dunklkit.functions import CORPUS_FAMILIES, generate_corpus
 from dunklkit.inequalities import (A_HI, A_ITERS, VIOLATION_RTOL, AdmissibilityError,
                                    DegenerateFunctionError, FunctionClassError,
                                    InequalitySpec, SeriesCapError, THEOREMS,
