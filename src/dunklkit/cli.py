@@ -35,8 +35,8 @@ from .inequalities import (AdmissibilityError, DegenerateFunctionError, Function
 from .measure import QuadratureError, QuadratureInputError, weighted_lp_norm
 from .rootsys import GroupClosureError, RootSystemError
 from .spectral import LowFrequencyError, classical_fourier_reference
-from .waveeq import (DELTA_FACTOR, PicardDivergenceError, WaveConfig, WaveConfigError,
-                     solve_linear, solve_nonlinear, x_norm)
+from .waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, solve_linear,
+                     solve_nonlinear)
 from .workbench import Workbench, radial_workbench, rank1_workbench
 
 EXIT_OK = 0
@@ -324,8 +324,7 @@ def cmd_wave(cfg: dict, out: Path, seed: int | None) -> int:
             "iterations": sol.iterations,
             "contraction_factors": sol.contraction_factors,
             "converged": sol.converged,
-            "x_norm": x_norm(sol.times, sol.h1_trace, sol.dt_trace,
-                             max(sol.delta_fit * DELTA_FACTOR, 1e-6)),
+            "x_norm": sol.x_norm,
         })
         _write_csv(out, "trace.csv (wave)", zip(sol.times, sol.h1_trace, sol.dt_trace))
         rows = []

@@ -665,8 +665,11 @@ def ckn_fractional_spec(N, gamma, q, a, b, delta):
 
 def admissible(spec: InequalitySpec) -> AdmissibilityReport:
     """Evaluate every hypothesis of the theorem at the spec's parameters."""
-    thm = THEOREMS[spec.theorem]
-    return AdmissibilityReport(tuple(thm.conditions(spec.params)))
+    try:
+        conditions = THEOREMS[spec.theorem].conditions(spec.params)
+    except ZeroDivisionError:    # a formula's pole: Sobolev's q = pΛ/(Λ-p) at p = Λ, say
+        conditions = [Condition("defined", "no formula divides by zero", False, 0.0)]
+    return AdmissibilityReport(tuple(conditions))
 
 
 def evaluate_sides(spec: InequalitySpec, f, wb: Workbench):

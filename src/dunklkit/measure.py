@@ -54,8 +54,8 @@ class QuadratureError(ValueError):
 
 class QuadratureInputError(QuadratureError):
     """A rule parameter outside its domain (resolution < 16, rmax ≤ 0 or not
-    finite, k < 0, N + 2γ ≤ 0, a non-finite origin exponent): bad input, not
-    a numerical failure."""
+    finite, Λ = N + 2γ or 1 + 2k outside (0, LAMBDA_MAX], a non-finite origin
+    exponent): bad input, not a numerical failure."""
 
 
 class NonIntegrableWeightError(QuadratureError):
@@ -64,6 +64,8 @@ class NonIntegrableWeightError(QuadratureError):
 
 # Gauss-Legendre rule of every outer panel
 _TL, _WL = sps.roots_legendre(16)
+# the largest Λ of a rule (N + 2γ, or 1 + 2k): the float range ends near Λ = 300
+LAMBDA_MAX = 100.0
 
 
 def _half_axis_rule(sigma: float, rmax: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +214,8 @@ def _axis_quadrature(kind: str, sigma: float, const: float, rmax: float,
 
 def rank1_quadrature(k: float, rmax: float, resolution: int) -> WeightedQuadrature:
     """Full-line rule for N=1 with weight w_k(x) = 2^k |x|^{2k} folded in."""
-    if k < 0:
-        raise QuadratureInputError("multiplicity k must be ≥ 0")
+    if not 0.0 <= k <= (LAMBDA_MAX - 1.0) / 2.0:
+        raise QuadratureInputError(f"1 + 2k must lie in [1, {LAMBDA_MAX:g}], got k = {k!r}")
     return _axis_quadrature("rank1", 2.0 * k, 2.0 ** k, rmax, resolution)
 
 
@@ -221,8 +223,8 @@ def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
                       surface_const: float | None = None) -> WeightedQuadrature:
     """Radial rule: ∫ f(|x|) dμ_k = d ∫_0^∞ f(r) r^{Λ-1} dr, Λ = N + 2γ."""
     lam = N + 2.0 * gamma
-    if lam <= 0:
-        raise QuadratureInputError("N + 2γ must be positive")
+    if not 0.0 < lam <= LAMBDA_MAX:
+        raise QuadratureInputError(f"N + 2γ must lie in (0, {LAMBDA_MAX:g}], got {lam!r}")
     d = surface_constant(N, gamma) if surface_const is None else float(surface_const)
     return _axis_quadrature("radial", lam - 1.0, d, rmax, resolution)
 

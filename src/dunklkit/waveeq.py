@@ -238,6 +238,7 @@ class WaveSolution:
     snapshots: np.ndarray          # (n_snap, nx) physical fields
     delta_fit: float
     fit_residual: float
+    x_norm: float                  # x_norm of the traces at δ = _x_delta(delta_fit)
     iterations: int = 0
     diff_xnorms: List[float] = field(default_factory=list)
     contraction_factors: List[float] = field(default_factory=list)
@@ -334,7 +335,7 @@ def _solution(config: WaveConfig, tr, block, times, U, dtU, traces, **picard) ->
         snaps = np.concatenate([snaps[:, ::-1], snaps], axis=1)
     delta, resid = _safe_fit(times, h1 + dt2, _fit_window(config))
     return WaveSolution(times, tr.coord_xi, U, dtU, h1, dt2, tr.x_quad.nodes, idx, snaps,
-                        delta, resid, **picard)
+                        delta, resid, x_norm(times, h1, dt2, _x_delta(delta)), **picard)
 
 
 def solve_linear(config: WaveConfig, u0, u1) -> WaveSolution:
@@ -372,6 +373,11 @@ def decay_rate_fit(times: np.ndarray, trace: np.ndarray, window) -> tuple:
     coef = np.polyfit(t, y, 1)
     resid = float(np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2)))
     return float(-coef[0]), resid
+
+
+def _x_delta(rate: float) -> float:
+    """δ of the X-norm weight e^{δt}: DELTA_FACTOR × max(rate, 1e-6), NaN as 0."""
+    return DELTA_FACTOR * max(rate if math.isfinite(rate) else 0.0, 1e-6)
 
 
 def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
@@ -453,10 +459,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         Phi[r], dtPhi[r] = _carry(A, starts, r)
         h1_lin[r], dt_lin[r] = _traces(Phi[r], dtPhi[r], block)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
-    if not math.isfinite(delta_lin):
-        delta_lin = 0.0
-    delta_used = DELTA_FACTOR * max(delta_lin, 1e-6)
-    xw = (1.0 + times) ** (-0.5) * np.exp(delta_used * times)
+    xw = (1.0 + times) ** (-0.5) * np.exp(_x_delta(delta_lin) * times)
 
     U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
     diffs: List[float] = []

@@ -49,7 +49,7 @@ __all__ = ["Workbench", "radial_workbench", "rank1_workbench"]
 class Workbench:
     mode: str                  # "radial" | "rank1"
     N: int
-    gamma: float
+    gamma: float               # rank1: the multiplicity k
     quad: WeightedQuadrature
     xi_quad: WeightedQuadrature
     _transform: object = None
@@ -72,12 +72,6 @@ class Workbench:
     @property
     def lam(self) -> float:
         return self.N + 2.0 * self.gamma
-
-    @property
-    def k(self) -> float:
-        if self.mode != "rank1":
-            raise AttributeError("k is a rank-1 parameter")
-        return self.gamma
 
     # -- spectral cache ---------------------------------------------------
 
@@ -109,12 +103,12 @@ class Workbench:
         if self.mode == "radial":
             g = _each(f, lambda h: h.derivative())
         else:
-            g = _each(f, lambda h: h.apply_dunkl(self.k))
+            g = _each(f, lambda h: h.apply_dunkl(self.gamma))
         return weighted_lp_norm(g, p, a, self.quad)
 
     def lap_norm(self, f, j: int, p: float, a: float = 0.0):
         """‖|x|^a Δ_k^j f‖_p; Δ_k applied exactly j times."""
-        c = self.lam if self.mode == "radial" else self.k
+        c = self.lam if self.mode == "radial" else self.gamma
         g = f
         for _ in range(j):
             g = _each(g, lambda h: h.laplacian(c))

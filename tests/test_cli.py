@@ -61,6 +61,22 @@ def test_verify_inadmissible_reports(tmp_path):
     assert summary["failed_conditions"]
 
 
+@pytest.mark.parametrize("spec", [
+    {"theorem": "Sobolev", "params": {"N": 2, "gamma": 0.0, "p": 2.0, "q": 4.0}},
+    {"theorem": "WeightedHardy", "params": {"N": 2, "gamma": 0.0, "a": 0.0, "b": 0.0, "p": 2.0}},
+], ids=["Sobolev.p=Λ", "WeightedHardy.b=a"])
+def test_verify_formula_dividing_by_zero_is_a_failed_condition(tmp_path, spec):
+    # q = pΛ/(Λ-p) and p = 2Λ/(Λ-2+2(b-a)) divide by zero at Λ = 2
+    cfg = write(tmp_path / "cfg.json", {"mode": {"type": "radial", "N": 2, "gamma": 0.0},
+                                        "spec": spec, "corpus": {"seed": 1, "count": 2}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["admissible"] is False
+    assert summary["failed_conditions"] == [
+        {"id": "defined", "statement": "no formula divides by zero", "residual": 0.0}]
+
+
 def test_malformed_config_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"broken": ')
@@ -264,14 +280,23 @@ def test_json_outputs_refuse_numpy_values(tmp_path, value):
     assert not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("wave", {"wave": {"b": 1, "m": 1, "grid": {"nx": 4}}}),
-    ("verify", {**VERIFY_CFG, "mode": {**VERIFY_CFG["mode"], "resolution": 8}}),
-], ids=["wave.nx", "verify.resolution"])
-def test_bad_rule_input_exit2(tmp_path, capsys, command, cfg):
+RANK1_K = "config error: 1 + 2k must lie in [1, 100], got k = 1024.0"
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("wave", {"wave": {"b": 1, "m": 1, "grid": {"nx": 4}}}, "resolution must be ≥ 16"),
+    ("verify", {**VERIFY_CFG, "mode": {**VERIFY_CFG["mode"], "resolution": 8}},
+     "resolution must be ≥ 16"),
+    # past the float range of the weight 2^k and of the Bessel kernels
+    ("verify", {**VERIFY_CFG, "mode": {"type": "rank1", "k": 1024}}, RANK1_K),
+    ("wave", {"wave": {"b": 1, "m": 1, "mode": "rank1", "k": 1024}}, RANK1_K),
+    ("verify", {**VERIFY_CFG, "mode": {"type": "radial", "N": 3, "gamma": 150}},
+     "config error: N + 2γ must lie in (0, 100], got 303.0"),
+], ids=["wave.nx", "verify.resolution", "verify.k", "wave.k", "verify.gamma"])
+def test_bad_rule_input_exit2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
-    assert "config error: resolution must be ≥ 16" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["error"]["class"] == "QuadratureInputError"
 

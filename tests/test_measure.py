@@ -190,7 +190,10 @@ def test_rule_input_errors_are_their_own_type():
     for build in (lambda: radial_quadrature(3, 0.0, 14.0, 8),
                   lambda: rank1_quadrature(0.5, 0.0, 160),
                   lambda: rank1_quadrature(-0.5, 14.0, 160),
-                  lambda: radial_quadrature(1, -0.5, 14.0, 160)):
+                  lambda: radial_quadrature(1, -0.5, 14.0, 160),
+                  # Λ past LAMBDA_MAX = 100: 1 + 2k = 100.2, N + 2γ = 101
+                  lambda: rank1_quadrature(49.6, 14.0, 160),
+                  lambda: radial_quadrature(1, 50.0, 14.0, 160)):
         with pytest.raises(QuadratureInputError):
             build()
     with pytest.raises(NonIntegrableWeightError) as info:

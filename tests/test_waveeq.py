@@ -11,9 +11,10 @@ import pytest
 
 import dunklkit
 from dunklkit import waveeq
-from dunklkit.waveeq import (PicardDivergenceError, WaveConfig, WaveConfigError, _block_size,
-                             _propagator, _traces, decay_rate_fit, linear_mode_solution,
-                             mode_time_derivative, solve_linear, solve_nonlinear, x_norm)
+from dunklkit.waveeq import (DELTA_FACTOR, PicardDivergenceError, WaveConfig, WaveConfigError,
+                             _block_size, _propagator, _traces, decay_rate_fit,
+                             linear_mode_solution, mode_time_derivative, solve_linear,
+                             solve_nonlinear, x_norm)
 
 
 from oracles import duhamel, picard_full, rk4_modes
@@ -91,12 +92,12 @@ def test_zero_data_zero_solution():
 
 def test_zero_data_nonlinear_solve_converges_at_once():
     # zero data have no decay rate (delta_fit NaN); the X-norm weight then
-    # takes δ = 0 (floored at 1e-6), and the first Picard difference, 0, is
-    # at the floor: one step, converged, not divergence
+    # takes the floor rate, and the first Picard difference, 0, is at the
+    # stopping floor: one step, converged, not divergence
     cfg = WaveConfig(b=1.0, m=1.0, k=0.5, p=3.0, nx=80, nxi=80, t_final=2.0, dt=0.05)
     sol = solve_nonlinear(cfg, None, None)
     assert (sol.iterations, sol.converged, sol.diff_xnorms) == (1, True, [0.0])
-    assert not np.any(sol.U) and np.isnan(sol.delta_fit)
+    assert not np.any(sol.U) and np.isnan(sol.delta_fit) and sol.x_norm == 0.0
 
 
 def test_zero_velocity_on_unequal_grids():
@@ -193,9 +194,12 @@ def test_nonlinear_contraction_small_epsilon():
     cfg = WaveConfig(b=1.0, m=1.0, k=0.5, p=3.0, epsilon=1e-2, nx=240, nxi=240,
                      x_max=14.0, xi_max=18.0, t_final=6.0, dt=0.02)
     sol = solve_nonlinear(cfg, lambda x: np.exp(-0.5 * x * x), None)
-    assert sol.converged
+    assert sol.converged and sol.iterations <= 6
     assert all(f < 0.1 for f in sol.contraction_factors[:1])
     assert sol.delta_fit > 0
+    # the summary's X-norm weighs the traces with δ = DELTA_FACTOR × the fitted rate
+    assert sol.x_norm == x_norm(sol.times, sol.h1_trace, sol.dt_trace,
+                                DELTA_FACTOR * sol.delta_fit)
 
 
 def test_overflowing_picard_iteration_diverges():
