@@ -31,7 +31,7 @@ from .extremal import (RecomputationError, TrialFamily, bump_scale_family,
 from .functions import CorpusError, generate_corpus
 from .inequalities import (AdmissibilityError, DegenerateFunctionError, FunctionClassError,
                            InequalitySpec, SeriesCapError, THEOREMS, WorkbenchMismatchError,
-                           admissible, verify_corpus)
+                           admissible, check_admissible, check_workbench, verify_corpus)
 from .measure import QuadratureError, QuadratureInputError, weighted_lp_norm
 from .rootsys import GroupClosureError, RootSystemError
 from .spectral import LowFrequencyError, classical_fourier_reference
@@ -174,8 +174,7 @@ def _build_spec(cfg: dict, wb: Workbench) -> InequalitySpec:
     params = _require(cfg, "spec.params", dict)
     spec = InequalitySpec(_require(cfg, "spec.theorem", str),
                           {k: _require(params, k, float, "$.spec.params") for k in params})
-    if abs(spec.params["N"] + 2.0 * spec.params["gamma"] - wb.lam) > 1e-9:
-        raise ConfigError(f"$.spec.params: N + 2γ differs from the Λ = {wb.lam:g} of $.mode")
+    check_workbench(spec, wb)
     return spec
 
 
@@ -213,7 +212,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int | None) -> int:
         return EXIT_OK
     result = verify_corpus(spec, corpus, wb)
     _write_csv(out, "records.csv",
-               [(r.function_id, r.lhs, r.rhs, r.ratio, r.notes) for r in result.records])
+               [(r.function_id, r.lhs, r.rhs, r.ratio, "") for r in result.records])
     summary.update({
         "direction": result.direction,
         "known_bound": result.known_bound,
@@ -259,10 +258,7 @@ def cmd_sharp(cfg: dict, out: Path, seed: int | None) -> int:
     restarts = _require(opt, "restarts", int, "$.optimizer", 3)
     if restarts < 1:
         raise ConfigError("$.optimizer.restarts: must be ≥ 1")
-    rep = admissible(spec)
-    if not rep.admissible:
-        raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters "
-                                 f"({', '.join(c.cid for c in rep.failed)})")
+    check_admissible(spec)
     ceiling = THEOREMS[spec.theorem].known_bound(spec.params)
     ran = {"seed": seed,
            "max_iters": _require(opt, "max_iters", int, "$.optimizer", 120),

@@ -362,19 +362,18 @@ class AnnularBump(_Profile):
 
 @dataclass(frozen=True)
 class InversePower(_Profile):
-    """(1 + (r/scale)²)^{-beta}: heavy-tailed extremal trial profile."""
+    """(1 + r²)^{-beta}: heavy-tailed extremal trial profile."""
 
     beta: float
-    scale: float = 1.0
     heavy_tails = True
 
     def value(self, r):
-        t = np.asarray(r, float) / self.scale
+        t = np.asarray(r, float)
         return (1.0 + t * t) ** (-self.beta)
 
     def derivative_values(self, r):
-        t = np.asarray(r, float) / self.scale
-        return (-2.0 * self.beta / self.scale) * t * (1.0 + t * t) ** (-self.beta - 1.0)
+        t = np.asarray(r, float)
+        return (-2.0 * self.beta) * t * (1.0 + t * t) ** (-self.beta - 1.0)
 
 
 # ---------------------------------------------------------------------------

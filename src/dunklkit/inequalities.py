@@ -4,10 +4,13 @@ Every theorem is encoded as a parameter record with
 
 * an admissibility predicate that evaluates each hypothesis and reports a
   residual per condition (0 residual on a strict inequality = rejection);
+  admissible() checks the shared N ≥ 1, γ ≥ 0 once and passes Λ to the rest;
 * constant-free evaluators: lhs is the left display norm, rhs the product of
   right-hand norms with the theorem's powers.  Empirical constants are
   reported as sup (or inf) ratios; closed-form sharp constants exist for the
   fractional Hardy and classical Rellich inequalities and act as ceilings.
+  The CKN sides ‖|x|^c f‖_r and G^δ ‖|x|^b f‖_q^{1-δ}, G the norm of the
+  gradient side, come from one formula.
 
 Throughout, Λ = N + 2γ and ‖|x|^a f‖_p denotes the weighted L^p(μ_k) norm.
 """
@@ -37,6 +40,8 @@ __all__ = [
     "SeriesCapError",
     "WorkbenchMismatchError",
     "admissible",
+    "check_admissible",
+    "check_workbench",
     "evaluate_sides",
     "verify_corpus",
     "trudinger_lhs",
@@ -102,7 +107,6 @@ class VerificationRecord:
     lhs: float
     rhs: float
     ratio: float
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ class TheoremDef:
     tag: str
     params: tuple
     direction: str
-    conditions: Callable[[dict], List[Condition]]
+    # (params, Λ) -> the hypotheses past the shared N ≥ 1 and γ ≥ 0
+    conditions: Callable[[dict, float], List[Condition]]
     # (params, corpus, workbench) -> (lhs, rhs), one value per member each
     evaluate: Callable[[dict, list, Workbench], tuple]
     known_bound: Callable[[dict], float | None] = lambda P: None
@@ -154,13 +159,6 @@ class TheoremDef:
 
 def _lam(P: dict) -> float:
     return P["N"] + 2.0 * P["gamma"]
-
-
-def _base_conditions(P: dict) -> List[Condition]:
-    return [
-        _strict("dimension", "N ≥ 1", P["N"] - 0.0),
-        _nonstrict("gamma_nonneg", "γ ≥ 0", P["gamma"]),
-    ]
 
 
 # The derived parameters: a `*_formula` condition and the table's `derived`
@@ -191,13 +189,14 @@ _wgn2_p = _balanced_p(lambda P: P["a"] - 1.0)
 
 
 def _ckn_c(x):
-    """P -> δx + b(1-δ), x = x(P) the weight power of the CKN gradient side."""
+    """P -> c = δx + b(1-δ), the weight power of a CKN left side; x = x(P)."""
     return lambda P: P["delta"] * x(P) + P["b"] * (1.0 - P["delta"])
 
 
 _ckn1_c = _ckn_c(lambda P: -1.0)      # δ·(-1.0) is -δ exactly
 _ckn2_c = _ckn_c(lambda P: P["a"])
 _ckn3_c = _ckn_c(lambda P: P["a"] - 1.0)
+_classical_c = _ckn_c(lambda P: P["d"])   # b(1-δ) is (1-δ)b exactly
 
 
 def _delta_interval(P: dict, hi: float) -> Condition:
@@ -207,9 +206,8 @@ def _delta_interval(P: dict, hi: float) -> Condition:
     return _nonstrict("delta_range", "δ ∈ [0,1] ∩ [(r-q)/r, ·]", slack)
 
 
-def _c_sobolev(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_sobolev(P, lam):
+    return [
         _nonstrict("p_low", "p ≥ 1", P["p"] - 1.0),
         _strict("p_high", "p < Λ", lam - P["p"]),
         _eq("q_formula", "q = pΛ/(Λ-p)", P["q"] - _sobolev_q(P)),
@@ -220,9 +218,8 @@ def _e_sobolev(P, f, wb):
     return wb.norm(f, P["q"]), wb.grad_norm(f, P["p"])
 
 
-def _c_hardy_lp(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_hardy_lp(P, lam):
+    return [
         _strict("p_low", "p > 1", P["p"] - 1.0),
         _strict("p_high", "p < Λ/(1+2γ)", lam / (1.0 + 2.0 * P["gamma"]) - P["p"]),
     ]
@@ -232,9 +229,8 @@ def _e_hardy_lp(P, f, wb):
     return wb.norm(f, P["p"], -1.0), wb.grad_norm(f, P["p"])
 
 
-def _c_weighted_hardy(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_weighted_hardy(P, lam):
+    return [
         _nonstrict("weight_low", "a ≤ b", P["b"] - P["a"]),
         _nonstrict("weight_high", "b ≤ a+1", P["a"] + 1.0 - P["b"]),
         _eq("p_formula", "p = 2Λ/(Λ-2+2(b-a))", P["p"] - _weighted_hardy_p(P)),
@@ -246,11 +242,8 @@ def _e_weighted_hardy(P, f, wb):
     return wb.norm(f, P["p"], -P["b"]), wb.grad_norm(f, 2.0, -P["a"])
 
 
-def _c_classical_rellich(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
-        _strict("lambda_ne_2", "Λ ≠ 2", abs(lam - 2.0)),
-    ]
+def _c_classical_rellich(P, lam):
+    return [_strict("lambda_ne_2", "Λ ≠ 2", abs(lam - 2.0))]
 
 
 def _e_classical_rellich(P, f, wb):
@@ -264,9 +257,8 @@ def _b_classical_rellich(P):
     return 4.0 / (lam * abs(lam - 4.0))
 
 
-def _c_weighted_rellich(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_weighted_rellich(P, lam):
+    return [
         _nonstrict("weight_low", "a+1 ≤ b", P["b"] - P["a"] - 1.0),
         _nonstrict("weight_high", "b ≤ a+2", P["a"] + 2.0 - P["b"]),
         _eq("p_formula", "p = 2Λ/(Λ-2+2(b-(a+1)))", P["p"] - _weighted_rellich_p(P)),
@@ -278,11 +270,10 @@ def _e_weighted_rellich(P, f, wb):
     return wb.norm(f, P["p"], -P["b"]), wb.lap_norm(f, 1, 2.0, -P["a"])
 
 
-def _c_higher_rellich(P):
-    lam = _lam(P)
+def _c_higher_rellich(P, lam):
     j = P["j"]
     A = _higher_rellich_shift(P)
-    return _base_conditions(P) + [
+    return [
         _eq("j_integer", "j ∈ ℕ", j - round(j)),
         _nonstrict("j_low", "j ≥ 1", j - 1.0),
         _nonstrict("weight_low", "a+2(j-1)+1 ≤ b", P["b"] - A),
@@ -296,11 +287,8 @@ def _e_higher_rellich(P, f, wb):
     return wb.norm(f, P["p"], -P["b"]), wb.lap_norm(f, int(round(P["j"])), 2.0, -P["a"])
 
 
-def _c_uncertainty(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
-        _strict("p_low", "p > 1", P["p"] - 1.0),
-        _strict("p_high", "p < Λ/(1+2γ)", lam / (1.0 + 2.0 * P["gamma"]) - P["p"]),
+def _c_uncertainty(P, lam):
+    return _c_hardy_lp(P, lam) + [
         _eq("conjugate", "1/p + 1/q = 1", 1.0 / P["p"] + 1.0 / P["q"] - 1.0),
     ]
 
@@ -310,9 +298,8 @@ def _e_uncertainty(P, f, wb):
     return lhs, wb.norm(f, 2.0) ** 2
 
 
-def _c_gn1(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_gn1(P, lam):
+    return [
         _nonstrict("p_low", "p ≥ 1", P["p"] - 1.0),
         _nonstrict("q_low", "q ≥ 1", P["q"] - 1.0),
         _nonstrict("r_low", "r ≥ 1", P["r"] - 1.0),
@@ -329,9 +316,8 @@ def _e_gn1(P, f, wb):
     return wb.norm(f, P["q"]), wb.grad_norm(f, P["r"]) ** th * wb.norm(f, P["p"]) ** (1.0 - th)
 
 
-def _c_gn2(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_gn2(P, lam):
+    return [
         _strict("p_low", "p > 1", P["p"] - 1.0),
         _nonstrict("s_low", "s ≥ 0", P["s"]),
         _nonstrict("s_high", "s ≤ Λ/p", lam / P["p"] - P["s"]),
@@ -346,9 +332,8 @@ def _e_gn2(P, f, wb):
     return lhs, rhs
 
 
-def _c_wgn1(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_wgn1(P, lam):
+    return [
         _strict("p_low", "p > 1", P["p"] - 1.0),
         _strict("p_high", "p < Λ/(2+2γ)", lam / (2.0 + 2.0 * P["gamma"]) - P["p"]),
         _nonstrict("s_low", "s ≥ 2", P["s"] - 2.0),
@@ -364,9 +349,8 @@ def _e_wgn1(P, f, wb):
     return lhs, rhs
 
 
-def _c_wgn2(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_wgn2(P, lam):
+    return [
         # the chain through the weighted Rellich inequality needs 1 < (Λ-2)/2
         _strict("lambda_gt_4", "Λ > 4", lam - 4.0),
         _nonstrict("a_low", "a ≥ 1", P["a"] - 1.0),
@@ -384,9 +368,8 @@ def _e_wgn2(P, f, wb):
     return lhs, rhs
 
 
-def _c_wgn3(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_wgn3(P, lam):
+    return [
         _nonstrict("a_low", "a ≥ 0", P["a"]),
         _nonstrict("a_le_s", "a ≤ s", P["s"] - P["a"]),
         _nonstrict("s_high", "s ≤ Λ/2", lam / 2.0 - P["s"]),
@@ -402,9 +385,8 @@ def _e_wgn3(P, f, wb):
     return lhs, rhs
 
 
-def _c_frac_hardy(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_frac_hardy(P, lam):
+    return [
         _nonstrict("s_low", "s ≥ 0", P["s"]),
         _strict("s_high", "s < Λ/2", lam / 2.0 - P["s"]),
     ]
@@ -418,8 +400,8 @@ def _b_frac_hardy(P):
     return 1.0 / fractional_hardy_constant(int(P["N"]), P["gamma"], P["s"])
 
 
-def _c_trudinger(P):
-    return _base_conditions(P) + [
+def _c_trudinger(P, lam):
+    return [
         _strict("p_low", "p > 1", P["p"] - 1.0),
         _strict("p_finite", "p < ∞", math.inf if np.isfinite(P["p"]) else 0.0),
         _strict("a_pos", "a > 0", P["a"]),
@@ -437,11 +419,16 @@ def _e_trudinger(P, fs, wb):
     return lhs, rhs
 
 
-def _c_ckn1(P):
-    lam = _lam(P)
-    conds = _base_conditions(P) + [
-        _strict("p_low", "p > 1", P["p"] - 1.0),
-        _strict("p_high", "p < Λ/(1+2γ)", lam / (1.0 + 2.0 * P["gamma"]) - P["p"]),
+def _ckn_sides(P, f, wb, c, grad, *args):
+    """‖|x|^c f‖_r and G^δ ‖|x|^b f‖_q^{1-δ}, G = grad(f, *args) the norm of
+    the gradient side; the left side is evaluated first."""
+    d = P["delta"]
+    lhs = wb.norm(f, P["r"], c)
+    return lhs, grad(f, *args) ** d * wb.norm(f, P["q"], P["b"]) ** (1.0 - d)
+
+
+def _c_ckn1(P, lam):
+    return _c_hardy_lp(P, lam) + [
         _strict("q_low", "q > 1", P["q"] - 1.0),
         _strict("r_pos", "r > 0", P["r"]),
         _nonstrict("pq_ge_r", "p + q ≥ r", P["p"] + P["q"] - P["r"]),
@@ -450,20 +437,15 @@ def _c_ckn1(P):
             P["delta"] * P["r"] / P["p"] + (1.0 - P["delta"]) * P["r"] / P["q"] - 1.0),
         _eq("c_formula", "c = -δ + b(1-δ)", P["c"] - _ckn1_c(P)),
     ]
-    return conds
 
 
 def _e_ckn1(P, f, wb):
-    d = P["delta"]
-    lhs = wb.norm(f, P["r"], P["c"])
-    rhs = wb.grad_norm(f, P["p"]) ** d * wb.norm(f, P["q"], P["b"]) ** (1.0 - d)
-    return lhs, rhs
+    return _ckn_sides(P, f, wb, P["c"], wb.grad_norm, P["p"])
 
 
-def _c_ckn2(P):
-    lam = _lam(P)
+def _c_ckn2(P, lam):
     L = 2.0 * lam / (lam - 2.0) if lam > 2.0 else math.inf
-    return _base_conditions(P) + [
+    return [
         _strict("lambda_gt_2", "Λ > 2", lam - 2.0),
         _strict("q_low", "q > 1", P["q"] - 1.0),
         _strict("r_pos", "r > 0", P["r"]),
@@ -478,15 +460,11 @@ def _c_ckn2(P):
 
 
 def _e_ckn2(P, f, wb):
-    d = P["delta"]
-    lhs = wb.norm(f, P["r"], P["c"])
-    rhs = wb.grad_norm(f, 2.0, P["a"]) ** d * wb.norm(f, P["q"], P["b"]) ** (1.0 - d)
-    return lhs, rhs
+    return _ckn_sides(P, f, wb, P["c"], wb.grad_norm, 2.0, P["a"])
 
 
-def _c_ckn3(P):
-    lam = _lam(P)
-    return _base_conditions(P) + [
+def _c_ckn3(P, lam):
+    return [
         _strict("q_low", "q > 1", P["q"] - 1.0),
         _strict("r_pos", "r > 0", P["r"]),
         _nonstrict("twoq_ge_r", "2 + q ≥ r", 2.0 + P["q"] - P["r"]),
@@ -500,20 +478,16 @@ def _c_ckn3(P):
 
 
 def _e_ckn3(P, f, wb):
-    d = P["delta"]
-    lhs = wb.norm(f, P["r"], P["c"])
-    rhs = wb.frac_norm(f, 1.0 - P["a"], 2.0) ** d * wb.norm(f, P["q"], P["b"]) ** (1.0 - d)
-    return lhs, rhs
+    return _ckn_sides(P, f, wb, P["c"], wb.frac_norm, 1.0 - P["a"], 2.0)
 
 
 def _b_ckn3(P):
     return 1.0 / fractional_hardy_constant(int(P["N"]), P["gamma"], 1.0 - P["a"]) ** P["delta"]
 
 
-def _c_classical_ckn(P):
-    N = P["N"]
-    c = P["delta"] * P["d"] + (1.0 - P["delta"]) * P["b"]
-    conds = _base_conditions(P) + [
+def _c_classical_ckn(P, lam):
+    N, c = P["N"], _classical_c(P)
+    conds = [
         _eq("classical_setting", "γ = 0 (classical Lebesgue case)", P["gamma"]),
         _nonstrict("p_low", "p ≥ 1", P["p"] - 1.0),
         _nonstrict("q_low", "q ≥ 1", P["q"] - 1.0),
@@ -538,11 +512,7 @@ def _c_classical_ckn(P):
 
 
 def _e_classical_ckn(P, f, wb):
-    d = P["delta"]
-    c = P["delta"] * P["d"] + (1.0 - P["delta"]) * P["b"]
-    lhs = wb.norm(f, P["r"], c)
-    rhs = wb.grad_norm(f, P["p"], P["a"]) ** d * wb.norm(f, P["q"], P["b"]) ** (1.0 - d)
-    return lhs, rhs
+    return _ckn_sides(P, f, wb, _classical_c(P), wb.grad_norm, P["p"], P["a"])
 
 
 THEOREMS: Dict[str, TheoremDef] = {t.tag: t for t in [
@@ -618,13 +588,18 @@ class InequalitySpec:
 def make_spec(theorem: str, **params) -> InequalitySpec:
     """The spec of `theorem` at `params`.  A derived parameter left out (one
     the theorem's balance fixes: Sobolev's q, GN_I's θ, the CKN r and c, ...)
-    is computed from the rest; a given one is kept, and admissible() reports
-    it when it is off."""
+    is computed from the rest, and raises AdmissibilityError at its formula's
+    pole; a given one is kept, and admissible() reports it when it is off."""
     thm = THEOREMS.get(theorem)
     missing = [name for name in thm.derived if name not in params] if thm else ()
     if missing and set(thm.params) - set(thm.derived) <= set(params):
         P = {k: float(v) for k, v in params.items()}
-        params.update({name: thm.derived[name](P) for name in missing})
+        for name in missing:
+            try:
+                params[name] = thm.derived[name](P)
+            except ZeroDivisionError:
+                raise AdmissibilityError(f"{theorem}: {name} is not defined here "
+                                         f"(failed condition: defined)") from None
     return InequalitySpec(theorem, params)
 
 
@@ -664,12 +639,32 @@ def ckn_fractional_spec(N, gamma, q, a, b, delta):
 
 
 def admissible(spec: InequalitySpec) -> AdmissibilityReport:
-    """Evaluate every hypothesis of the theorem at the spec's parameters."""
+    """Evaluate every hypothesis of the theorem at the spec's parameters: the
+    shared N ≥ 1 and γ ≥ 0 first, then the theorem's own at Λ = N + 2γ."""
+    P = spec.params
     try:
-        conditions = THEOREMS[spec.theorem].conditions(spec.params)
+        conditions = [_strict("dimension", "N ≥ 1", P["N"] - 0.0),
+                      _nonstrict("gamma_nonneg", "γ ≥ 0", P["gamma"]),
+                      *THEOREMS[spec.theorem].conditions(P, _lam(P))]
     except ZeroDivisionError:    # a formula's pole: Sobolev's q = pΛ/(Λ-p) at p = Λ, say
         conditions = [Condition("defined", "no formula divides by zero", False, 0.0)]
     return AdmissibilityReport(tuple(conditions))
+
+
+def check_admissible(spec: InequalitySpec) -> None:
+    """Raise AdmissibilityError, naming the failed conditions, on an inadmissible spec."""
+    rep = admissible(spec)
+    if not rep.admissible:
+        failed = ", ".join(c.cid for c in rep.failed)
+        raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters ({failed})")
+
+
+def check_workbench(spec: InequalitySpec, wb: Workbench) -> None:
+    """Raise WorkbenchMismatchError unless wb's Λ is the spec's N + 2γ."""
+    lam = _lam(spec.params)
+    if abs(lam - wb.lam) > 1e-9:
+        raise WorkbenchMismatchError(f"the workbench's Λ = {wb.lam:g} does not match "
+                                     f"the spec's Λ = N + 2γ = {lam:g}")
 
 
 def evaluate_sides(spec: InequalitySpec, f, wb: Workbench):
@@ -685,18 +680,12 @@ def evaluate_sides(spec: InequalitySpec, f, wb: Workbench):
     failing member raises alone.
     """
     fs, one = as_members(f)
-    thm = THEOREMS[spec.theorem]
-    rep = admissible(spec)
-    if not rep.admissible:
-        failed = ", ".join(c.cid for c in rep.failed)
-        raise AdmissibilityError(f"{spec.theorem}: inadmissible parameters ({failed})")
-    P = spec.params
-    if abs(P["N"] + 2.0 * P["gamma"] - wb.lam) > 1e-9:
-        raise WorkbenchMismatchError("workbench (N, γ) does not match the spec parameters")
+    check_admissible(spec)
+    check_workbench(spec, wb)
     # the members before the first one outside the class are evaluated first
     errors = (_class_error(spec, g, wb) for g in fs)
     cut, err = next(((j, e) for j, e in enumerate(errors) if e), (len(fs), None))
-    records = _sides(thm, P, fs[:cut], wb) if cut else ()
+    records = _sides(THEOREMS[spec.theorem], spec.params, fs[:cut], wb) if cut else ()
     if err is not None:
         raise err
     return records[0] if one else records

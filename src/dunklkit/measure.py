@@ -230,8 +230,7 @@ def radial_quadrature(N: int, gamma: float, rmax: float, resolution: int,
 
 
 def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
-                     rmax: float, resolution: int,
-                     surface_const: float | None = None) -> WeightedQuadrature:
+                     rmax: float, resolution: int) -> WeightedQuadrature:
     """Quadrature for a concrete root system.
 
     TensorGaussLike: exact-weight composite rule for N=1.  PolarProduct:
@@ -240,8 +239,8 @@ def build_quadrature(rs: RootSystem, scheme: str = "TensorGaussLike", *,
     one and numeric for N = 2 only.
     """
     if scheme == "PolarProduct":
-        d = surface_const if surface_const is not None else surface_constant_for(rs)
-        return radial_quadrature(rs.dim, rs.gamma, rmax, resolution, surface_const=d)
+        return radial_quadrature(rs.dim, rs.gamma, rmax, resolution,
+                                 surface_const=surface_constant_for(rs))
     if scheme != "TensorGaussLike":
         raise QuadratureError(f"unknown scheme {scheme!r}")
     if rs.dim == 1:

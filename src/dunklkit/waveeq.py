@@ -380,13 +380,17 @@ def _x_delta(rate: float) -> float:
     return DELTA_FACTOR * max(rate if math.isfinite(rate) else 0.0, 1e-6)
 
 
+def _x_weight(times: np.ndarray, delta: float) -> np.ndarray:
+    """The X-norm weight (1+t)^{-1/2} e^{δt} on the grid."""
+    return (1.0 + times) ** (-0.5) * np.exp(delta * times)
+
+
 def x_norm(times: np.ndarray, h1_trace: np.ndarray, dt_trace: np.ndarray,
            delta: float) -> float:
     """max_t (1+t)^{-1/2} e^{δt} (‖u‖_{H¹_D} + ‖∂_t u‖₂) on the grid."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    w = (1.0 + times) ** (-0.5) * np.exp(delta * times)
-    return float(np.max(w * (h1_trace + dt_trace)))
+    return float(np.max(_x_weight(times, delta) * (h1_trace + dt_trace)))
 
 
 def _duhamel(A, G, U, V) -> None:
@@ -459,7 +463,7 @@ def solve_nonlinear(config: WaveConfig, u0, u1,
         Phi[r], dtPhi[r] = _carry(A, starts, r)
         h1_lin[r], dt_lin[r] = _traces(Phi[r], dtPhi[r], block)
     delta_lin, _ = _safe_fit(times, h1_lin + dt_lin, _fit_window(config))
-    xw = (1.0 + times) ** (-0.5) * np.exp(_x_delta(delta_lin) * times)
+    xw = _x_weight(times, _x_delta(delta_lin))
 
     U, dtU, h1_now, dt_now = Phi, dtPhi, h1_lin, dt_lin
     diffs: List[float] = []

@@ -398,6 +398,25 @@ def test_optional_field_wrong_type_exit2(tmp_path, capsys, command, cfg):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("sharp", {**_SHARP_BASE, "spec": {"theorem": "FractionalHardy",
+                                       "params": {"N": 3, "gamma": 0.0, "s": 2.0}}}),
+    ("verify", {**VERIFY_CFG, "mode": {**_RADIAL, "N": 5}}),
+], ids=["sharp.inadmissible", "verify.mode_lambda"])
+def test_spec_check_prints_the_evaluate_sides_message(tmp_path, capsys, command, cfg):
+    # an inadmissible spec, and a spec whose Λ is not the mode's, stop the run
+    # with the error evaluate_sides raises for them
+    spec = dunklkit.InequalitySpec(cfg["spec"]["theorem"], cfg["spec"]["params"])
+    wb = dunklkit.radial_workbench(cfg["mode"]["N"], 0.0, resolution=64, xi_resolution=64)
+    with pytest.raises(ValueError) as info:
+        dunklkit.evaluate_sides(spec, dunklkit.generate_corpus(1, 1, ["Gaussian"])[0], wb)
+    path = write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
+    meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+    assert meta["error"] == {"class": type(info.value).__name__, "message": str(info.value)}
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 

@@ -57,6 +57,16 @@ def test_make_spec_keeps_a_given_derived_parameter():
     assert {c.cid for c in admissible(partial).failed} == {"balance"}
 
 
+@pytest.mark.parametrize("tag, params, name", [
+    ("Sobolev", dict(p=2.0), "q"),                      # q = pΛ/(Λ-p) at p = Λ = 2
+    ("WeightedHardy", dict(a=0.0, b=0.0), "p"),         # p = 2Λ/(Λ-2+2(b-a)) at Λ = 2
+], ids=["Sobolev.p=Λ", "WeightedHardy.b=a"])
+def test_make_spec_at_a_derived_formula_pole_is_inadmissible(tag, params, name):
+    # admissible() names the same point's failed condition `defined`
+    with pytest.raises(AdmissibilityError, match=rf"^{tag}: {name} .*\bdefined\)$"):
+        dk.make_spec(tag, N=2, gamma=0.0, **params)
+
+
 # The derived parameters of the benchmark's verify-sweep constructor specs and
 # of the tests' derived specs, as float.hex of the values the constructors
 # that computed them inline gave.
@@ -462,7 +472,8 @@ def test_workbench_mismatch_rejected(wb_radial3):
 def test_workbench_mismatch_has_package_type(wb_radial3):
     spec = dk.make_spec("FractionalHardy", N=3, gamma=0.5, s=1.0)
     g = generate_corpus(1, 1, ["Gaussian"], mode="radial")[0]
-    with pytest.raises(WorkbenchMismatchError, match="does not match"):
+    # the message names both values of Λ: the workbench's 3 and the spec's 4
+    with pytest.raises(WorkbenchMismatchError, match=r"Λ = 3 does not match .* = 4$"):
         evaluate_sides(spec, g, wb_radial3)
     assert issubclass(WorkbenchMismatchError, ValueError)
 

@@ -8,7 +8,8 @@ every test-function carrier, of weighted norms and of the benchmark's
 verify-sweep ratios, batched `verify_corpus` against per-member
 evaluation, the cached rule layout against the panel-by-panel rule, the
 direct Gauss-Jacobi core against `scipy.special.roots_jacobi` bit for bit,
-and the equality conditions of the derived parameters `make_spec` fills in."""
+the equality conditions of the derived parameters `make_spec` fills in, and
+the shared hypotheses N ≥ 1 and γ ≥ 0 first among every theorem's conditions."""
 
 import importlib.util
 import math
@@ -501,7 +502,7 @@ def test_derived_parameters_satisfy_their_equalities(tag, N, gamma, data):
     drawn = {k: data.draw(strategy, label=k) for k, strategy in GIVEN[tag].items()}
     try:
         spec = dk.make_spec(tag, N=N, gamma=gamma, **drawn)
-    except ZeroDivisionError:
+    except inequalities.AdmissibilityError:
         assume(False)                     # the derived parameter is undefined here
     assert set(spec.params) == set(inequalities.THEOREMS[tag].params)
     conditions = _equality_conditions(spec)
@@ -510,3 +511,23 @@ def test_derived_parameters_satisfy_their_equalities(tag, N, gamma, data):
         if c.cid.endswith("_formula"):
             assert c.residual == 0.0, (tag, spec.params, c)
         assert c.ok, (tag, spec.params, c)
+
+
+# ---------------------------------------------------------------------------
+# the shared hypotheses: admissible() states N ≥ 1 and γ ≥ 0 first, for every theorem
+
+
+@pytest.mark.parametrize("tag", sorted(inequalities.THEOREMS))
+@PROPERTY
+@given(N=st.integers(0, 6), gamma=st.one_of(st.floats(-2.0, -0.01), st.floats(0.0, 2.0)),
+       data=st.data())
+def test_shared_hypotheses_come_first_and_fail_off_their_range(tag, N, gamma, data):
+    assume(N == 0 or gamma < 0.0)
+    params = {k: data.draw(st.floats(0.25, 8.0), label=k)
+              for k in inequalities.THEOREMS[tag].params[2:]}
+    rep = inequalities.admissible(dk.InequalitySpec(tag, {"N": N, "gamma": gamma, **params}))
+    ids = [c.cid for c in rep.conditions]
+    assume(ids != ["defined"])            # a formula's pole replaces every condition
+    assert ids[:2] == ["dimension", "gamma_nonneg"], (tag, ids)
+    assert [c.ok for c in rep.conditions[:2]] == [N >= 1, gamma >= 0.0], (tag, rep.conditions)
+    assert not rep.admissible
